@@ -20,7 +20,6 @@ import hashlib
 import json
 from typing import Any
 
-from .corners import peirce_component
 from .errors import ShapeMismatch
 from .maps import AdditiveMap, RingIsomorphism
 from .morphisms import IsoDecomposition, IsoLayer
@@ -34,7 +33,9 @@ def _expect(cond: bool, message: str) -> None:
 
 
 def _int_list(value: Any, what: str) -> list[int]:
-    _expect(isinstance(value, list) and all(isinstance(v, int) for v in value),
+    # bool is a subclass of int, but JSON true/false are not integers
+    _expect(isinstance(value, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in value),
             "%s must be a list of integers" % what)
     return list(value)
 
@@ -190,13 +191,9 @@ def decomposition_from_obj(
                 [_reduced_element(corner_s, row, "rho image") for row in _bare_images(raw.get("rho"), "rho")],
             )
         )
-        e = seq_a.idems[i]
-        f = seq_b.idems[sigma[i]]
-        row_l = peirce_component(seq_a.ring, e, seq_a.ring.one_element() - e)
-        row_m = peirce_component(ring_b, f, ring_b.one_element() - f)
         chi = AdditiveMap(
-            row_l,
-            row_m,
+            seq_a.rows[i],
+            seq_b.rows[sigma[i]],
             [_reduced_element(ring_b, row, "chi image") for row in _bare_images(raw.get("chi"), "chi")],
         )
         layers.append(IsoLayer(rho, chi, _reduced_element(ring_b, raw.get("m"), "layer offset")))

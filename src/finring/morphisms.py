@@ -11,8 +11,9 @@ with r, l, a the Peirce parts of the argument.  Iterating down a
 triangulating sequence gives the full parametrization: a block permutation
 sigma, one (rho, chi, m) layer per level but the last, and a closing corner
 isomorphism.  Layer data is stored against canonical ambient objects (corner
-presentations of the two sequences, full rows e_i*A*(1-e_i) and
-f_j*B*(1-f_j)), so decomposition and synthesis round-trip field by field.
+presentations and rows e_i*A*(1-e_i) of the two sequences), so decomposition
+and synthesis round-trip field by field.  The single-level functions are the
+same engine on the two-block sequence (e, 1-e), with phibar as the next level.
 
 Enumeration walks sigma in lexicographic order and, per sigma, the layer
 choices with deeper levels varying slowest and each level keyed by image
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .corners import corner_ring, peirce_component
+from .corners import CornerRing, corner_ring, peirce_component
 from .errors import (
     AmbientMismatch,
     CapExceeded,
@@ -34,6 +35,7 @@ from .errors import (
     NotSemicentral,
     ShapeMismatch,
     StructureViolation,
+    ToolkitError,
 )
 from .idempotents import is_semicentral
 from .maps import (
@@ -62,6 +64,92 @@ class CornerQuadruple:
     m: Element
 
 
+# -- one level ---------------------------------------------------------------
+
+
+def _in_ambient(corner_r: CornerRing, corner_s: CornerRing, rho: RingIsomorphism):
+    """rho read in ambient coordinates: x -> rho(e*x*e), embedded at f."""
+
+    def amb(x: Element) -> Element:
+        return corner_s.embed(rho.apply(corner_r.project(x)))
+
+    return amb
+
+
+def _action_pairs(corner: CornerRing, phi) -> list[tuple[Element, Element]]:
+    """(x, phi(x)) over the ambient additive generators x of the corner."""
+    return [(x, phi(x)) for x in corner.subgroup.generators]
+
+
+def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
+    if f is None or f.domain != dom or f.codomain != cod:
+        raise InconsistentQuadruple("%s has wrong endpoints" % what, level)
+
+
+def _check_level(
+    chi: AdditiveMap, offset, left_pairs, right_pairs, level: int | None = None
+) -> None:
+    """Raise InconsistentQuadruple unless the row map chi is bijective and
+    twists both actions: chi(r*l) = rho(r)*chi(l) over the pairs (r, rho(r))
+    and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a)).  An offset other
+    than None must also lie in the target row."""
+    row_m = chi.codomain
+    if offset is not None and (offset.ring != row_m.ring or not row_m.contains(offset)):
+        raise InconsistentQuadruple("offset lies outside the target row", level)
+    if not chi.is_bijective():
+        raise InconsistentQuadruple("row map is not bijective", level)
+    images = list(zip(chi.domain.generators, chi._image_elems))
+    if any(chi.apply(r * l) != rho_r * img for r, rho_r in left_pairs for l, img in images):
+        raise InconsistentQuadruple("left action compatibility fails", level)
+    if any(chi.apply(l * a) != img * phi_a for a, phi_a in right_pairs for l, img in images):
+        raise InconsistentQuadruple("right action compatibility fails", level)
+
+
+def _level_map(e: Element, tail: Element, rho_amb, chi: AdditiveMap, m: Element, phi_next):
+    """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
+    for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
+    the tail t."""
+
+    def level(x: Element) -> Element:
+        rho_r = rho_amb(e * x * e)
+        phi_a = phi_next(tail * x * tail)
+        return rho_r + rho_r * m + chi.apply(e * x * tail) - m * phi_a + phi_a
+
+    return level
+
+
+def _assemble(ring_a: RingPresentation, ring_b: RingPresentation, phi) -> RingIsomorphism:
+    """The map with generator images phi(g); checked data always yields an
+    isomorphism, so a failure here is reported as a StructureViolation."""
+    images = AdditiveMap(ring_a, ring_b, [phi(g) for g in ring_a.gens()])
+    try:
+        return RingIsomorphism.create(images)
+    except ToolkitError as exc:
+        raise StructureViolation("checked data synthesized a non-isomorphism: %s" % exc)
+
+
+def _restrict_corner(psi, corner_r: CornerRing, corner_s: CornerRing) -> RingIsomorphism:
+    """The corner isomorphism x -> f*psi(x)*f from the corner at e to that at f."""
+    dom = corner_r.presentation
+    cod = corner_s.presentation
+    return RingIsomorphism.create(
+        AdditiveMap(dom, cod, [corner_s.project(psi(corner_r.embed(g))) for g in dom.gens()])
+    )
+
+
+def _restrict_row(psi, row_l: Subgroup, row_m: Subgroup) -> AdditiveMap:
+    try:
+        return AdditiveMap(row_l, row_m, [psi(l) for l in row_l.generators])
+    except ShapeMismatch as exc:
+        raise StructureViolation("restriction of phi leaves the target row: %s" % exc)
+
+
+# -- a single semicentral level ----------------------------------------------
+# One level is the layered engine on the two-block sequence (e, 1-e): the
+# complement corner is the tail and phibar, read in ambient coordinates, is
+# the next level.
+
+
 def _corner_context(ring: RingPresentation, e: Element):
     if not is_semicentral(ring, e):
         raise NotSemicentral("idempotent is not semicentral")
@@ -69,60 +157,35 @@ def _corner_context(ring: RingPresentation, e: Element):
     return corner_ring(ring, e), corner_ring(ring, comp), peirce_component(ring, e, comp)
 
 
+def _quadruple_level(ctx_a, ctx_b, q: CornerQuadruple):
+    """Check q against the corner contexts of e and f; return its level map."""
+    corner_r, corner_abar, row_l = ctx_a
+    corner_s, corner_bbar, row_m = ctx_b
+    _check_ends(q.rho, corner_r.presentation, corner_s.presentation, "corner isomorphism")
+    _check_ends(
+        q.phibar, corner_abar.presentation, corner_bbar.presentation, "complement isomorphism"
+    )
+    _check_ends(q.chi.map, row_l, row_m, "row map")
+    if q.chi.left_via != q.rho or q.chi.right_via != q.phibar:
+        raise InconsistentQuadruple("row map is not tagged with the quadruple's actions")
+    rho_amb = _in_ambient(corner_r, corner_s, q.rho)
+    phibar_amb = _in_ambient(corner_abar, corner_bbar, q.phibar)
+    _check_level(
+        q.chi.map, q.m, _action_pairs(corner_r, rho_amb), _action_pairs(corner_abar, phibar_amb)
+    )
+    return _level_map(corner_r.idem, corner_abar.idem, rho_amb, q.chi.map, q.m, phibar_amb)
+
+
 def check_corner_quadruple(e: Element, f: Element, q: CornerQuadruple) -> None:
     """Raise InconsistentQuadruple unless q satisfies every compatibility
     condition for the semicentral idempotents e (domain side) and f."""
-    ring_a = e.ring
-    ring_b = f.ring
-    corner_r, corner_abar, row_l = _corner_context(ring_a, e)
-    corner_s, corner_bbar, row_m = _corner_context(ring_b, f)
-    if q.rho.domain != corner_r.presentation or q.rho.codomain != corner_s.presentation:
-        raise InconsistentQuadruple("corner isomorphism endpoints do not match")
-    if q.phibar.domain != corner_abar.presentation or q.phibar.codomain != corner_bbar.presentation:
-        raise InconsistentQuadruple("complement isomorphism endpoints do not match")
-    if q.chi.map.domain != row_l or q.chi.map.codomain != row_m:
-        raise InconsistentQuadruple("row map endpoints do not match")
-    if q.chi.left_via != q.rho or q.chi.right_via != q.phibar:
-        raise InconsistentQuadruple("row map is not tagged with the quadruple's actions")
-    if q.m.ring != ring_b or not row_m.contains(q.m):
-        raise InconsistentQuadruple("offset element lies outside the target row")
-    if not q.chi.map.is_bijective():
-        raise InconsistentQuadruple("row map is not bijective")
-    row_gens = row_l.generators
-    for t in range(corner_r.presentation.rank):
-        r_amb = corner_r.embed(corner_r.presentation.gen(t))
-        rho_amb = corner_s.embed(q.rho.apply(corner_r.presentation.gen(t)))
-        for l in row_gens:
-            if q.chi.apply(r_amb * l) != rho_amb * q.chi.apply(l):
-                raise InconsistentQuadruple("left action compatibility fails")
-    for t in range(corner_abar.presentation.rank):
-        a_amb = corner_abar.embed(corner_abar.presentation.gen(t))
-        pb_amb = corner_bbar.embed(q.phibar.apply(corner_abar.presentation.gen(t)))
-        for l in row_gens:
-            if q.chi.apply(l * a_amb) != q.chi.apply(l) * pb_amb:
-                raise InconsistentQuadruple("right action compatibility fails")
+    _quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q)
 
 
 def corner_synthesize(e: Element, f: Element, q: CornerQuadruple) -> RingIsomorphism:
     """Build the isomorphism determined by corner data at one level."""
-    check_corner_quadruple(e, f, q)
-    ring_a = e.ring
-    ring_b = f.ring
-    corner_r, corner_abar, _row_l = _corner_context(ring_a, e)
-    corner_s, corner_bbar, _row_m = _corner_context(ring_b, f)
-    comp_a = ring_a.one_element() - e
-    images = []
-    for g in ring_a.gens():
-        r = e * g * e
-        l = e * g * comp_a
-        a = comp_a * g * comp_a
-        rho_amb = corner_s.embed(q.rho.apply(corner_r.project(r)))
-        pb_amb = corner_bbar.embed(q.phibar.apply(corner_abar.project(a)))
-        images.append(rho_amb + rho_amb * q.m + q.chi.apply(l) - q.m * pb_amb + pb_amb)
-    try:
-        return RingIsomorphism.create(AdditiveMap(ring_a, ring_b, images))
-    except Exception as exc:  # consistent quadruples always synthesize; see tests
-        raise StructureViolation("synthesis produced a non-isomorphism: %s" % exc)
+    level = _quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q)
+    return _assemble(e.ring, f.ring, level)
 
 
 def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuadruple:
@@ -135,40 +198,18 @@ def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuad
     ring_b = phi.codomain
     if e.ring != ring_a or f.ring != ring_b:
         raise AmbientMismatch("idempotents do not match the map's endpoints")
-    corner_r, corner_abar, row_l = _corner_context(ring_a, e)
-    corner_s, corner_bbar, row_m = _corner_context(ring_b, f)
+    ctx_a = _corner_context(ring_a, e)
+    ctx_b = _corner_context(ring_b, f)
+    corner_r, corner_abar, row_l = ctx_a
+    corner_s, corner_bbar, row_m = ctx_b
     offset = phi.apply(e) - f
     if not row_m.contains(offset):
         raise LocationMismatch("phi(e) is not in the row coset of f")
-    comp_b = ring_b.one_element() - f
-    rho = RingIsomorphism.create(
-        AdditiveMap(
-            corner_r.presentation,
-            corner_s.presentation,
-            [
-                corner_s.project(f * phi.apply(corner_r.embed(corner_r.presentation.gen(t))) * f)
-                for t in range(corner_r.presentation.rank)
-            ],
-        )
-    )
-    phibar = RingIsomorphism.create(
-        AdditiveMap(
-            corner_abar.presentation,
-            corner_bbar.presentation,
-            [
-                corner_bbar.project(
-                    comp_b * phi.apply(corner_abar.embed(corner_abar.presentation.gen(t))) * comp_b
-                )
-                for t in range(corner_abar.presentation.rank)
-            ],
-        )
-    )
-    try:
-        chi_map = AdditiveMap(row_l, row_m, [phi.apply(l) for l in row_l.generators])
-    except ShapeMismatch as exc:
-        raise StructureViolation("restriction of phi leaves the target row: %s" % exc)
-    q = CornerQuadruple(rho, phibar, BimoduleIsomorphism(chi_map, rho, phibar), offset)
-    if corner_synthesize(e, f, q).map != phi.map:
+    rho = _restrict_corner(phi.apply, corner_r, corner_s)
+    phibar = _restrict_corner(phi.apply, corner_abar, corner_bbar)
+    chi = BimoduleIsomorphism(_restrict_row(phi.apply, row_l, row_m), rho, phibar)
+    q = CornerQuadruple(rho, phibar, chi, offset)
+    if _assemble(ring_a, ring_b, _quadruple_level(ctx_a, ctx_b, q)).map != phi.map:
         raise StructureViolation("corner data does not resynthesize the map")
     return q
 
@@ -202,13 +243,10 @@ class IsoDecomposition:
 def _base_level(seq_a: TriangularSequence, seq_b: TriangularSequence, j: int, rho: RingIsomorphism):
     corner_r = seq_a.corners[seq_a.m - 1]
     corner_s = seq_b.corners[j]
-    if rho is None or rho.domain != corner_r.presentation or rho.codomain != corner_s.presentation:
-        raise InconsistentQuadruple("closing corner isomorphism has wrong endpoints", seq_a.m - 1)
-
-    def base(x: Element) -> Element:
-        return corner_s.embed(rho.apply(corner_r.project(x)))
-
-    return base
+    _check_ends(
+        rho, corner_r.presentation, corner_s.presentation, "closing corner isomorphism", seq_a.m - 1
+    )
+    return _in_ambient(corner_r, corner_s, rho)
 
 
 def _wrap_level(
@@ -220,46 +258,21 @@ def _wrap_level(
     phi_next,
     check: bool = True,
 ):
-    ring_a = seq_a.ring
-    ring_b = seq_b.ring
-    e = seq_a.idems[i]
+    """Level i of the synthesis over the two sequences, wrapping phi_next."""
     j = sigma[i]
     corner_r = seq_a.corners[i]
     corner_s = seq_b.corners[j]
-    row_l = peirce_component(ring_a, e, ring_a.one_element() - e)
-    row_m = peirce_component(ring_b, seq_b.idems[j], ring_b.one_element() - seq_b.idems[j])
+    tail = seq_a.tails[i + 1]
+    rho_amb = _in_ambient(corner_r, corner_s, layer.rho)
     if check:
-        if layer.rho.domain != corner_r.presentation or layer.rho.codomain != corner_s.presentation:
-            raise InconsistentQuadruple("layer corner isomorphism has wrong endpoints", i)
-        if layer.chi.domain != row_l or layer.chi.codomain != row_m:
-            raise InconsistentQuadruple("layer row map has wrong endpoints", i)
-        if layer.m.ring != ring_b or not row_m.contains(layer.m):
-            raise InconsistentQuadruple("layer offset lies outside the target row", i)
-        if not layer.chi.is_bijective():
-            raise InconsistentQuadruple("layer row map is not bijective", i)
-        row_gens = row_l.generators
-        for t in range(corner_r.presentation.rank):
-            r_amb = corner_r.embed(corner_r.presentation.gen(t))
-            rho_amb = corner_s.embed(layer.rho.apply(corner_r.presentation.gen(t)))
-            for l in row_gens:
-                if layer.chi.apply(r_amb * l) != rho_amb * layer.chi.apply(l):
-                    raise InconsistentQuadruple("left action compatibility fails", i)
-        for a in seq_a.tails[i + 1].subgroup.generators:
-            pa = phi_next(a)
-            for l in row_gens:
-                if layer.chi.apply(l * a) != layer.chi.apply(l) * pa:
-                    raise InconsistentQuadruple("right action compatibility fails", i)
-    tail_idem = seq_a.tail_idempotent(i + 1)
-
-    def level(x: Element) -> Element:
-        r = e * x * e
-        l = e * x * tail_idem
-        a = tail_idem * x * tail_idem
-        rho_amb = corner_s.embed(layer.rho.apply(corner_r.project(r)))
-        pa = phi_next(a)
-        return rho_amb + rho_amb * layer.m + layer.chi.apply(l) - layer.m * pa + pa
-
-    return level
+        _check_ends(
+            layer.rho, corner_r.presentation, corner_s.presentation, "layer corner isomorphism", i
+        )
+        _check_ends(layer.chi, seq_a.rows[i], seq_b.rows[j], "layer row map", i)
+        _check_level(
+            layer.chi, layer.m, _action_pairs(corner_r, rho_amb), _action_pairs(tail, phi_next), i
+        )
+    return _level_map(corner_r.idem, tail.idem, rho_amb, layer.chi, layer.m, phi_next)
 
 
 def iso_synthesize(
@@ -288,11 +301,7 @@ def iso_synthesize(
     phi = _base_level(seq_a, seq_b, d.sigma[m - 1], d.last_rho)
     for i in range(m - 2, -1, -1):
         phi = _wrap_level(seq_a, seq_b, d.sigma, i, d.layers[i], phi)
-    iso_map = AdditiveMap(ring_a, ring_b, [phi(g) for g in ring_a.gens()])
-    try:
-        return RingIsomorphism.create(iso_map)
-    except Exception as exc:
-        raise StructureViolation("layer data passed checks but synthesis failed: %s" % exc)
+    return _assemble(ring_a, ring_b, phi)
 
 
 def iso_decompose(
@@ -318,34 +327,15 @@ def iso_decompose(
     layers: list[IsoLayer] = []
     last_rho = None
     for i in range(m):
-        e = seq_a.idems[i]
-        k, rest = _locate_over(ring_b, seq_b.idems, active, psi(e))
+        k, rest = _locate_over(ring_b, seq_b.idems, active, psi(seq_a.idems[i]))
         sigma.append(k)
-        corner_r = seq_a.corners[i]
-        corner_s = seq_b.corners[k]
-        f_k = seq_b.idems[k]
-        rho = RingIsomorphism.create(
-            AdditiveMap(
-                corner_r.presentation,
-                corner_s.presentation,
-                [
-                    corner_s.project(f_k * psi(corner_r.embed(corner_r.presentation.gen(t))) * f_k)
-                    for t in range(corner_r.presentation.rank)
-                ],
-            )
-        )
+        rho = _restrict_corner(psi, seq_a.corners[i], seq_b.corners[k])
         if i == m - 1:
             if not rest.is_zero():
                 raise StructureViolation("closing block leaves a nonzero row part")
             last_rho = rho
             break
-        row_l = peirce_component(ring_a, e, ring_a.one_element() - e)
-        row_m = peirce_component(ring_b, f_k, ring_b.one_element() - f_k)
-        try:
-            chi = AdditiveMap(row_l, row_m, [psi(l) for l in row_l.generators])
-        except ShapeMismatch as exc:
-            raise StructureViolation("restriction of phi leaves the target row: %s" % exc)
-        layers.append(IsoLayer(rho, chi, rest))
+        layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
         active.remove(k)
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
         psi = _restrict(psi, shrink)
@@ -392,12 +382,10 @@ def _enumerate_corner_isos(
 def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pairs):
     """Bijective additive maps row_l -> row_m compatible with both actions,
     in lexicographic image order."""
-    gens = row_l.generators
-    orders = row_l.generator_orders
     elems = row_m.elements()
     candidates = []
     space = 1
-    for o in orders:
+    for o in row_l.generator_orders:
         lst = [y for y in elems if (o * y).is_zero()]
         space *= len(lst)
         if space > CORNER_SEARCH_CAP:
@@ -406,19 +394,9 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     out = []
     for tup in itertools.product(*candidates):
         chi = AdditiveMap(row_l, row_m, list(tup))
-        if not chi.is_bijective():
-            continue
-        if any(
-            chi.apply(r_amb * l) != rho_amb * img
-            for r_amb, rho_amb in left_pairs
-            for l, img in zip(gens, chi._image_elems)
-        ):
-            continue
-        if any(
-            chi.apply(l * a_amb) != img * pa
-            for a_amb, pa in right_pairs
-            for l, img in zip(gens, chi._image_elems)
-        ):
+        try:
+            _check_level(chi, None, left_pairs, right_pairs)
+        except InconsistentQuadruple:
             continue
         out.append(chi)
     return out
@@ -444,10 +422,6 @@ def enumerate_isomorphisms(
     m = seq_a.m
     if seq_b.m != m:
         return
-    one_a = ring_a.one_element()
-    one_b = ring_b.one_element()
-    rows_a = [peirce_component(ring_a, e, one_a - e) for e in seq_a.idems]
-    rows_b = [peirce_component(ring_b, f, one_b - f) for f in seq_b.idems]
     corner_cache: dict[tuple[int, int], list[RingIsomorphism]] = {}
 
     def corner_isos(i: int, j: int) -> list[RingIsomorphism]:
@@ -461,7 +435,7 @@ def enumerate_isomorphisms(
     for sigma in admissible_orders(ring_b, seq_b, cap):
         if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
             continue
-        if any(rows_a[i].order != rows_b[sigma[i]].order for i in range(m)):
+        if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):
             continue
 
         def levels(i: int):
@@ -469,24 +443,16 @@ def enumerate_isomorphisms(
                 for rho in corner_isos(m - 1, sigma[m - 1]):
                     yield (), rho, _base_level(seq_a, seq_b, sigma[m - 1], rho)
                 return
-            e = seq_a.idems[i]
             j = sigma[i]
             corner_r = seq_a.corners[i]
             corner_s = seq_b.corners[j]
-            row_l = rows_a[i]
-            row_m = rows_b[j]
-            tail_gens = seq_a.tails[i + 1].subgroup.generators
+            row_l = seq_a.rows[i]
+            row_m = seq_b.rows[j]
             offsets = row_m.elements()
             for sub_layers, last_rho, phi_next in levels(i + 1):
-                right_pairs = [(a, phi_next(a)) for a in tail_gens]
+                right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
                 for rho in corner_isos(i, j):
-                    left_pairs = [
-                        (
-                            corner_r.embed(corner_r.presentation.gen(t)),
-                            corner_s.embed(rho.apply(corner_r.presentation.gen(t))),
-                        )
-                        for t in range(corner_r.presentation.rank)
-                    ]
+                    left_pairs = _action_pairs(corner_r, _in_ambient(corner_r, corner_s, rho))
                     for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
                         for offset in offsets:
                             layer = IsoLayer(rho, chi, offset)
@@ -496,11 +462,7 @@ def enumerate_isomorphisms(
                             yield (layer,) + sub_layers, last_rho, phi_here
 
         for layers, last_rho, phi in levels(0):
-            d = IsoDecomposition(sigma, layers, last_rho)
-            iso = RingIsomorphism.create(
-                AdditiveMap(ring_a, ring_b, [phi(g) for g in ring_a.gens()])
-            )
-            yield d, iso
+            yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)
 
 
 def iso_search(

@@ -16,6 +16,7 @@ from .corners import CornerRing, corner_ring, peirce_component
 from .errors import InvalidSequence
 from .idempotents import is_semicentral_reduced
 from .presentation import Element, RingPresentation
+from .subgroups import Subgroup
 
 
 def triangularity_failure(
@@ -50,15 +51,18 @@ def is_strongly_triangular(ring: RingPresentation, idems, cap: int | None = None
 
 @dataclass(frozen=True)
 class TriangularSequence:
-    """A strongly triangulating sequence with its corners and tails.
+    """A strongly triangulating sequence with its corners, tails and rows.
 
     tails[i] is the corner at e_i + ... + e_m, so tails[0] is the whole ring.
+    rows[i] is the Peirce row e_i*A*(1-e_i); the lower components vanish, so
+    it equals e_i*A*(e_{i+1} + ... + e_m).
     """
 
     ring: RingPresentation
     idems: tuple[Element, ...]
     corners: tuple[CornerRing, ...]
     tails: tuple[CornerRing, ...]
+    rows: tuple[Subgroup, ...]
 
     @classmethod
     def build(
@@ -72,7 +76,9 @@ class TriangularSequence:
         tails = []
         for i in range(len(idems)):
             tails.append(corner_ring(ring, ring.sum(idems[i:])))
-        return cls(ring, idems, corners, tuple(tails))
+        one = ring.one_element()
+        rows = tuple(peirce_component(ring, e, one - e) for e in idems)
+        return cls(ring, idems, corners, tuple(tails), rows)
 
     @property
     def m(self) -> int:

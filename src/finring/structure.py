@@ -17,7 +17,8 @@ PERMUTATION_GUARD = 8
 @dataclass(frozen=True)
 class PeirceDecomposition:
     """All components e_i*A*e_j of a triangulating sequence, plus the
-    truncated rows row[i] = e_i*A*(e_{i+1} + ... + e_m)."""
+    truncated rows row[i] = e_i*A*(e_{i+1} + ... + e_m), which are the
+    sequence's rows e_i*A*(1-e_i) because the lower components vanish."""
 
     seq: TriangularSequence
     components: tuple[tuple[Subgroup, ...], ...]
@@ -40,9 +41,7 @@ def peirce_decompose(ring: RingPresentation, seq: TriangularSequence) -> PeirceD
         tuple(peirce_component(ring, seq.idems[i], seq.idems[j]) for j in range(m))
         for i in range(m)
     )
-    rows = []
-    for i in range(m):
-        rows.append(peirce_component(ring, seq.idems[i], seq.tail_idempotent(i + 1)))
+    rows = seq.rows
     total = 1
     for i in range(m):
         for j in range(m):
@@ -55,7 +54,7 @@ def peirce_decompose(ring: RingPresentation, seq: TriangularSequence) -> PeirceD
             expect *= comps[i][j].order
         if rows[i].order != expect:
             raise StructureViolation("row %d does not match its components" % i)
-    return PeirceDecomposition(seq, comps, tuple(rows))
+    return PeirceDecomposition(seq, comps, rows)
 
 
 def reorder_front(

@@ -19,11 +19,6 @@ from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import is_semicentral, is_semicentral_reduced
 from .presentation import Element, RingPresentation, require_cap
 from .sequences import TriangularSequence
-from .subgroups import Subgroup
-
-
-def _span_sandwich(ring: RingPresentation, left: Element, right: Element) -> Subgroup:
-    return Subgroup.span(ring, [left * g * right for g in ring.gens()])
 
 
 def complete_triangulating_set(
@@ -41,7 +36,7 @@ def complete_triangulating_set(
             if e.is_zero() or not e.is_idempotent():
                 continue
             # Semicentral within the tail corner: (tail - e) A e must vanish.
-            if not _span_sandwich(ring, tail - e, e).is_trivial():
+            if not peirce_component(ring, tail - e, e).is_trivial():
                 continue
             if not is_semicentral_reduced(corner_ring(ring, e).presentation, cap):
                 continue
@@ -79,14 +74,14 @@ def _locate_over(
     if p != idems[k]:
         raise StructureViolation("diagonal product is nonzero but not the block idempotent")
     u = ring.sum(idems[i] for i in active)
-    row = _span_sandwich(ring, idems[k], u - idems[k])
+    row = peirce_component(ring, idems[k], u - idems[k])
     rest = f - idems[k]
     if not row.contains(rest):
         raise StructureViolation("idempotent does not sit in its block's row coset")
     for i in active:
         if i == k:
             break
-        if not _span_sandwich(ring, idems[i], idems[k]).is_trivial():
+        if not peirce_component(ring, idems[i], idems[k]).is_trivial():
             raise StructureViolation(
                 "component above the located block is nonzero at index %d" % i
             )

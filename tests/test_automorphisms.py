@@ -3,12 +3,14 @@ import pytest
 from finring import (
     AutomorphismGroup,
     RingPresentation,
+    StructureViolation,
     aut_group,
     aut_order,
     identity_iso,
     inner_automorphism,
     ring_units,
 )
+from finring.automorphisms import _verify_group_law
 from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, product
 
 # computed once by exhaustive search and frozen
@@ -75,3 +77,18 @@ def test_every_fixture_group_satisfies_group_law():
         for g in group.elements:
             assert g.inverse().map.images in ids
         assert AUT_ORDERS[name] == group.order
+
+
+def test_group_law_check_rejects_incomplete_sets():
+    ring = fixture("t2_z4")
+    group = aut_group(ring)
+    ident = identity_iso(ring)
+    others = [g for g in group.elements if g != ident]
+    assert len(others) == 7
+    for g in others:
+        # some product of two remaining automorphisms is the removed one
+        kept = tuple(h for h in group.elements if h != g)
+        with pytest.raises(StructureViolation, match="closed under composition"):
+            _verify_group_law(AutomorphismGroup(ring, kept))
+    with pytest.raises(StructureViolation, match="missing the identity"):
+        _verify_group_law(AutomorphismGroup(ring, tuple(others)))

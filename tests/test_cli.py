@@ -35,6 +35,10 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     unreduced = tmp_path / "unreduced.json"
     unreduced.write_text(json.dumps({"orders": [2], "mul": [[[3]]], "one": [1]}))
     assert run(capsys, "validate", str(unreduced))[0] == 2
+    # JSON booleans are not integers, even though Python's bool is an int
+    booleans = tmp_path / "booleans.json"
+    booleans.write_text(json.dumps({"orders": [2], "mul": [[[True]]], "one": [True]}))
+    assert run(capsys, "validate", str(booleans))[0] == 2
 
 
 def test_idempotents(capsys):

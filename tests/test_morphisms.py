@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from finring import (
@@ -15,12 +17,15 @@ from finring import (
     corner_decompose,
     corner_ring,
     corner_synthesize,
+    enumerate_idempotents,
     enumerate_isomorphisms,
     identity_iso,
     inner_automorphism,
+    is_semicentral,
     iso_decompose,
     iso_search,
     iso_synthesize,
+    locate_reduced,
     peirce_component,
     ring_units,
     verify_ring_iso,
@@ -69,6 +74,25 @@ def test_corner_decompose_roundtrip():
     assert q.m.coeffs == (0, 3, 0)
     assert corner_synthesize(e, e, q).map == phi.map
 
+    # every automorphism, at the head idempotent over the block it locates to
+    # and at every semicentral idempotent e over phi(e)
+    for name in ("t2_f2", "t2_z4", "z6"):
+        ring = fixture(name)
+        seq = complete_triangulating_set(ring)
+        head = seq.idems[0]
+        semicentral = [e for e in enumerate_idempotents(ring) if is_semicentral(ring, e)]
+        offsets = set()
+        for _d, phi in enumerate_isomorphisms(ring, ring):
+            j, m = locate_reduced(ring, seq, phi.apply(head))
+            offsets.add(m.coeffs)
+            pairs = [(head, seq.idems[j])] + [(e, phi.apply(e)) for e in semicentral]
+            for e, f in pairs:
+                q = corner_decompose(phi, e, f)
+                check_corner_quadruple(e, f, q)
+                assert corner_synthesize(e, f, q).map == phi.map, (name, e, f)
+        if name == "t2_z4":
+            assert len(offsets) == 4  # every element of the row Z4*E12 occurs
+
 
 def test_corner_decompose_location_mismatch():
     # both idempotents are semicentral, but phi(3) misses the coset of 4
@@ -105,6 +129,45 @@ def test_iso_synthesize_rejects_inadmissible_sigma():
     swapped = IsoDecomposition((1, 0), good.layers, good.last_rho)
     with pytest.raises(InadmissiblePermutation):
         iso_synthesize(seq, seq, swapped)
+
+
+def test_iso_synthesize_does_not_relabel_internal_errors(monkeypatch):
+    # only package errors become StructureViolation; a bug stays a bug
+    ring = t2_z4()
+    seq = complete_triangulating_set(ring)
+    d = iso_decompose(inner_automorphism(ring.element((1, 3, 1))), seq, seq)
+
+    def broken(cls, map):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(RingIsomorphism, "create", classmethod(broken))
+    with pytest.raises(TypeError, match="internal bug"):
+        iso_synthesize(seq, seq, d)
+
+
+def test_enumeration_reuses_the_sequence_rows(monkeypatch):
+    # Peirce rows are built with the sequences, before the first yield
+    import finring.corners
+
+    original = finring.corners.peirce_component
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "finring" or modname.startswith("finring."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    ring = t2_z4()
+    pairs = enumerate_isomorphisms(ring, ring)
+    next(pairs)
+    assert calls  # the patch reaches the sequence construction
+    calls.clear()
+    assert len(list(pairs)) == 7
+    assert calls == []
 
 
 def test_iso_decompose_identity_z6():

@@ -10,6 +10,7 @@ from finring import (
     complete_triangulating_set,
     detect_direct_sum,
     is_strongly_triangular,
+    peirce_component,
     peirce_decompose,
     reorder_front,
 )
@@ -74,6 +75,18 @@ def test_peirce_decomposition_orders():
     seq = complete_triangulating_set(ring)
     dec = peirce_decompose(ring, seq)
     assert [[c.order for c in row] for row in dec.components] == [[2, 2], [1, 2]]
+
+
+def test_sequence_rows_are_the_peirce_rows():
+    # e_i*A*(1-e_i) is the truncated row e_i*A*(e_{i+1}+...+e_m)
+    for name in FIXTURE_BUILDERS:
+        ring = fixture(name)
+        seq = complete_triangulating_set(ring)
+        dec = peirce_decompose(ring, seq)
+        assert len(seq.rows) == seq.m, name
+        for i, e in enumerate(seq.idems):
+            assert seq.rows[i] == peirce_component(ring, e, ring.one_element() - e), name
+            assert seq.rows[i] == dec.rows[i], name
 
 
 def test_splits_frozen():
