@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructureViolation
-from .maps import RingIsomorphism, compose_maps, identity_iso
+from .maps import RingIsomorphism, compose_maps, identity_iso, invert_map
 from .morphisms import enumerate_isomorphisms
 from .presentation import RingPresentation
 
@@ -35,7 +35,7 @@ def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGro
         seen.setdefault(iso.map, iso)
     elements = tuple(sorted(seen.values(), key=lambda g: g.map.images))
     group = AutomorphismGroup(ring, elements)
-    _verify_group_law(group)
+    _verify_group_law(group, cap)
     return group
 
 
@@ -43,17 +43,16 @@ def aut_order(ring: RingPresentation, cap: int | None = None) -> int:
     return aut_group(ring, cap).order
 
 
-def _verify_group_law(group: AutomorphismGroup) -> None:
-    """Check that the set holds the identity and is closed under composition.
-
-    The elements are verified isomorphisms, hence bijections of a finite set;
-    such a set with the identity, closed under composition, is a group, since
-    every element has finite order and so its inverse is one of its powers.
-    """
+def _verify_group_law(group: AutomorphismGroup, cap: int | None) -> None:
+    """Check that the set holds the identity and is closed under inversion
+    and composition.  The elements are verified isomorphisms, so inverses
+    and composites are compared by map and not verified again."""
     maps = {g.map for g in group.elements}
     if identity_iso(group.ring).map not in maps:
         raise StructureViolation("automorphism set is missing the identity")
     for f in group.elements:
+        if invert_map(f.map, cap) not in maps:
+            raise StructureViolation("automorphism set is not closed under inversion")
         for g in group.elements:
             if compose_maps(f.map, g.map) not in maps:
                 raise StructureViolation("automorphism set is not closed under composition")

@@ -86,23 +86,22 @@ def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
         raise InconsistentQuadruple("%s has wrong endpoints" % what, level)
 
 
-def _check_level(
-    chi: AdditiveMap, offset, left_pairs, right_pairs, level: int | None = None
-) -> None:
-    """Raise InconsistentQuadruple unless the row map chi is bijective and
-    twists both actions: chi(r*l) = rho(r)*chi(l) over the pairs (r, rho(r))
-    and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a)).  An offset other
-    than None must also lie in the target row."""
+def _level_failure(chi: AdditiveMap, offset, left_pairs, right_pairs) -> str | None:
+    """First reason the row map chi fails at one level, else None: chi must
+    be bijective and twist both actions, chi(r*l) = rho(r)*chi(l) over the
+    pairs (r, rho(r)) and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a)).
+    An offset other than None must also lie in the target row."""
     row_m = chi.codomain
     if offset is not None and (offset.ring != row_m.ring or not row_m.contains(offset)):
-        raise InconsistentQuadruple("offset lies outside the target row", level)
+        return "offset lies outside the target row"
     if not chi.is_bijective():
-        raise InconsistentQuadruple("row map is not bijective", level)
+        return "row map is not bijective"
     images = list(zip(chi.domain.generators, chi._image_elems))
     if any(chi.apply(r * l) != rho_r * img for r, rho_r in left_pairs for l, img in images):
-        raise InconsistentQuadruple("left action compatibility fails", level)
+        return "left action compatibility fails"
     if any(chi.apply(l * a) != img * phi_a for a, phi_a in right_pairs for l, img in images):
-        raise InconsistentQuadruple("right action compatibility fails", level)
+        return "right action compatibility fails"
+    return None
 
 
 def _level_map(e: Element, tail: Element, rho_amb, chi: AdditiveMap, m: Element, phi_next):
@@ -170,9 +169,11 @@ def _quadruple_level(ctx_a, ctx_b, q: CornerQuadruple):
         raise InconsistentQuadruple("row map is not tagged with the quadruple's actions")
     rho_amb = _in_ambient(corner_r, corner_s, q.rho)
     phibar_amb = _in_ambient(corner_abar, corner_bbar, q.phibar)
-    _check_level(
+    reason = _level_failure(
         q.chi.map, q.m, _action_pairs(corner_r, rho_amb), _action_pairs(corner_abar, phibar_amb)
     )
+    if reason is not None:
+        raise InconsistentQuadruple(reason)
     return _level_map(corner_r.idem, corner_abar.idem, rho_amb, q.chi.map, q.m, phibar_amb)
 
 
@@ -269,9 +270,11 @@ def _wrap_level(
             layer.rho, corner_r.presentation, corner_s.presentation, "layer corner isomorphism", i
         )
         _check_ends(layer.chi, seq_a.rows[i], seq_b.rows[j], "layer row map", i)
-        _check_level(
-            layer.chi, layer.m, _action_pairs(corner_r, rho_amb), _action_pairs(tail, phi_next), i
+        reason = _level_failure(
+            layer.chi, layer.m, _action_pairs(corner_r, rho_amb), _action_pairs(tail, phi_next)
         )
+        if reason is not None:
+            raise InconsistentQuadruple(reason, i)
     return _level_map(corner_r.idem, tail.idem, rho_amb, layer.chi, layer.m, phi_next)
 
 
@@ -391,15 +394,8 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
         if space > CORNER_SEARCH_CAP:
             raise CapExceeded(space, CORNER_SEARCH_CAP, "row map search")
         candidates.append(lst)
-    out = []
-    for tup in itertools.product(*candidates):
-        chi = AdditiveMap(row_l, row_m, list(tup))
-        try:
-            _check_level(chi, None, left_pairs, right_pairs)
-        except InconsistentQuadruple:
-            continue
-        out.append(chi)
-    return out
+    chis = (AdditiveMap(row_l, row_m, list(tup)) for tup in itertools.product(*candidates))
+    return [chi for chi in chis if _level_failure(chi, None, left_pairs, right_pairs) is None]
 
 
 def enumerate_isomorphisms(
