@@ -38,6 +38,32 @@ def upper_triangular(n: int, modulus: int, name: str | None = None) -> RingPrese
     )
 
 
+def matrix_ring(n: int, modulus: int, name: str | None = None) -> RingPresentation:
+    """n-by-n matrices over Z_modulus.
+
+    Basis is E_ab in row-major order; E_ab * E_cd = [b == c] E_ad.
+    """
+    k = n * n
+    zero = (0,) * k
+    mul = []
+    for a in range(n):
+        for b in range(n):
+            row = []
+            for c in range(n):
+                for d in range(n):
+                    if b == c:
+                        vec = [0] * k
+                        vec[a * n + d] = 1
+                        row.append(tuple(vec))
+                    else:
+                        row.append(zero)
+            mul.append(tuple(row))
+    one = tuple(1 if a == b else 0 for a in range(n) for b in range(n))
+    return RingPresentation(
+        (modulus,) * k, tuple(mul), one, name=name or "M%d(Z%d)" % (n, modulus)
+    )
+
+
 def product(a: RingPresentation, b: RingPresentation, name: str | None = None) -> RingPresentation:
     """External direct product with block-diagonal multiplication."""
     ka = a.rank

@@ -19,10 +19,18 @@ Enumeration walks sigma in lexicographic order and, per sigma, the layer
 choices with deeper levels varying slowest and each level keyed by image
 tuples in lexicographic order; iso_search returns the first hit in that
 canonical order.
+
+Corner isomorphisms and row maps are found by one backtracking search over
+generator images.  It assigns the images in generator order, trying the
+candidates of each in element order, so complete tuples come out in the
+lexicographic order of the full product.  Each defining equation (the unit
+and the generator products for a corner, the two twisted actions for a row)
+is tested as soon as every image it reads is assigned, and a failing partial
+assignment is dropped with all its extensions.  Survivors still get the full
+check (verify_ring_iso, _level_failure).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .corners import CornerRing, corner_ring, peirce_component
@@ -50,7 +58,8 @@ from .structure import admissible_orders
 from .subgroups import Subgroup
 from .triangulate import _locate_over, complete_triangulating_set
 
-# Candidate image tuples per corner pair or row pair during brute search.
+# Candidate images tried by one corner or row search (every placement of a
+# candidate at some generator counts, pruned or not).
 CORNER_SEARCH_CAP = 1 << 16
 
 
@@ -358,25 +367,74 @@ def _restrict(psi, shrink: Element):
 # -- structured enumeration ------------------------------------------------
 
 
+def _backtrack(ring: RingPresentation, candidates, equations, what: str):
+    """The tuples of the product of candidates that satisfy every equation,
+    in lexicographic order.
+
+    An equation (coeffs, reads, rhs) asks sum_l coeffs[l]*images[l] ==
+    rhs(images), where rhs reads the images listed in reads.  It is tested as
+    soon as every image it reads is assigned, and a partial tuple that fails
+    it is dropped with all its extensions.  Each candidate image tried counts
+    against CORNER_SEARCH_CAP; past it, CapExceeded names what."""
+    n = len(candidates)
+    # with no generators the one (empty) tuple is returned untested
+    tests = [[] for _ in range(max(n, 1))]
+    for coeffs, reads, rhs in equations:
+        terms = [(l, c) for l, c in enumerate(coeffs) if c]
+        tests[max([l for l, _c in terms] + reads, default=0)].append((terms, rhs))
+    cap = CORNER_SEARCH_CAP
+    images: list = [None] * n
+    out = []
+    tried = 0
+
+    def holds(terms, rhs) -> bool:
+        lhs = ring.zero()
+        for l, c in terms:
+            lhs = lhs + c * images[l]
+        return lhs == rhs(images)
+
+    def extend(d: int) -> None:
+        nonlocal tried
+        if d == n:
+            out.append(list(images))
+            return
+        for y in candidates[d]:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(tried, cap, what)
+            images[d] = y
+            if all(holds(terms, rhs) for terms, rhs in tests[d]):
+                extend(d + 1)
+
+    extend(0)
+    return out
+
+
+def _order_candidates(orders, elems) -> list[list[Element]]:
+    """Per generator order o, the elements that o annihilates, in elems order."""
+    return [[y for y in elems if (o * y).is_zero()] for o in orders]
+
+
 def _enumerate_corner_isos(
     dom: RingPresentation, cod: RingPresentation
 ) -> list[RingIsomorphism]:
-    """All ring isomorphisms dom -> cod, by image brute force with order and
-    unit pruning, in lexicographic image order."""
+    """All ring isomorphisms dom -> cod, in lexicographic image order.  The
+    search assigns generator images with order pruning and drops a partial
+    assignment once f(1) = 1 or some f(g_i*g_j) = f(g_i)*f(g_j) fails; every
+    survivor is verified in full."""
     if dom.order != cod.order:
         return []
-    elems = list(cod.elements())
-    candidates = []
-    space = 1
-    for o in dom.orders:
-        lst = [y for y in elems if (o * y).is_zero()]
-        space *= len(lst)
-        if space > CORNER_SEARCH_CAP:
-            raise CapExceeded(space, CORNER_SEARCH_CAP, "corner isomorphism search")
-        candidates.append(lst)
+    one = cod.one_element()
+    equations = [(dom.one, [], lambda images: one)]
+    for i in range(dom.rank):
+        for j in range(dom.rank):
+            equations.append(
+                (dom.mul[i][j], [i, j], lambda images, i=i, j=j: images[i] * images[j])
+            )
+    candidates = _order_candidates(dom.orders, list(cod.elements()))
     out = []
-    for tup in itertools.product(*candidates):
-        f = AdditiveMap(dom, cod, list(tup))
+    for images in _backtrack(cod, candidates, equations, "corner isomorphism search"):
+        f = AdditiveMap(dom, cod, images)
         if verify_ring_iso(f, dom, cod):
             out.append(RingIsomorphism(f))
     return out
@@ -384,17 +442,24 @@ def _enumerate_corner_isos(
 
 def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pairs):
     """Bijective additive maps row_l -> row_m compatible with both actions,
-    in lexicographic image order."""
-    elems = row_m.elements()
-    candidates = []
-    space = 1
-    for o in row_l.generator_orders:
-        lst = [y for y in elems if (o * y).is_zero()]
-        space *= len(lst)
-        if space > CORNER_SEARCH_CAP:
-            raise CapExceeded(space, CORNER_SEARCH_CAP, "row map search")
-        candidates.append(lst)
-    chis = (AdditiveMap(row_l, row_m, list(tup)) for tup in itertools.product(*candidates))
+    in lexicographic image order.  The search drops a partial assignment once
+    some chi(r*l_j) = rho(r)*chi(l_j) or chi(l_j*a) = chi(l_j)*phi(a) fails on
+    the generators l_j of row_l; every survivor is checked in full."""
+    equations = []
+    for j, l in enumerate(row_l.generators):
+        for r, rho_r in left_pairs:
+            equations.append(
+                (row_l.coords(r * l), [j], lambda images, j=j, x=rho_r: x * images[j])
+            )
+        for a, phi_a in right_pairs:
+            equations.append(
+                (row_l.coords(l * a), [j], lambda images, j=j, x=phi_a: images[j] * x)
+            )
+    candidates = _order_candidates(row_l.generator_orders, row_m.elements())
+    chis = (
+        AdditiveMap(row_l, row_m, images)
+        for images in _backtrack(row_m.ring, candidates, equations, "row map search")
+    )
     return [chi for chi in chis if _level_failure(chi, None, left_pairs, right_pairs) is None]
 
 

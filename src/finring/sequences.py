@@ -6,7 +6,9 @@ with j > i vanishes, and each corner e_i*A*e_i is semicentral reduced.  The
 empty sequence is valid exactly for the one-element ring.
 
 TriangularSequence.build revalidates from scratch, so sequences constructed
-anywhere in the package carry their invariants.
+anywhere in the package carry their invariants; it checks reducedness on the
+corners it keeps, so each corner is built once (the last tail is the last
+corner).
 """
 from __future__ import annotations
 
@@ -19,11 +21,9 @@ from .presentation import Element, RingPresentation
 from .subgroups import Subgroup
 
 
-def triangularity_failure(
-    ring: RingPresentation, idems, cap: int | None = None
-) -> str | None:
-    """First reason the sequence fails to be strongly triangulating, or None."""
-    idems = tuple(idems)
+def _layout_failure(ring: RingPresentation, idems: tuple[Element, ...]) -> str | None:
+    """First failure among idempotence, orthogonality, the unit sum and the
+    vanishing lower components, or None."""
     for i, e in enumerate(idems):
         if e.ring != ring:
             return "element %d lives in a different ring" % i
@@ -39,10 +39,25 @@ def triangularity_failure(
         for i in range(j):
             if not peirce_component(ring, idems[j], idems[i]).is_trivial():
                 return "lower component (%d, %d) is nonzero" % (j, i)
-    for i, e in enumerate(idems):
-        if not is_semicentral_reduced(corner_ring(ring, e).presentation, cap):
+    return None
+
+
+def _corner_failure(corners, cap: int | None) -> str | None:
+    for i, corner in enumerate(corners):
+        if not is_semicentral_reduced(corner.presentation, cap):
             return "corner %d is not semicentral reduced" % i
     return None
+
+
+def triangularity_failure(
+    ring: RingPresentation, idems, cap: int | None = None
+) -> str | None:
+    """First reason the sequence fails to be strongly triangulating, or None."""
+    idems = tuple(idems)
+    reason = _layout_failure(ring, idems)
+    if reason is not None:
+        return reason
+    return _corner_failure((corner_ring(ring, e) for e in idems), cap)
 
 
 def is_strongly_triangular(ring: RingPresentation, idems, cap: int | None = None) -> bool:
@@ -69,16 +84,20 @@ class TriangularSequence:
         cls, ring: RingPresentation, idems, cap: int | None = None
     ) -> "TriangularSequence":
         idems = tuple(idems)
-        reason = triangularity_failure(ring, idems, cap)
+        reason = _layout_failure(ring, idems)
         if reason is not None:
             raise InvalidSequence(reason)
         corners = tuple(corner_ring(ring, e) for e in idems)
-        tails = []
-        for i in range(len(idems)):
-            tails.append(corner_ring(ring, ring.sum(idems[i:])))
+        reason = _corner_failure(corners, cap)
+        if reason is not None:
+            raise InvalidSequence(reason)
+        # the last tail is the last corner
+        tails = tuple(
+            corner_ring(ring, ring.sum(idems[i:])) for i in range(len(idems) - 1)
+        ) + corners[-1:]
         one = ring.one_element()
         rows = tuple(peirce_component(ring, e, one - e) for e in idems)
-        return cls(ring, idems, corners, tuple(tails), rows)
+        return cls(ring, idems, corners, tails, rows)
 
     @property
     def m(self) -> int:

@@ -10,8 +10,10 @@ from finring import (
     inner_automorphism,
     ring_units,
 )
+from finring import morphisms
 from finring.automorphisms import _verify_group_law
-from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, product
+from finring.errors import CapExceeded
+from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, matrix_ring, product
 
 # computed once by exhaustive search and frozen
 AUT_ORDERS = {
@@ -92,3 +94,27 @@ def test_group_law_check_rejects_incomplete_sets():
             _verify_group_law(AutomorphismGroup(ring, kept), None)
     with pytest.raises(StructureViolation, match="missing the identity"):
         _verify_group_law(AutomorphismGroup(ring, tuple(others)), None)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_aut_of_matrix_rings_is_pgl2(p):
+    # Skolem-Noether: every automorphism of M2(F_p) is inner, so
+    # Aut(M2(F_p)) = PGL2(F_p) of order p(p^2 - 1); 6 and 24
+    assert aut_order(matrix_ring(2, p)) == p * (p * p - 1)
+
+
+def test_corner_search_cap_counts_candidate_images(monkeypatch):
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 8)
+    with pytest.raises(CapExceeded) as info:
+        aut_group(matrix_ring(2, 2))
+    assert info.value.what == "corner isomorphism search"
+    assert (info.value.size, info.value.cap) == (9, 8)
+
+
+def test_row_search_cap_counts_candidate_images(monkeypatch):
+    # T3(F2): corner searches over F2 try 2 images, the first row (F2^2) at
+    # least 4, so a cap of 3 stops the row search only
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 3)
+    with pytest.raises(CapExceeded) as info:
+        aut_group(fixture("t3_f2"))
+    assert info.value.what == "row map search"

@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
+from finring import morphisms
 from finring.cli import main
+from finring.fixtures import matrix_ring
+from finring.jsonio import ring_to_obj
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -166,6 +169,31 @@ def test_iso_decompose_rejects_non_isomorphism(tmp_path, capsys):
 def test_cap_exit_code(capsys):
     assert run(capsys, "aut", "--cap", "4", fx("t2_f2"))[0] == 3
     assert run(capsys, "idempotents", "--cap", "4", fx("t2_f2"))[0] == 3
+
+
+def _ring_file(tmp_path, ring) -> str:
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_to_obj(ring)))
+    return str(path)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_aut_of_matrix_rings(tmp_path, capsys, p):
+    # |Aut(M2(F_p))| = p(p^2 - 1); M2(F3) needs the pruned corner search
+    code, payload, _ = run(capsys, "aut", _ring_file(tmp_path, matrix_ring(2, p)))
+    assert code == 0
+    assert payload["aut_order"] == p * (p * p - 1)
+
+
+def test_search_caps_exit_3_and_name_the_stage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 8)
+    code, _, cap = run(capsys, "aut", _ring_file(tmp_path, matrix_ring(2, 2)))
+    assert code == 3
+    assert "corner isomorphism search" in cap.err
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 3)
+    code, _, cap = run(capsys, "aut", fx("t3_f2"))
+    assert code == 3
+    assert "row map search" in cap.err
 
 
 def test_report_deterministic(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -30,7 +31,19 @@ from finring import (
     ring_units,
     verify_ring_iso,
 )
-from finring.fixtures import cyclic, f2, fixture, product, t2_f2, t2_z4
+from finring import morphisms
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    cyclic,
+    f2,
+    fixture,
+    matrix_ring,
+    product,
+    t2_f2,
+    t2_z4,
+    upper_triangular,
+)
+from finring.oracle import brute_isos
 
 
 def _identity_quadruple(ring, e, m):
@@ -268,3 +281,65 @@ def test_zero_ring_isomorphism():
     assert d.sigma == ()
     assert d.last_rho is None
     assert iso.map.images == ()
+
+
+def test_corner_search_matches_the_oracle_in_order():
+    # the pruned search returns exactly the oracle's isomorphisms, in the same
+    # lexicographic image order, on the fixtures with at most 16 elements (the
+    # oracle takes seconds per 16-element pair and refuses T3(F2))
+    rings = [fixture(name) for name in sorted(FIXTURE_BUILDERS)]
+    rings = [r for r in rings if r.order <= 16]
+    pairs = 0
+    for dom in rings:
+        for cod in rings:
+            if dom.order == cod.order:
+                expected = [iso.map for iso in brute_isos(dom, cod)]
+                found = morphisms._enumerate_corner_isos(dom, cod)
+                assert [iso.map for iso in found] == expected
+                pairs += 1
+    assert pairs == 11
+
+
+def _row_maps_by_product(row_l, row_m, left_pairs, right_pairs):
+    """Every order-compatible image tuple, filtered afterwards."""
+    elems = row_m.elements()
+    candidates = [[y for y in elems if (o * y).is_zero()] for o in row_l.generator_orders]
+    gens = row_l.generators
+    out = []
+    for images in itertools.product(*candidates):
+        chi = AdditiveMap(row_l, row_m, list(images))
+        if not chi.is_bijective():
+            continue
+        if any(chi.apply(r * l) != s * chi.apply(l) for r, s in left_pairs for l in gens):
+            continue
+        if any(chi.apply(l * a) != chi.apply(l) * b for a, b in right_pairs for l in gens):
+            continue
+        out.append(chi)
+    return out
+
+
+def test_row_search_matches_product_and_filter_in_order(monkeypatch):
+    original = morphisms._enumerate_row_maps
+    visited = []
+
+    def recorded(*args):
+        found = original(*args)
+        visited.append((args, found))
+        return found
+
+    monkeypatch.setattr(morphisms, "_enumerate_row_maps", recorded)
+    for ring in (t2_z4(), fixture("t3_f2"), fixture("three_block"), upper_triangular(2, 9)):
+        visited.clear()
+        for _pair in enumerate_isomorphisms(ring, ring):
+            pass
+        assert visited
+        assert any(found for _args, found in visited)
+        for args, found in visited:
+            assert found == _row_maps_by_product(*args)
+
+
+def test_corner_search_of_m2f2_tries_under_one_percent(monkeypatch):
+    # the product-and-filter search scanned 16^4 = 65536 image tuples
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 65536 // 100)
+    ring = matrix_ring(2, 2)
+    assert len(list(enumerate_isomorphisms(ring, ring))) == 6

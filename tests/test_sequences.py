@@ -4,10 +4,11 @@ from finring import (
     InvalidSequence,
     RingPresentation,
     TriangularSequence,
+    complete_triangulating_set,
     is_strongly_triangular,
     triangularity_failure,
 )
-from finring.fixtures import field_f4, t2_f2, three_block, z6
+from finring.fixtures import field_f4, t2_f2, three_block, upper_triangular, z6
 
 
 def test_t2f2_sequence_accepted_and_reverse_rejected():
@@ -80,3 +81,34 @@ def test_corner_presentations():
         ring, [ring.element((1, 0, 0)), ring.element((0, 0, 1))]
     )
     assert [c.order for c in seq.corners] == [2, 2]
+
+
+def test_build_makes_each_corner_once(monkeypatch):
+    # the reducedness check runs on the corners the sequence keeps, and the
+    # last tail is the last corner: m corners plus m - 1 larger tails
+    import sys
+
+    import finring.corners
+
+    original = finring.corners.corner_ring
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "finring" or modname.startswith("finring."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    for ring in (upper_triangular(3, 4), three_block(), z6(), field_f4()):
+        seq = complete_triangulating_set(ring)
+        calls.clear()
+        rebuilt = TriangularSequence.build(ring, seq.idems)
+        assert len(calls) == 2 * seq.m - 1
+        assert rebuilt.corners == seq.corners and rebuilt.tails == seq.tails
+        assert rebuilt.tails[-1] is rebuilt.corners[-1]
+        assert [t.idem for t in rebuilt.tails] == [
+            seq.tail_idempotent(i) for i in range(seq.m)
+        ]
