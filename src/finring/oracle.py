@@ -5,6 +5,13 @@ alone; none of the subgroup, corner, or enumeration machinery is involved.
 The only shared code is element arithmetic and the dumb map wrappers, so the
 structured implementations and these sweeps fail independently.  Sweeps
 refuse outsized inputs with CapExceeded instead of degrading.
+
+The isomorphism sweep checks the definition's candidate tuples with the
+definition's checks, in order, but reads tables indexed by element position
+(the index in elements() order) instead of building Element objects.  The
+tables are filled once per call from element arithmetic (+, scalar *, ring
+*); the multiplication tables wait for the first tuple that passes the unit
+and bijectivity checks.
 """
 from __future__ import annotations
 
@@ -80,6 +87,15 @@ def brute_triangular_check(
     return True
 
 
+def _multiplicative(table, dom_mul, cod_mul) -> bool:
+    """table[x*y] == table[x]*table[y] for every pair of dom positions."""
+    for row, tx in zip(dom_mul, table):
+        image_row = cod_mul[tx]
+        if [table[xy] for xy in row] != [image_row[ty] for ty in table]:
+            return False
+    return True
+
+
 def brute_isos(
     dom: RingPresentation,
     cod: RingPresentation,
@@ -90,8 +106,16 @@ def brute_isos(
 
     Candidate generator images are cut down by additive order only; each
     surviving tuple is checked for unit preservation, bijectivity, and
-    multiplicativity on every pair of elements.  Survivors are wrapped without
-    re-validation and come back sorted lexicographically by image tuple.
+    multiplicativity on every pair of elements, in that order.  Survivors are
+    wrapped without re-validation and come back sorted lexicographically by
+    image tuple.
+
+    The sweep works on positions: an element's index in elements() order.
+    Once the caps pass, each ring is indexed and its position tables are
+    filled once from element arithmetic: addition and the unit's multiples
+    in cod, and one step of the additive build of every element of dom.  The
+    two multiplication tables are filled only when the first tuple passes the
+    unit and bijectivity checks.  No table holds more than |A|^2 entries.
     """
     if dom.order != cod.order:
         return []
@@ -100,29 +124,43 @@ def brute_isos(
     candidates = []
     space = 1
     for o in dom.orders:
-        annihilated = [y for y in cod_elems if (o * y).is_zero()]
+        annihilated = [p for p, y in enumerate(cod_elems) if (o * y).is_zero()]
         space *= len(annihilated)
         _require_small(space, tuple_cap, "oracle image tuples")
         candidates.append(annihilated)
     dom_elems = list(dom.elements())
-    one_coeffs = dom.one_element().coeffs
-    cod_one = cod.one_element()
+    dom_pos = {x.coeffs: p for p, x in enumerate(dom_elems)}
+    cod_pos = {y.coeffs: p for p, y in enumerate(cod_elems)}
+    add = [[cod_pos[(y + z).coeffs] for z in cod_elems] for y in cod_elems]
+    one_terms = [[cod_pos[(c * y).coeffs] for y in cod_elems] for c in dom.one]
+    cod_zero = cod_pos[cod.zero().coeffs]
+    cod_one = cod_pos[cod.one]
+    # x = x' + g_i, with i the last generator in x's support: x' comes earlier
+    # in elements() order, so the image table fills left to right.
+    steps = []
+    gens = dom.gens()
+    for x in dom_elems[1:]:
+        i = max(j for j, c in enumerate(x.coeffs) if c)
+        steps.append((dom_pos[(x - gens[i]).coeffs], i))
+    dom_mul = cod_mul = None
     out = []
     for tup in itertools.product(*candidates):
-        if cod.sum(c * y for c, y in zip(one_coeffs, tup)) != cod_one:
+        acc = cod_zero
+        for terms, y in zip(one_terms, tup):
+            acc = add[acc][terms[y]]
+        if acc != cod_one:
             continue
-        table = {
-            x.coeffs: cod.sum(c * y for c, y in zip(x.coeffs, tup)) for x in dom_elems
-        }
-        if len(set(table.values())) != dom.order:
+        table = [cod_zero]
+        for prev, i in steps:
+            table.append(add[table[prev]][tup[i]])
+        if len(set(table)) != dom.order:
             continue
-        if any(
-            table[(x * y).coeffs] != table[x.coeffs] * table[y.coeffs]
-            for x in dom_elems
-            for y in dom_elems
-        ):
+        if dom_mul is None:
+            dom_mul = [[dom_pos[(x * y).coeffs] for y in dom_elems] for x in dom_elems]
+            cod_mul = [[cod_pos[(y * z).coeffs] for z in cod_elems] for y in cod_elems]
+        if not _multiplicative(table, dom_mul, cod_mul):
             continue
-        out.append(RingIsomorphism(AdditiveMap(dom, cod, list(tup))))
+        out.append(RingIsomorphism(AdditiveMap(dom, cod, [cod_elems[p] for p in tup])))
     return out
 
 

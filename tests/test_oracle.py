@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from finring import (
@@ -14,7 +16,9 @@ from finring import (
     enumerate_isomorphisms,
     is_semicentral,
 )
-from finring.fixtures import cyclic, f2, fixture, t2_f2, t3_f2
+from finring.fixtures import FIXTURE_BUILDERS, cyclic, f2, fixture, t2_f2, t3_f2
+from finring.maps import AdditiveMap
+from finring.presentation import RingPresentation
 
 
 def test_brute_semicentral_t2f2():
@@ -99,3 +103,63 @@ def test_brute_aut_count():
     assert brute_aut_count(f2()) == 1
     assert brute_aut_count(fixture("f4")) == 2
     assert brute_aut_count(fixture("t2_z4")) == aut_order(fixture("t2_z4")) == 8
+
+
+def _isos_by_elements(dom, cod):
+    """Reference for brute_isos: every order-compatible image tuple, checked
+    on Element objects and filtered afterwards."""
+    if dom.order != cod.order:
+        return []
+    cod_elems = list(cod.elements())
+    candidates = [[y for y in cod_elems if (o * y).is_zero()] for o in dom.orders]
+    dom_elems = list(dom.elements())
+    one_coeffs = dom.one_element().coeffs
+    cod_one = cod.one_element()
+    out = []
+    for tup in itertools.product(*candidates):
+        if cod.sum(c * y for c, y in zip(one_coeffs, tup)) != cod_one:
+            continue
+        table = {
+            x.coeffs: cod.sum(c * y for c, y in zip(x.coeffs, tup)) for x in dom_elems
+        }
+        if len(set(table.values())) != dom.order:
+            continue
+        if any(
+            table[(x * y).coeffs] != table[x.coeffs] * table[y.coeffs]
+            for x in dom_elems
+            for y in dom_elems
+        ):
+            continue
+        out.append(RingIsomorphism(AdditiveMap(dom, cod, list(tup))))
+    return out
+
+
+def test_brute_isos_matches_the_element_reference_in_order():
+    rings = [fixture(name) for name in sorted(FIXTURE_BUILDERS)]
+    rings = [r for r in rings if r.order <= 16]
+    pairs = [(a, b) for a in rings for b in rings if a.order == b.order]
+    pairs.append((cyclic(2), cyclic(3)))
+    zero = RingPresentation([], [], [])
+    pairs.append((zero, zero))
+    for dom, cod in pairs:
+        expected = [iso.map for iso in _isos_by_elements(dom, cod)]
+        assert [iso.map for iso in brute_isos(dom, cod)] == expected, (dom, cod)
+    assert len(pairs) == 13
+    assert [iso.map.images for iso in brute_isos(zero, zero)] == [()]
+
+
+def test_brute_isos_refuses_before_filling_tables(monkeypatch):
+    ring = t3_f2()
+    calls = []
+    for name in ("_add_coeffs", "_mul_coeffs"):
+        original = getattr(RingPresentation, name)
+
+        def counted(self, a, b, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, a, b)
+
+        monkeypatch.setattr(RingPresentation, name, counted)
+    with pytest.raises(CapExceeded) as info:
+        brute_isos(ring, ring)
+    assert info.value.what == "oracle image tuples"
+    assert calls == []
