@@ -10,10 +10,18 @@ from finring import (
     inner_automorphism,
     ring_units,
 )
-from finring import morphisms
+from finring import automorphisms, morphisms
 from finring.automorphisms import _verify_group_law
 from finring.errors import CapExceeded
-from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, matrix_ring, product
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    f2,
+    fixture,
+    matrix_ring,
+    product,
+    upper_triangular,
+)
+from finring.maps import compose_maps, invert_map
 
 # computed once by exhaustive search and frozen
 AUT_ORDERS = {
@@ -94,6 +102,93 @@ def test_group_law_check_rejects_incomplete_sets():
             _verify_group_law(AutomorphismGroup(ring, kept), None)
     with pytest.raises(StructureViolation, match="missing the identity"):
         _verify_group_law(AutomorphismGroup(ring, tuple(others)), None)
+
+
+def _reference_group_law_failure(group):
+    """The exhaustive check: the identity, the inverse of every element and
+    all |G|² products.  Returns the first failure, or None."""
+    maps = {g.map for g in group.elements}
+    if identity_iso(group.ring).map not in maps:
+        return "missing the identity"
+    for f in group.elements:
+        if invert_map(f.map) not in maps:
+            return "not closed under inversion"
+        for g in group.elements:
+            if compose_maps(f.map, g.map) not in maps:
+                return "not closed under composition"
+    return None
+
+
+def _group_law_failure(group):
+    try:
+        _verify_group_law(group, None)
+    except StructureViolation as exc:
+        return str(exc)
+    return None
+
+
+def _subset(group, keep):
+    # keeps the sorted order of group.elements, which the check walks
+    return AutomorphismGroup(group.ring, tuple(g for g in group.elements if keep(g)))
+
+
+def test_group_law_check_agrees_with_the_exhaustive_check():
+    for name in FIXTURE_BUILDERS:
+        group = aut_group(fixture(name))
+        assert _reference_group_law_failure(group) is None
+        assert _group_law_failure(group) is None
+    for name in ("t2_z4", "t3_f2"):
+        group = aut_group(fixture(name))
+        ident = identity_iso(group.ring).map
+        for g in group.elements:
+            subset = _subset(group, lambda h: h != g)
+            assert _reference_group_law_failure(subset) is not None
+            assert _group_law_failure(subset) is not None
+        # {1, a} ∪ {1, b} for involutions a != b is closed under inverses
+        # but not under composition: ab is none of 1, a, b
+        involutions = [
+            g.map for g in group.elements
+            if g.map != ident and compose_maps(g.map, g.map) == ident
+        ]
+        unions = [
+            _subset(group, lambda h: h.map in (ident, a, b))
+            for i, a in enumerate(involutions)
+            for b in involutions[i + 1:]
+        ]
+        assert unions
+        for subset in unions:
+            assert subset.order == 3
+            assert _reference_group_law_failure(subset) == "not closed under composition"
+            with pytest.raises(StructureViolation, match="not closed under composition"):
+                _verify_group_law(subset, None)
+
+
+def test_group_law_check_composes_each_element_with_each_generator_once(monkeypatch):
+    calls = {"compose": 0, "invert": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(automorphisms, "compose_maps", counting("compose", compose_maps))
+    monkeypatch.setattr(automorphisms, "invert_map", counting("invert", invert_map))
+    order = aut_order(upper_triangular(2, 9))
+    gens = calls["invert"]  # one inverse sweep per generator
+    assert order == 54
+    assert 1 <= gens and 2 ** gens <= order
+    assert calls["compose"] == order * gens
+    calls.update(compose=0, invert=0)
+    assert aut_order(fixture("z6")) == 1
+    assert calls == {"compose": 0, "invert": 0}
+
+
+@pytest.mark.parametrize("q, order", [(3, 108), (4, 256)])
+def test_aut_of_t3_is_inner_above_the_oracle_caps(q, order):
+    # Kezlan: every automorphism of T_n(Z_m) is inner, so
+    # |Aut(T_n(Z_m))| = phi(m)^(n-1) * m^(n(n-1)/2); phi(3) = phi(4) = 2
+    assert aut_order(upper_triangular(3, q)) == 2 ** 2 * q ** 3 == order
 
 
 @pytest.mark.parametrize("p", [2, 3])
