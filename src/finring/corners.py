@@ -29,6 +29,18 @@ def peirce_component(ring: RingPresentation, e: Element, f: Element) -> Subgroup
     return Subgroup.span(ring, [e * g * f for g in ring.gens()])
 
 
+def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
+    """True when e*A*f = 0, i.e. peirce_component(ring, e, f).is_trivial().
+
+    A span is trivial exactly when every spanning vector is zero, so the test
+    multiplies e*g*f over the generators and stops at the first nonzero
+    product, without a Hermite form.
+    """
+    _require_idempotent(e)
+    _require_idempotent(f)
+    return all((e * g * f).is_zero() for g in ring.gens())
+
+
 @dataclass(frozen=True, eq=False)
 class CornerRing:
     """The ring e*A*e presented on its own generators."""

@@ -7,7 +7,7 @@ reduced, which keeps triangulating idempotents nonzero.
 """
 from __future__ import annotations
 
-from .corners import _require_idempotent, peirce_component
+from .corners import _require_idempotent, vanishes
 from .presentation import Element, RingPresentation, require_cap
 
 
@@ -19,7 +19,7 @@ def enumerate_idempotents(ring: RingPresentation, cap: int | None = None) -> lis
 
 def is_semicentral(ring: RingPresentation, e: Element) -> bool:
     _require_idempotent(e)
-    return peirce_component(ring, ring.one_element() - e, e).is_trivial()
+    return vanishes(ring, ring.one_element() - e, e)
 
 
 def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corners import CornerRing, corner_ring, peirce_component
+from .corners import CornerRing, corner_ring, peirce_component, vanishes
 from .errors import InvalidSequence
 from .idempotents import is_semicentral_reduced
 from .presentation import Element, RingPresentation
@@ -37,7 +37,7 @@ def _layout_failure(ring: RingPresentation, idems: tuple[Element, ...]) -> str |
         return "sequence does not sum to the unit"
     for j in range(len(idems)):
         for i in range(j):
-            if not peirce_component(ring, idems[j], idems[i]).is_trivial():
+            if not vanishes(ring, idems[j], idems[i]):
                 return "lower component (%d, %d) is nonzero" % (j, i)
     return None
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .corners import CornerRing, peirce_component
+from .corners import CornerRing, peirce_component, vanishes
 from .errors import PreconditionViolated, StructureViolation, TooManyBlocks
 from .presentation import RingPresentation
 from .sequences import TriangularSequence, is_strongly_triangular, triangularity_failure
@@ -65,7 +65,7 @@ def reorder_front(
     if not 0 <= j < seq.m:
         raise StructureViolation("block index out of range")
     for i in range(j):
-        if not peirce_component(ring, seq.idems[i], seq.idems[j]).is_trivial():
+        if not vanishes(ring, seq.idems[i], seq.idems[j]):
             raise PreconditionViolated(i)
     new_order = (seq.idems[j],) + tuple(e for i, e in enumerate(seq.idems) if i != j)
     return TriangularSequence.build(ring, new_order, cap)
@@ -83,10 +83,7 @@ def admissible_orders(
     m = seq.m
     if m > PERMUTATION_GUARD:
         raise TooManyBlocks(m, PERMUTATION_GUARD)
-    trivial = [
-        [peirce_component(ring, seq.idems[i], seq.idems[j]).is_trivial() for j in range(m)]
-        for i in range(m)
-    ]
+    trivial = [[vanishes(ring, seq.idems[i], seq.idems[j]) for j in range(m)] for i in range(m)]
     out = []
     for perm in itertools.permutations(range(m)):
         if all(trivial[perm[a]][perm[b]] for a in range(m) for b in range(a)):

@@ -7,6 +7,12 @@ strictly, so the loop terminates with a full sequence.  Selection happens in
 ambient coordinates, which keeps the tie-break independent of how tail corners
 are presented.
 
+The first tail is 1, whose corner is A itself, so the first stage sweeps
+ring.elements() lazily and stops at the first admissible head; later tails
+are listed from their corner subgroups.  Semicentrality within the tail is
+tested with vanishes, which stops at the first nonzero product (tail-e)*g*e
+over the generators instead of computing the Hermite form of a span.
+
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
 that product equals f_j, f - f_j lies in the row of f_j, and every component
@@ -14,7 +20,7 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from .corners import _require_idempotent, corner_ring, peirce_component
+from .corners import _require_idempotent, corner_ring, peirce_component, vanishes
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import is_semicentral, is_semicentral_reduced
 from .presentation import Element, RingPresentation, require_cap
@@ -32,11 +38,17 @@ def complete_triangulating_set(
     idems: list[Element] = []
     while not tail.is_zero():
         chosen = None
-        for e in peirce_component(ring, tail, tail).elements():
+        if idems:
+            sweep = peirce_component(ring, tail, tail).elements()
+        else:
+            # The first tail is 1, whose corner is A: sweep A lazily, in the
+            # lexicographic order a sorted subgroup listing would have.
+            sweep = ring.elements()
+        for e in sweep:
             if e.is_zero() or not e.is_idempotent():
                 continue
             # Semicentral within the tail corner: (tail - e) A e must vanish.
-            if not peirce_component(ring, tail - e, e).is_trivial():
+            if not vanishes(ring, tail - e, e):
                 continue
             if not is_semicentral_reduced(corner_ring(ring, e).presentation, cap):
                 continue
@@ -81,7 +93,7 @@ def _locate_over(
     for i in active:
         if i == k:
             break
-        if not peirce_component(ring, idems[i], idems[k]).is_trivial():
+        if not vanishes(ring, idems[i], idems[k]):
             raise StructureViolation(
                 "component above the located block is nonzero at index %d" % i
             )

@@ -1,7 +1,7 @@
 import pytest
 
-from finring import NotIdempotent, corner_ring, iso_search, peirce_component
-from finring.fixtures import cyclic, t2_f2, z6
+from finring import NotIdempotent, corner_ring, iso_search, peirce_component, vanishes
+from finring.fixtures import FIXTURE_BUILDERS, cyclic, fixture, matrix_ring, t2_f2, z6
 
 
 def test_corner_at_one_is_the_ring():
@@ -88,3 +88,31 @@ def test_peirce_component_requires_idempotents():
     ring = t2_f2()
     with pytest.raises(NotIdempotent):
         peirce_component(ring, ring.element((0, 1, 0)), ring.one_element())
+
+
+SMALL_RINGS = [
+    pytest.param(fixture(name), id=name)
+    for name in FIXTURE_BUILDERS
+    if fixture(name).order <= 16
+] + [pytest.param(matrix_ring(2, 2), id="M2(F2)")]
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS)
+def test_vanishes_agrees_with_the_span(ring):
+    """Same answer on every pair of idempotents, and NotIdempotent on exactly
+    the pairs where peirce_component raises it."""
+
+    def outcome(test, e, f):
+        try:
+            return test(ring, e, f)
+        except NotIdempotent:
+            return NotIdempotent
+
+    def span_trivial(ring, e, f):
+        return peirce_component(ring, e, f).is_trivial()
+
+    elems = list(ring.elements())
+    for e in elems:
+        for f in elems:
+            expect = outcome(span_trivial, e, f)
+            assert outcome(vanishes, e, f) == expect, (e.coeffs, f.coeffs)

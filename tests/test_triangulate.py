@@ -9,8 +9,11 @@ from finring import (
     extend_semicentral,
     is_strongly_triangular,
     locate_reduced,
+    peirce_component,
 )
-from finring.fixtures import FIXTURE_BUILDERS, fixture
+from finring.corners import corner_ring
+from finring.fixtures import FIXTURE_BUILDERS, fixture, matrix_ring, upper_triangular
+from finring.subgroups import Subgroup
 
 CANONICAL_SEQUENCES = {
     "z6": [(3,), (4,)],
@@ -132,3 +135,99 @@ def test_extend_semicentral_sweep():
             seq, l = extend_semicentral(ring, e)
             assert ring.sum(seq.idems[:l]) == e, (name, e.coeffs)
             assert is_strongly_triangular(ring, seq.idems), (name, e.coeffs)
+
+
+def _reference_is_reduced(ring):
+    """Semicentral reducedness from spans: only 0 and 1 have (1-e)*A*e = 0."""
+    if ring.order == 1:
+        return False
+    one = ring.one_element()
+    semis = [
+        e
+        for e in ring.elements()
+        if e.is_idempotent() and peirce_component(ring, one - e, e).is_trivial()
+    ]
+    return semis == [ring.zero(), one]
+
+
+def _reference_sweep(ring):
+    """Reference sweep: list every tail corner sorted, and test semicentrality
+    with the Hermite span of (tail-e)*A*e."""
+    if ring.order == 1:
+        return ()
+    tail = ring.one_element()
+    idems = []
+    while not tail.is_zero():
+        for e in peirce_component(ring, tail, tail).elements():
+            if e.is_zero() or not e.is_idempotent():
+                continue
+            if not peirce_component(ring, tail - e, e).is_trivial():
+                continue
+            if not _reference_is_reduced(corner_ring(ring, e).presentation):
+                continue
+            break
+        else:
+            raise AssertionError("no admissible head")
+        idems.append(e)
+        tail = tail - e
+    return tuple(idems)
+
+
+LADDER = {
+    "T4(F2)": upper_triangular(4, 2),
+    "T3(Z4)": upper_triangular(3, 4),
+    "T2(Z9)": upper_triangular(2, 9),
+    "T3(Z3)": upper_triangular(3, 3),
+    "M2(F2)": matrix_ring(2, 2),
+}
+
+
+def _permuted_copies(ring):
+    """Three re-presentations; each reorders the coefficients, so the
+    lexicographic sweep meets the elements in another order."""
+    k = ring.rank
+    perms = [
+        tuple(reversed(range(k))),
+        tuple(range(1, k)) + (0,),
+        (1, 0) + tuple(range(2, k)),
+    ]
+    return [ring.permuted(p) for p in perms]
+
+
+SWEEP_CASES = (
+    [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS]
+    + [pytest.param(ring, id=name) for name, ring in LADDER.items()]
+    + [
+        pytest.param(copy, id="%s-perm%d" % (name, i))
+        for name, ring in LADDER.items()
+        for i, copy in enumerate(_permuted_copies(ring))
+    ]
+)
+
+
+@pytest.mark.parametrize("ring", SWEEP_CASES)
+def test_sweep_matches_the_materialized_reference(ring):
+    assert complete_triangulating_set(ring).idems == _reference_sweep(ring)
+
+
+def test_sweep_lists_no_full_ring_and_spans_little(monkeypatch):
+    counts = {"span": 0, "full": 0}
+    span = Subgroup.span.__func__
+    elements = Subgroup.elements
+
+    def counted_span(cls, ring, elems):
+        counts["span"] += 1
+        return span(cls, ring, elems)
+
+    def counted_elements(self):
+        if self.order == self.ring.order:
+            counts["full"] += 1
+        return elements(self)
+
+    monkeypatch.setattr(Subgroup, "span", classmethod(counted_span))
+    monkeypatch.setattr(Subgroup, "elements", counted_elements)
+    complete_triangulating_set(upper_triangular(4, 2))
+    # 4 head corners and 3 later tail listings in the sweep, then 4 corners,
+    # 3 tails and 4 rows in build.  A span per semicentral test and a sorted
+    # listing of A would make 139 spans and 1 full-ring list.
+    assert counts == {"span": 18, "full": 0}
