@@ -106,12 +106,7 @@ def cmd_idempotents(args):
     }
     summary = ["%s: %d idempotents, %d semicentral" % (args.ring, len(idems), len(semis))]
     if args.oracle:
-        payload["oracle"] = _oracle_guard(
-            lambda: _require_agreement(
-                _coeff_rows(brute_semicentral_list(ring)) == payload["semicentral"],
-                "semicentral list",
-            )
-        )
+        payload["oracle"] = _oracle_semicentral(ring, payload["semicentral"])
         summary.append("oracle: %s" % payload["oracle"])
     return payload, summary
 
@@ -127,11 +122,7 @@ def cmd_triangulate(args):
     }
     summary = ["%s: complete left-triangulating set of length %d" % (args.ring, seq.m)]
     if args.oracle:
-        payload["oracle"] = _oracle_guard(
-            lambda: _require_agreement(
-                brute_triangular_check(ring, seq.idems), "triangulating sequence"
-            )
-        )
+        payload["oracle"] = _oracle_triangular(ring, seq)
         summary.append("oracle: %s" % payload["oracle"])
     return payload, summary
 
@@ -186,11 +177,7 @@ def cmd_aut(args):
         ]
     summary = ["%s: automorphism group of order %d" % (args.ring, group.order)]
     if args.oracle:
-        payload["oracle"] = _oracle_guard(
-            lambda: _require_agreement(
-                brute_aut_count(ring) == group.order, "automorphism count"
-            )
-        )
+        payload["oracle"] = _oracle_aut(ring, group.order)
         summary.append("oracle: %s" % payload["oracle"])
     return payload, summary
 
@@ -207,7 +194,7 @@ def cmd_iso_synth(args):
         # structural problems in the file are input errors; a well-shaped
         # layer that fails to be an isomorphism stays a domain error
         raise InputProblem("%s: %s" % (args.decomposition, exc))
-    iso = iso_synthesize(seq_a, seq_b, d, args.cap)
+    iso = iso_synthesize(seq_a, seq_b, d)
     payload = {"isomorphism": map_to_obj(iso)}
     summary = ["synthesized isomorphism %s -> %s" % (args.ring_a, args.ring_b)]
     return payload, summary
@@ -224,7 +211,7 @@ def cmd_iso_decompose(args):
     except ToolkitError as exc:
         raise InputProblem("%s: %s" % (args.map, exc))
     phi = RingIsomorphism.create(raw)
-    d = iso_decompose(phi, seq_a, seq_b, args.cap)
+    d = iso_decompose(phi, seq_a, seq_b)
     payload = decomposition_to_obj(d)
     payload["domain"] = ring_ref(ring_a)
     payload["codomain"] = ring_ref(ring_b)
@@ -300,24 +287,11 @@ def cmd_report(args):
         "aut_order": group.order,
     }
     if args.oracle:
-        checks = {}
-        checks["semicentral"] = _oracle_guard(
-            lambda: _require_agreement(
-                _coeff_rows(brute_semicentral_list(ring)) == report["semicentral"],
-                "semicentral list",
-            )
-        )
-        checks["triangular"] = _oracle_guard(
-            lambda: _require_agreement(
-                brute_triangular_check(ring, seq.idems), "triangulating sequence"
-            )
-        )
-        checks["aut"] = _oracle_guard(
-            lambda: _require_agreement(
-                brute_aut_count(ring) == report["aut_order"], "automorphism count"
-            )
-        )
-        report["oracle"] = checks
+        report["oracle"] = {
+            "semicentral": _oracle_semicentral(ring, report["semicentral"]),
+            "triangular": _oracle_triangular(ring, seq),
+            "aut": _oracle_aut(ring, report["aut_order"]),
+        }
     payload = {"report": report, "timings": timings}
     summary = [
         "%s: order %d, %d idempotents, m = %d, aut order %d"
@@ -342,6 +316,28 @@ def _oracle_guard(thunk):
         return thunk()
     except CapExceeded:
         return "skipped"
+
+
+def _oracle_semicentral(ring, semicentral_rows) -> str:
+    return _oracle_guard(
+        lambda: _require_agreement(
+            _coeff_rows(brute_semicentral_list(ring)) == semicentral_rows, "semicentral list"
+        )
+    )
+
+
+def _oracle_triangular(ring, seq) -> str:
+    return _oracle_guard(
+        lambda: _require_agreement(
+            brute_triangular_check(ring, seq.idems), "triangulating sequence"
+        )
+    )
+
+
+def _oracle_aut(ring, aut_order: int) -> str:
+    return _oracle_guard(
+        lambda: _require_agreement(brute_aut_count(ring) == aut_order, "automorphism count")
+    )
 
 
 # -- wiring ----------------------------------------------------------------

@@ -53,8 +53,8 @@ from .maps import (
     verify_ring_iso,
 )
 from .presentation import Element, RingPresentation
-from .sequences import TriangularSequence, is_strongly_triangular
-from .structure import admissible_orders
+from .sequences import TriangularSequence
+from .structure import _admits, _vanishing_table, admissible_orders
 from .subgroups import Subgroup
 from .triangulate import _locate_over, complete_triangulating_set
 
@@ -291,9 +291,10 @@ def iso_synthesize(
     seq_a: TriangularSequence,
     seq_b: TriangularSequence,
     d: IsoDecomposition,
-    cap: int | None = None,
 ) -> RingIsomorphism:
-    """Assemble the isomorphism parametrized by d over the two sequences."""
+    """Assemble the isomorphism parametrized by d over the two sequences.
+    seq_b was validated when built, so sigma is checked only for vanishing
+    lower components, the one condition that depends on the block order."""
     ring_a = seq_a.ring
     ring_b = seq_b.ring
     m = seq_a.m
@@ -307,8 +308,7 @@ def iso_synthesize(
         if d.last_rho is not None:
             raise ShapeMismatch("empty decomposition cannot carry a closing isomorphism")
         return RingIsomorphism.create(AdditiveMap(ring_a, ring_b, []))
-    reordered = [seq_b.idems[j] for j in d.sigma]
-    if not is_strongly_triangular(ring_b, reordered, cap):
+    if not _admits(_vanishing_table(ring_b, seq_b), d.sigma):
         raise InadmissiblePermutation(d.sigma)
     phi = _base_level(seq_a, seq_b, d.sigma[m - 1], d.last_rho)
     for i in range(m - 2, -1, -1):
@@ -320,7 +320,6 @@ def iso_decompose(
     phi: RingIsomorphism,
     seq_a: TriangularSequence,
     seq_b: TriangularSequence,
-    cap: int | None = None,
 ) -> IsoDecomposition:
     """Factor phi into sigma, per-level corner data, and a closing corner
     isomorphism.  The result resynthesizes to phi exactly; that is asserted."""
@@ -352,7 +351,7 @@ def iso_decompose(
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
         psi = _restrict(psi, shrink)
     d = IsoDecomposition(tuple(sigma), tuple(layers), last_rho)
-    if iso_synthesize(seq_a, seq_b, d, cap).map != phi.map:
+    if iso_synthesize(seq_a, seq_b, d).map != phi.map:
         raise StructureViolation("decomposition does not resynthesize the isomorphism")
     return d
 

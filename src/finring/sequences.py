@@ -5,10 +5,10 @@ orthogonal idempotents summing to 1, every lower Peirce component e_j*A*e_i
 with j > i vanishes, and each corner e_i*A*e_i is semicentral reduced.  The
 empty sequence is valid exactly for the one-element ring.
 
-TriangularSequence.build revalidates from scratch, so sequences constructed
-anywhere in the package carry their invariants; it checks reducedness on the
-corners it keeps, so each corner is built once (the last tail is the last
-corner).
+TriangularSequence.build revalidates through triangularity_failure, so
+sequences constructed anywhere in the package carry their invariants.  That
+check decides corner reducedness in A (has_reduced_corner); build then makes
+only the corners and tails it keeps, each once (the last tail is the last corner).
 """
 from __future__ import annotations
 
@@ -16,14 +16,18 @@ from dataclasses import dataclass
 
 from .corners import CornerRing, corner_ring, peirce_component, vanishes
 from .errors import InvalidSequence
-from .idempotents import is_semicentral_reduced
+from .idempotents import has_reduced_corner
 from .presentation import Element, RingPresentation
 from .subgroups import Subgroup
 
 
-def _layout_failure(ring: RingPresentation, idems: tuple[Element, ...]) -> str | None:
-    """First failure among idempotence, orthogonality, the unit sum and the
-    vanishing lower components, or None."""
+def triangularity_failure(
+    ring: RingPresentation, idems, cap: int | None = None
+) -> str | None:
+    """First reason the sequence fails to be strongly triangulating, or None:
+    idempotence, orthogonality, the unit sum, the vanishing lower components,
+    then the reducedness of each corner."""
+    idems = tuple(idems)
     for i, e in enumerate(idems):
         if e.ring != ring:
             return "element %d lives in a different ring" % i
@@ -39,25 +43,10 @@ def _layout_failure(ring: RingPresentation, idems: tuple[Element, ...]) -> str |
         for i in range(j):
             if not vanishes(ring, idems[j], idems[i]):
                 return "lower component (%d, %d) is nonzero" % (j, i)
-    return None
-
-
-def _corner_failure(corners, cap: int | None) -> str | None:
-    for i, corner in enumerate(corners):
-        if not is_semicentral_reduced(corner.presentation, cap):
+    for i, e in enumerate(idems):
+        if not has_reduced_corner(ring, e, cap):
             return "corner %d is not semicentral reduced" % i
     return None
-
-
-def triangularity_failure(
-    ring: RingPresentation, idems, cap: int | None = None
-) -> str | None:
-    """First reason the sequence fails to be strongly triangulating, or None."""
-    idems = tuple(idems)
-    reason = _layout_failure(ring, idems)
-    if reason is not None:
-        return reason
-    return _corner_failure((corner_ring(ring, e) for e in idems), cap)
 
 
 def is_strongly_triangular(ring: RingPresentation, idems, cap: int | None = None) -> bool:
@@ -84,13 +73,10 @@ class TriangularSequence:
         cls, ring: RingPresentation, idems, cap: int | None = None
     ) -> "TriangularSequence":
         idems = tuple(idems)
-        reason = _layout_failure(ring, idems)
+        reason = triangularity_failure(ring, idems, cap)
         if reason is not None:
             raise InvalidSequence(reason)
         corners = tuple(corner_ring(ring, e) for e in idems)
-        reason = _corner_failure(corners, cap)
-        if reason is not None:
-            raise InvalidSequence(reason)
         # the last tail is the last corner
         tails = tuple(
             corner_ring(ring, ring.sum(idems[i:])) for i in range(len(idems) - 1)

@@ -80,15 +80,20 @@ def admissible_orders(
     Orthogonality, the unit sum and corner reducedness are order independent,
     so only the lower-component conditions are rechecked per permutation.
     """
-    m = seq.m
-    if m > PERMUTATION_GUARD:
-        raise TooManyBlocks(m, PERMUTATION_GUARD)
-    trivial = [[vanishes(ring, seq.idems[i], seq.idems[j]) for j in range(m)] for i in range(m)]
-    out = []
-    for perm in itertools.permutations(range(m)):
-        if all(trivial[perm[a]][perm[b]] for a in range(m) for b in range(a)):
-            out.append(perm)
-    return out
+    if seq.m > PERMUTATION_GUARD:
+        raise TooManyBlocks(seq.m, PERMUTATION_GUARD)
+    table = _vanishing_table(ring, seq)
+    return [perm for perm in itertools.permutations(range(seq.m)) if _admits(table, perm)]
+
+
+def _vanishing_table(ring: RingPresentation, seq: TriangularSequence) -> list[list[bool]]:
+    """table[i][j] is whether e_i*A*e_j = 0 for the blocks of seq."""
+    return [[vanishes(ring, ei, ej) for ej in seq.idems] for ei in seq.idems]
+
+
+def _admits(table: list[list[bool]], sigma) -> bool:
+    """Whether the lower components of e_{sigma(0)}, ..., e_{sigma(m-1)} all vanish."""
+    return all(table[sigma[a]][sigma[b]] for a in range(len(sigma)) for b in range(a))
 
 
 def detect_direct_sum(ring: RingPresentation, dec: PeirceDecomposition) -> list[int]:

@@ -11,7 +11,9 @@ The first tail is 1, whose corner is A itself, so the first stage sweeps
 ring.elements() lazily and stops at the first admissible head; later tails
 are listed from their corner subgroups.  Semicentrality within the tail is
 tested with vanishes, which stops at the first nonzero product (tail-e)*g*e
-over the generators instead of computing the Hermite form of a span.
+over the generators instead of computing the Hermite form of a span.  The
+reducedness of a candidate's corner is decided in A by has_reduced_corner,
+so the sweep and locate_reduced build no corner presentation.
 
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from .corners import _require_idempotent, corner_ring, peirce_component, vanishes
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
-from .idempotents import is_semicentral, is_semicentral_reduced
+from .idempotents import has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
 from .sequences import TriangularSequence
 
@@ -50,7 +52,7 @@ def complete_triangulating_set(
             # Semicentral within the tail corner: (tail - e) A e must vanish.
             if not vanishes(ring, tail - e, e):
                 continue
-            if not is_semicentral_reduced(corner_ring(ring, e).presentation, cap):
+            if not has_reduced_corner(ring, e, cap):
                 continue
             chosen = e
             break
@@ -113,7 +115,7 @@ def locate_reduced(
         raise StructureViolation("sequence belongs to a different ring")
     if not is_semicentral(ring, f):
         raise NotSemicentralReduced("idempotent is not semicentral")
-    if not is_semicentral_reduced(corner_ring(ring, f).presentation, cap):
+    if not has_reduced_corner(ring, f, cap):
         raise NotSemicentralReduced("corner of the idempotent is not semicentral reduced")
     return _locate_over(ring, seq.idems, list(range(seq.m)), f)
 

@@ -8,7 +8,19 @@ from finring import (
     is_semicentral,
     is_semicentral_reduced,
 )
-from finring.fixtures import cyclic, f2, field_f4, t2_f2, z6
+from finring.corners import corner_ring
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    cyclic,
+    f2,
+    field_f4,
+    fixture,
+    matrix_ring,
+    t2_f2,
+    upper_triangular,
+    z6,
+)
+from finring.idempotents import has_reduced_corner
 
 
 def test_z6_idempotents():
@@ -65,3 +77,40 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         enumerate_idempotents(big)
     assert [e.coeffs for e in enumerate_idempotents(big, cap=5000)][:2] == [(0,), (1,)]
+
+
+def _reference_has_reduced_corner(ring, e):
+    """The corner's own presentation swept in corner coordinates."""
+    corner = corner_ring(ring, e).presentation
+    if corner.order == 1:
+        return False
+    semis = [f for f in enumerate_idempotents(corner) if is_semicentral(corner, f)]
+    return len(semis) == 2 and set(semis) == {corner.zero(), corner.one_element()}
+
+
+REDUCEDNESS_RINGS = [
+    pytest.param(fixture(name), id=name)
+    for name in FIXTURE_BUILDERS
+    if fixture(name).order <= 16
+] + [
+    pytest.param(matrix_ring(2, 2), id="M2(F2)"),
+    pytest.param(upper_triangular(3, 2), id="T3(F2)"),
+    pytest.param(upper_triangular(2, 9), id="T2(Z9)"),
+]
+
+
+@pytest.mark.parametrize("ring", REDUCEDNESS_RINGS)
+def test_reduced_corner_decided_in_the_ring(ring):
+    # every idempotent, semicentral or not, and 0 among them
+    for e in enumerate_idempotents(ring):
+        assert has_reduced_corner(ring, e) == _reference_has_reduced_corner(ring, e), e.coeffs
+
+
+def test_reduced_corner_keeps_its_checks():
+    ring = upper_triangular(2, 9)
+    with pytest.raises(NotIdempotent):
+        has_reduced_corner(ring, ring.element((0, 1, 0)))
+    e = ring.element((1, 0, 0))  # e*A*e is Z9
+    assert has_reduced_corner(ring, e, cap=9)
+    with pytest.raises(CapExceeded, match="idempotent sweep"):
+        has_reduced_corner(ring, e, cap=8)

@@ -83,9 +83,8 @@ def test_corner_presentations():
     assert [c.order for c in seq.corners] == [2, 2]
 
 
-def test_build_makes_each_corner_once(monkeypatch):
-    # the reducedness check runs on the corners the sequence keeps, and the
-    # last tail is the last corner: m corners plus m - 1 larger tails
+def _count_corner_rings(monkeypatch) -> list:
+    """Record every corner_ring call, through each module's copy."""
     import sys
 
     import finring.corners
@@ -102,6 +101,13 @@ def test_build_makes_each_corner_once(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_build_makes_each_corner_once(monkeypatch):
+    # reducedness is decided in the ring, and the last tail is the last
+    # corner: m corners plus m - 1 larger tails
+    calls = _count_corner_rings(monkeypatch)
     for ring in (upper_triangular(3, 4), three_block(), z6(), field_f4()):
         seq = complete_triangulating_set(ring)
         calls.clear()
@@ -112,3 +118,14 @@ def test_build_makes_each_corner_once(monkeypatch):
         assert [t.idem for t in rebuilt.tails] == [
             seq.tail_idempotent(i) for i in range(seq.m)
         ]
+
+
+def test_triangularity_is_decided_without_corner_presentations(monkeypatch):
+    ring = upper_triangular(4, 2)
+    calls = _count_corner_rings(monkeypatch)
+    seq = complete_triangulating_set(ring)
+    # the 4 corners and 3 tails that build keeps; the sweep builds none
+    assert len(calls) == 7
+    calls.clear()
+    assert triangularity_failure(ring, seq.idems) is None
+    assert calls == []

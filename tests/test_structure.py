@@ -4,17 +4,24 @@ from functools import reduce
 import pytest
 
 from finring import (
+    InadmissiblePermutation,
+    IsoDecomposition,
     PreconditionViolated,
     TooManyBlocks,
+    ToolkitError,
     admissible_orders,
     complete_triangulating_set,
     detect_direct_sum,
+    identity_iso,
     is_strongly_triangular,
+    iso_decompose,
+    iso_synthesize,
     peirce_component,
     peirce_decompose,
     reorder_front,
 )
 from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, product
+from finring.structure import _admits, _vanishing_table
 
 ADMISSIBLE = {
     "z6": [(0, 1), (1, 0)],
@@ -146,3 +153,35 @@ def test_permutation_guard():
     assert seq.m == 9
     with pytest.raises(TooManyBlocks):
         admissible_orders(ring, seq)
+
+
+def _sigma_cases():
+    from test_triangulate import LADDER, _permuted_copies
+
+    cases = [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS]
+    for name, ring in LADDER.items():
+        cases.append(pytest.param(ring, id=name))
+        for i, copy in enumerate(_permuted_copies(ring)):
+            cases.append(pytest.param(copy, id="%s-perm%d" % (name, i)))
+    return cases
+
+
+@pytest.mark.parametrize("ring", _sigma_cases())
+def test_sigma_check_matches_full_revalidation(ring):
+    # the vanishing table decides sigma as the full check of the reordered
+    # sequence does, and iso_synthesize refuses exactly those sigma
+    seq = complete_triangulating_set(ring)
+    table = _vanishing_table(ring, seq)
+    identity = iso_decompose(identity_iso(ring), seq, seq)
+    for sigma in itertools.permutations(range(seq.m)):
+        want = is_strongly_triangular(ring, [seq.idems[j] for j in sigma])
+        assert _admits(table, sigma) == want, sigma
+        d = IsoDecomposition(sigma, identity.layers, identity.last_rho)
+        refused = False
+        try:
+            iso_synthesize(seq, seq, d)
+        except InadmissiblePermutation:
+            refused = True
+        except ToolkitError:
+            pass  # identity layers need not fit an admissible sigma
+        assert refused == (not want), sigma

@@ -227,7 +227,10 @@ def test_sweep_lists_no_full_ring_and_spans_little(monkeypatch):
     monkeypatch.setattr(Subgroup, "span", classmethod(counted_span))
     monkeypatch.setattr(Subgroup, "elements", counted_elements)
     complete_triangulating_set(upper_triangular(4, 2))
-    # 4 head corners and 3 later tail listings in the sweep, then 4 corners,
-    # 3 tails and 4 rows in build.  A span per semicentral test and a sorted
-    # listing of A would make 139 spans and 1 full-ring list.
-    assert counts == {"span": 18, "full": 0}
+    # 4 head corners e*A*e and 3 later tail listings in the sweep, then 4
+    # corners for the reducedness check, 4 kept corners, 3 tails and 4 rows in
+    # build.  build spans each e*A*e twice, once to decide reducedness in A
+    # and once for the corner presentation it keeps.  A span per semicentral
+    # test and a sorted listing of A would make 139 spans and 1 full-ring
+    # list.
+    assert counts == {"span": 22, "full": 0}
