@@ -130,7 +130,7 @@ def cmd_triangulate(args):
 def cmd_orders(args):
     ring = _load_ring(args.ring)
     seq = complete_triangulating_set(ring, args.cap)
-    sigmas = admissible_orders(ring, seq, args.cap)
+    sigmas = admissible_orders(ring, seq)
     payload = {
         "ring": ring_ref(ring),
         "m": seq.m,
@@ -272,7 +272,7 @@ def cmd_report(args):
     idems = timed("idempotents", lambda: enumerate_idempotents(ring, args.cap))
     semis = [e for e in idems if is_semicentral(ring, e)]
     seq = timed("triangulate", lambda: complete_triangulating_set(ring, args.cap))
-    sigmas = timed("orders", lambda: admissible_orders(ring, seq, args.cap))
+    sigmas = timed("orders", lambda: admissible_orders(ring, seq))
     splits = timed("split", lambda: detect_direct_sum(ring, peirce_decompose(ring, seq)))
     group = timed("aut", lambda: aut_group(ring, args.cap))
     report = {

@@ -20,11 +20,12 @@ import hashlib
 import json
 from typing import Any
 
-from .errors import ShapeMismatch
+from .errors import InadmissiblePermutation, ShapeMismatch
 from .maps import AdditiveMap, RingIsomorphism
 from .morphisms import IsoDecomposition, IsoLayer
 from .presentation import RingPresentation
 from .sequences import TriangularSequence
+from .structure import _admits, _vanishing_table
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -175,6 +176,10 @@ def decomposition_from_obj(
     m = seq_a.m
     _expect(sorted(sigma) == list(range(m)), "sigma must be a 1-based permutation of the blocks")
     _expect(seq_b.m == m, "sequences have different lengths")
+    # Layers are parsed against the blocks sigma names, so an inadmissible
+    # sigma is refused as a domain error before it can misplace them.
+    if not _admits(_vanishing_table(seq_b.ring, seq_b), sigma):
+        raise InadmissiblePermutation(sigma)
     layers_raw = obj["layers"]
     _expect(isinstance(layers_raw, list) and len(layers_raw) == max(m - 1, 0),
             "expected %d layer objects" % max(m - 1, 0))

@@ -7,11 +7,17 @@ the codomain's ambient coordinates.  Construction enforces well definedness
 (each generator's order annihilates its image, and images land inside a
 subgroup codomain), so every AdditiveMap instance is an honest homomorphism.
 
+Evaluation works in coefficient space: apply() sums c * images[i] over the
+argument's domain coordinates c in plain integers, reduces once modulo the
+codomain orders and allocates a single Element.
+
 Bijectivity is decided exactly, without element sweeps: the map is bijective
 iff domain and codomain have equal order and the span of the images fills the
 codomain.
 """
 from __future__ import annotations
+
+import operator
 
 from .errors import (
     AmbientMismatch,
@@ -93,11 +99,11 @@ class AdditiveMap:
     def apply(self, x: Element) -> Element:
         coords = self._domain_coords(x)
         amb = _ambient(self.codomain)
-        acc = amb.zero()
-        for c, img in zip(coords, self._image_elems):
+        acc = [0] * len(amb.orders)
+        for c, row in zip(coords, self.images):
             if c:
-                acc = acc + c * img
-        return acc
+                acc = [s + c * v for s, v in zip(acc, row)]
+        return Element(amb, tuple(map(operator.mod, acc, amb.orders)))
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)

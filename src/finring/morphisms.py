@@ -492,7 +492,7 @@ def enumerate_isomorphisms(
             )
         return corner_cache[key]
 
-    for sigma in admissible_orders(ring_b, seq_b, cap):
+    for sigma in admissible_orders(ring_b, seq_b):
         if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
             continue
         if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):

@@ -11,12 +11,21 @@ extension well defined), the two-sided unit law on generators, and
 associativity on all generator triples.  Bilinearity then carries these to the
 whole ring, so a validated presentation is an honest finite unital ring.
 
+Products read a sparse copy of the tensor, built before validation so that
+the checks run through the same kernel: _terms[i][j] lists the nonzero
+(l, c[i][j][l]).  A product visits only the nonzero coefficients of both
+factors and the terms of their generator products, accumulates in plain
+integers and reduces once.  Matrix-unit rings such as T_n and M_n have at most
+one term per generator product.
+
 Elements are immutable coefficient tuples tied to their presentation; mixing
-elements of different presentations raises AmbientMismatch.
+elements of different presentations raises AmbientMismatch.  gens() returns
+one tuple of generator elements built with the presentation.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import (
     AmbientMismatch,
@@ -43,7 +52,7 @@ def _as_int_tuple(seq, what: str) -> tuple[int, ...]:
 class RingPresentation:
     """A validated structure-constant presentation of a finite unital ring."""
 
-    __slots__ = ("orders", "mul", "one", "name", "_hash")
+    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_gens")
 
     def __init__(self, orders, mul, one, name: str | None = None):
         self.orders = _as_int_tuple(orders, "orders")
@@ -85,6 +94,11 @@ class RingPresentation:
         self.one = u
         self.name = name
         self._hash = hash((self.orders, self.mul, self.one))
+        self._terms = tuple(
+            tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row)
+            for row in self.mul
+        )
+        self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(k))
 
         self._check_order_compat()
         self._check_unit()
@@ -119,32 +133,29 @@ class RingPresentation:
         return tuple(1 if j == i else 0 for j in range(len(self.orders)))
 
     def _reduce(self, coeffs) -> tuple[int, ...]:
-        return tuple(c % d for c, d in zip(coeffs, self.orders))
+        return tuple(map(operator.mod, coeffs, self.orders))
 
     def _add_coeffs(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.orders))
 
     def _neg_coeffs(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.orders))
+        return tuple(map(operator.mod, map(operator.neg, a), self.orders))
 
     def _scale_coeffs(self, n, a):
-        return tuple((n * x) % d for x, d in zip(a, self.orders))
+        return tuple([n * x % d for x, d in zip(a, self.orders)])
 
     def _mul_coeffs(self, a, b):
-        k = len(self.orders)
-        acc = [0] * k
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            row = self.mul[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                vec = row[j]
-                for l in range(k):
-                    acc[l] += xy * vec[l]
-        return tuple(c % d for c, d in zip(acc, self.orders))
+        acc = [0] * len(self.orders)
+        b_terms = list(itertools.compress(enumerate(b), b))
+        for i, x in itertools.compress(enumerate(a), a):
+            row = self._terms[i]
+            for j, y in b_terms:
+                terms = row[j]
+                if terms:
+                    xy = x * y
+                    for l, c in terms:
+                        acc[l] += xy * c
+        return tuple(map(operator.mod, acc, self.orders))
 
     # -- public surface --------------------------------------------------
 
@@ -169,7 +180,7 @@ class RingPresentation:
         return Element(self, self._basis_coeffs(i))
 
     def gens(self) -> tuple["Element", ...]:
-        return tuple(self.gen(i) for i in range(len(self.orders)))
+        return self._gens
 
     def element(self, coeffs) -> "Element":
         c = _as_int_tuple(coeffs, "coefficients")
@@ -272,12 +283,12 @@ class Element:
         return Element(self.ring, self.ring._neg_coeffs(self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, Element):
+            self._require_same(other)
+            return Element(self.ring, self.ring._mul_coeffs(self.coeffs, other.coeffs))
         if isinstance(other, int):
             return Element(self.ring, self.ring._scale_coeffs(other, self.coeffs))
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same(other)
-        return Element(self.ring, self.ring._mul_coeffs(self.coeffs, other.coeffs))
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):

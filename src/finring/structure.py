@@ -71,9 +71,7 @@ def reorder_front(
     return TriangularSequence.build(ring, new_order, cap)
 
 
-def admissible_orders(
-    ring: RingPresentation, seq: TriangularSequence, cap: int | None = None
-) -> list[tuple[int, ...]]:
+def admissible_orders(ring: RingPresentation, seq: TriangularSequence) -> list[tuple[int, ...]]:
     """All permutations sigma (0-based, lexicographic) for which the reordered
     sequence e_{sigma(0)}, ..., e_{sigma(m-1)} is strongly triangulating.
 

@@ -152,6 +152,25 @@ def test_iso_synth_error_codes(tmp_path, capsys):
     assert run(capsys, "iso-synth", fx("t2_f2"), fx("t2_f2"), str(path))[0] == 1
 
 
+def test_iso_synth_inadmissible_sigma_is_a_domain_error(tmp_path, capsys):
+    ident = {
+        "domain": {"name": "T3(F2)"},
+        "codomain": {"name": "T3(F2)"},
+        "images": [[int(i == j) for j in range(6)] for i in range(6)],
+    }
+    map_path = tmp_path / "id.json"
+    map_path.write_text(json.dumps(ident))
+    code, decomp, _ = run(capsys, "iso-decompose", fx("t3_f2"), fx("t3_f2"), str(map_path))
+    assert code == 0 and decomp["sigma"] == [1, 2, 3]
+    # the layers stay those of sigma = id, so they do not fit the swapped
+    # blocks; sigma is refused before any layer is read against them
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(dict(decomp, sigma=[2, 1, 3])))
+    code, _, cap = run(capsys, "iso-synth", fx("t3_f2"), fx("t3_f2"), str(path))
+    assert code == 1
+    assert "InadmissiblePermutation" in cap.err
+
+
 def test_iso_decompose_rejects_non_isomorphism(tmp_path, capsys):
     ring_obj = json.loads(pathlib.Path(fx("t2_f2")).read_text())
     bad_map = {

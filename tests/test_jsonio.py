@@ -3,6 +3,7 @@ import json
 import pytest
 
 from finring import (
+    InadmissiblePermutation,
     ShapeMismatch,
     check_ring_ref,
     complete_triangulating_set,
@@ -99,9 +100,17 @@ def test_decomposition_from_obj_rejections():
         decomposition_from_obj({**obj, "layers": []}, seq, seq)
     with pytest.raises(ShapeMismatch):
         decomposition_from_obj({**obj, "last_rho": None}, seq, seq)
-    # the swap sends the only nonzero row onto a trivial one
-    with pytest.raises(ShapeMismatch):
+    # the swap is not a strongly triangular order of T2(F2); that is refused
+    # before the layers are read against the swapped blocks
+    with pytest.raises(InadmissiblePermutation):
         decomposition_from_obj({**obj, "sigma": [2, 1]}, seq, seq)
+    # an admissible order whose blocks do not fit the layers is malformed:
+    # sigma = (3, 1, 2) sends the nonzero first row onto the trivial third
+    ring = fixture("three_block")
+    seq = complete_triangulating_set(ring)
+    obj = decomposition_to_obj(iso_decompose(identity_iso(ring), seq, seq))
+    with pytest.raises(ShapeMismatch):
+        decomposition_from_obj({**obj, "sigma": [3, 1, 2]}, seq, seq)
 
 
 def test_dumps_canonical_is_deterministic():
