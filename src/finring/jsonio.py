@@ -20,12 +20,12 @@ import hashlib
 import json
 from typing import Any
 
+from .corners import CornerRing
 from .errors import InadmissiblePermutation, ShapeMismatch
 from .maps import AdditiveMap, RingIsomorphism
 from .morphisms import IsoDecomposition, IsoLayer
 from .presentation import RingPresentation
 from .sequences import TriangularSequence
-from .structure import _admits, _vanishing_table
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -164,6 +164,15 @@ def decomposition_to_obj(d: IsoDecomposition) -> dict:
     }
 
 
+def _corner_iso(raw: Any, corner_r: CornerRing, corner_s: CornerRing, what: str) -> RingIsomorphism:
+    """Parse the bare image matrix raw, labelled what in errors, as a corner
+    isomorphism between the presentations of corner_r and corner_s."""
+    dom = corner_r.presentation
+    cod = corner_s.presentation
+    images = [_reduced_element(cod, row, what + " image") for row in _bare_images(raw, what)]
+    return RingIsomorphism.create(AdditiveMap(dom, cod, images))
+
+
 def decomposition_from_obj(
     obj: Any, seq_a: TriangularSequence, seq_b: TriangularSequence
 ) -> IsoDecomposition:
@@ -178,7 +187,7 @@ def decomposition_from_obj(
     _expect(seq_b.m == m, "sequences have different lengths")
     # Layers are parsed against the blocks sigma names, so an inadmissible
     # sigma is refused as a domain error before it can misplace them.
-    if not _admits(_vanishing_table(seq_b.ring, seq_b), sigma):
+    if not seq_b.admits(sigma):
         raise InadmissiblePermutation(sigma)
     layers_raw = obj["layers"]
     _expect(isinstance(layers_raw, list) and len(layers_raw) == max(m - 1, 0),
@@ -187,15 +196,7 @@ def decomposition_from_obj(
     layers = []
     for i, raw in enumerate(layers_raw):
         _expect(isinstance(raw, dict), "layer %d must be an object" % (i + 1))
-        corner_r = seq_a.corners[i].presentation
-        corner_s = seq_b.corners[sigma[i]].presentation
-        rho = RingIsomorphism.create(
-            AdditiveMap(
-                corner_r,
-                corner_s,
-                [_reduced_element(corner_s, row, "rho image") for row in _bare_images(raw.get("rho"), "rho")],
-            )
-        )
+        rho = _corner_iso(raw.get("rho"), seq_a.corners[i], seq_b.corners[sigma[i]], "rho")
         chi = AdditiveMap(
             seq_a.rows[i],
             seq_b.rows[sigma[i]],
@@ -207,15 +208,7 @@ def decomposition_from_obj(
         _expect(last_raw is None, "empty decomposition cannot carry a closing isomorphism")
         last_rho = None
     else:
-        corner_r = seq_a.corners[m - 1].presentation
-        corner_s = seq_b.corners[sigma[m - 1]].presentation
-        last_rho = RingIsomorphism.create(
-            AdditiveMap(
-                corner_r,
-                corner_s,
-                [_reduced_element(corner_s, row, "last_rho image") for row in _bare_images(last_raw, "last_rho")],
-            )
-        )
+        last_rho = _corner_iso(last_raw, seq_a.corners[m - 1], seq_b.corners[sigma[m - 1]], "last_rho")
     return IsoDecomposition(sigma, tuple(layers), last_rho)
 
 

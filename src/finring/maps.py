@@ -36,10 +36,6 @@ def _ambient(side: Side) -> RingPresentation:
     return side if isinstance(side, RingPresentation) else side.ring
 
 
-def _side_order(side: Side) -> int:
-    return side.order
-
-
 def _side_generators(side: Side) -> tuple[Element, ...]:
     if isinstance(side, RingPresentation):
         return side.gens()
@@ -114,8 +110,8 @@ class AdditiveMap:
         return Subgroup.span(_ambient(self.codomain), self._image_elems)
 
     def is_bijective(self) -> bool:
-        n = _side_order(self.domain)
-        if n != _side_order(self.codomain):
+        n = self.domain.order
+        if n != self.codomain.order:
             return False
         return self.image_span().order == n
 
@@ -150,8 +146,8 @@ def compose_maps(f: AdditiveMap, g: AdditiveMap) -> AdditiveMap:
 
 def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
     """Exact inverse of a bijective map, found by sweeping the domain."""
-    n = _side_order(f.domain)
-    if n != _side_order(f.codomain):
+    n = f.domain.order
+    if n != f.codomain.order:
         raise NotBijective("domain and codomain orders differ")
     require_cap(n, cap, "map inversion sweep")
     if isinstance(f.domain, RingPresentation):

@@ -54,7 +54,7 @@ from .maps import (
 )
 from .presentation import Element, RingPresentation
 from .sequences import TriangularSequence
-from .structure import _admits, _vanishing_table, admissible_orders
+from .structure import admissible_orders
 from .subgroups import Subgroup
 from .triangulate import _locate_over, complete_triangulating_set
 
@@ -85,9 +85,9 @@ def _in_ambient(corner_r: CornerRing, corner_s: CornerRing, rho: RingIsomorphism
     return amb
 
 
-def _action_pairs(corner: CornerRing, phi) -> list[tuple[Element, Element]]:
-    """(x, phi(x)) over the ambient additive generators x of the corner."""
-    return [(x, phi(x)) for x in corner.subgroup.generators]
+def _action_pairs(sub: Subgroup, phi) -> list[tuple[Element, Element]]:
+    """(x, phi(x)) over the ambient additive generators x of the subgroup."""
+    return [(x, phi(x)) for x in sub.generators]
 
 
 def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
@@ -179,7 +179,10 @@ def _quadruple_level(ctx_a, ctx_b, q: CornerQuadruple):
     rho_amb = _in_ambient(corner_r, corner_s, q.rho)
     phibar_amb = _in_ambient(corner_abar, corner_bbar, q.phibar)
     reason = _level_failure(
-        q.chi.map, q.m, _action_pairs(corner_r, rho_amb), _action_pairs(corner_abar, phibar_amb)
+        q.chi.map,
+        q.m,
+        _action_pairs(corner_r.subgroup, rho_amb),
+        _action_pairs(corner_abar.subgroup, phibar_amb),
     )
     if reason is not None:
         raise InconsistentQuadruple(reason)
@@ -272,7 +275,7 @@ def _wrap_level(
     j = sigma[i]
     corner_r = seq_a.corners[i]
     corner_s = seq_b.corners[j]
-    tail = seq_a.tails[i + 1]
+    tail = seq_a.tail_idempotent(i + 1)
     rho_amb = _in_ambient(corner_r, corner_s, layer.rho)
     if check:
         _check_ends(
@@ -280,11 +283,14 @@ def _wrap_level(
         )
         _check_ends(layer.chi, seq_a.rows[i], seq_b.rows[j], "layer row map", i)
         reason = _level_failure(
-            layer.chi, layer.m, _action_pairs(corner_r, rho_amb), _action_pairs(tail, phi_next)
+            layer.chi,
+            layer.m,
+            _action_pairs(corner_r.subgroup, rho_amb),
+            _action_pairs(seq_a.tails[i + 1], phi_next),
         )
         if reason is not None:
             raise InconsistentQuadruple(reason, i)
-    return _level_map(corner_r.idem, tail.idem, rho_amb, layer.chi, layer.m, phi_next)
+    return _level_map(corner_r.idem, tail, rho_amb, layer.chi, layer.m, phi_next)
 
 
 def iso_synthesize(
@@ -308,7 +314,7 @@ def iso_synthesize(
         if d.last_rho is not None:
             raise ShapeMismatch("empty decomposition cannot carry a closing isomorphism")
         return RingIsomorphism.create(AdditiveMap(ring_a, ring_b, []))
-    if not _admits(_vanishing_table(ring_b, seq_b), d.sigma):
+    if not seq_b.admits(d.sigma):
         raise InadmissiblePermutation(d.sigma)
     phi = _base_level(seq_a, seq_b, d.sigma[m - 1], d.last_rho)
     for i in range(m - 2, -1, -1):
@@ -338,7 +344,7 @@ def iso_decompose(
     layers: list[IsoLayer] = []
     last_rho = None
     for i in range(m):
-        k, rest = _locate_over(ring_b, seq_b.idems, active, psi(seq_a.idems[i]))
+        k, rest = _locate_over(seq_b, active, psi(seq_a.idems[i]))
         sigma.append(k)
         rho = _restrict_corner(psi, seq_a.corners[i], seq_b.corners[k])
         if i == m - 1:
@@ -512,7 +518,9 @@ def enumerate_isomorphisms(
             for sub_layers, last_rho, phi_next in levels(i + 1):
                 right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
                 for rho in corner_isos(i, j):
-                    left_pairs = _action_pairs(corner_r, _in_ambient(corner_r, corner_s, rho))
+                    left_pairs = _action_pairs(
+                        corner_r.subgroup, _in_ambient(corner_r, corner_s, rho)
+                    )
                     for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
                         for offset in offsets:
                             layer = IsoLayer(rho, chi, offset)

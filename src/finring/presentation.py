@@ -177,7 +177,9 @@ class RingPresentation:
         return Element(self, self.one)
 
     def gen(self, i: int) -> "Element":
-        return Element(self, self._basis_coeffs(i))
+        if not 0 <= i < self.rank:
+            raise ShapeMismatch("generator index %d outside range(%d)" % (i, self.rank))
+        return self._gens[i]
 
     def gens(self) -> tuple["Element", ...]:
         return self._gens

@@ -8,7 +8,9 @@ empty sequence is valid exactly for the one-element ring.
 TriangularSequence.build revalidates through triangularity_failure, so
 sequences constructed anywhere in the package carry their invariants.  That
 check decides corner reducedness in A (has_reduced_corner); build then makes
-only the corners and tails it keeps, each once (the last tail is the last corner).
+each corner ring once.  It also records which components e_i*A*e_j vanish,
+the one table every block-order question reads, and keeps each tail
+t_i*A*t_i only as a subgroup of A, which is all the engine reads of it.
 """
 from __future__ import annotations
 
@@ -55,18 +57,21 @@ def is_strongly_triangular(ring: RingPresentation, idems, cap: int | None = None
 
 @dataclass(frozen=True)
 class TriangularSequence:
-    """A strongly triangulating sequence with its corners, tails and rows.
+    """A strongly triangulating sequence with its corners, tails, rows and
+    vanishing table.
 
-    tails[i] is the corner at e_i + ... + e_m, so tails[0] is the whole ring.
-    rows[i] is the Peirce row e_i*A*(1-e_i); the lower components vanish, so
-    it equals e_i*A*(e_{i+1} + ... + e_m).
+    tails[i] is the subgroup t_i*A*t_i at t_i = e_i + ... + e_m, so tails[0]
+    is all of A and tails[-1] is the last corner's subgroup.  rows[i] is the
+    Peirce row e_i*A*(1-e_i); the lower components vanish, so it equals
+    e_i*A*(e_{i+1} + ... + e_m).  vanishing[i][j] is whether e_i*A*e_j = 0.
     """
 
     ring: RingPresentation
     idems: tuple[Element, ...]
     corners: tuple[CornerRing, ...]
-    tails: tuple[CornerRing, ...]
+    tails: tuple[Subgroup, ...]
     rows: tuple[Subgroup, ...]
+    vanishing: tuple[tuple[bool, ...], ...]
 
     @classmethod
     def build(
@@ -77,13 +82,19 @@ class TriangularSequence:
         if reason is not None:
             raise InvalidSequence(reason)
         corners = tuple(corner_ring(ring, e) for e in idems)
-        # the last tail is the last corner
+        # the last tail is the last corner's subgroup
         tails = tuple(
-            corner_ring(ring, ring.sum(idems[i:])) for i in range(len(idems) - 1)
-        ) + corners[-1:]
+            peirce_component(ring, t, t)
+            for t in (ring.sum(idems[i:]) for i in range(len(idems) - 1))
+        ) + tuple(c.subgroup for c in corners[-1:])
         one = ring.one_element()
         rows = tuple(peirce_component(ring, e, one - e) for e in idems)
-        return cls(ring, idems, corners, tails, rows)
+        # the lower triangle was just checked to vanish
+        vanishing = tuple(
+            tuple(i > j or vanishes(ring, ei, ej) for j, ej in enumerate(idems))
+            for i, ei in enumerate(idems)
+        )
+        return cls(ring, idems, corners, tails, rows, vanishing)
 
     @property
     def m(self) -> int:
@@ -92,3 +103,10 @@ class TriangularSequence:
     def tail_idempotent(self, i: int) -> Element:
         """e_i + ... + e_m for 0-based i; the zero element past the end."""
         return self.ring.sum(self.idems[i:])
+
+    def admits(self, sigma) -> bool:
+        """Whether every lower component of e_{sigma(0)}, ..., e_{sigma(m-1)}
+        vanishes.  Orthogonality, the unit sum and corner reducedness do not
+        depend on the order, so sigma is admissible exactly when this holds."""
+        v = self.vanishing
+        return all(v[sigma[a]][sigma[b]] for a in range(len(sigma)) for b in range(a))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .corners import CornerRing, peirce_component, vanishes
+from .corners import CornerRing, peirce_component
 from .errors import PreconditionViolated, StructureViolation, TooManyBlocks
 from .presentation import RingPresentation
 from .sequences import TriangularSequence, is_strongly_triangular, triangularity_failure
@@ -29,7 +29,7 @@ class PeirceDecomposition:
         return self.seq.corners
 
     @property
-    def tails(self) -> tuple[CornerRing, ...]:
+    def tails(self) -> tuple[Subgroup, ...]:
         return self.seq.tails
 
 
@@ -62,10 +62,12 @@ def reorder_front(
 ) -> TriangularSequence:
     """Move block j (0-based) to the front.  Requires every component above
     block j to vanish; the first offending index is reported otherwise."""
+    if seq.ring != ring:
+        raise StructureViolation("sequence belongs to a different ring")
     if not 0 <= j < seq.m:
         raise StructureViolation("block index out of range")
     for i in range(j):
-        if not vanishes(ring, seq.idems[i], seq.idems[j]):
+        if not seq.vanishing[i][j]:
             raise PreconditionViolated(i)
     new_order = (seq.idems[j],) + tuple(e for i, e in enumerate(seq.idems) if i != j)
     return TriangularSequence.build(ring, new_order, cap)
@@ -78,20 +80,11 @@ def admissible_orders(ring: RingPresentation, seq: TriangularSequence) -> list[t
     Orthogonality, the unit sum and corner reducedness are order independent,
     so only the lower-component conditions are rechecked per permutation.
     """
+    if seq.ring != ring:
+        raise StructureViolation("sequence belongs to a different ring")
     if seq.m > PERMUTATION_GUARD:
         raise TooManyBlocks(seq.m, PERMUTATION_GUARD)
-    table = _vanishing_table(ring, seq)
-    return [perm for perm in itertools.permutations(range(seq.m)) if _admits(table, perm)]
-
-
-def _vanishing_table(ring: RingPresentation, seq: TriangularSequence) -> list[list[bool]]:
-    """table[i][j] is whether e_i*A*e_j = 0 for the blocks of seq."""
-    return [[vanishes(ring, ei, ej) for ej in seq.idems] for ei in seq.idems]
-
-
-def _admits(table: list[list[bool]], sigma) -> bool:
-    """Whether the lower components of e_{sigma(0)}, ..., e_{sigma(m-1)} all vanish."""
-    return all(table[sigma[a]][sigma[b]] for a in range(len(sigma)) for b in range(a))
+    return [perm for perm in itertools.permutations(range(seq.m)) if seq.admits(perm)]
 
 
 def detect_direct_sum(ring: RingPresentation, dec: PeirceDecomposition) -> list[int]:
@@ -101,15 +94,8 @@ def detect_direct_sum(ring: RingPresentation, dec: PeirceDecomposition) -> list[
     m = dec.seq.m
     if m < 2:
         return []
-    out = []
-    for j in range(m):
-        if all(
-            dec.components[i][j].is_trivial() and dec.components[j][i].is_trivial()
-            for i in range(m)
-            if i != j
-        ):
-            out.append(j)
-    return out
+    v = dec.seq.vanishing
+    return [j for j in range(m) if all(v[i][j] and v[j][i] for i in range(m) if i != j)]
 
 
 __all__ = [

@@ -178,13 +178,11 @@ class Subgroup:
         if self._dec is not None:
             return self._dec
         k = len(self.ring.orders)
-        # m is the lower-triangular column basis of the lattice.
-        m = [[self.hnf[j][i] for j in range(k)] for i in range(k)]
-        # w expresses diag(orders) in that basis; solve column by column.
+        # w expresses diag(orders) in the Hermite basis; solve column by column.
         w = [[0] * k for _ in range(k)]
         for j in range(k):
             target = [self.ring.orders[i] if i == j else 0 for i in range(k)]
-            col = _forward_solve(m, target)
+            col = _solve_rows(self.hnf, target)
             for i in range(k):
                 w[i][j] = col[i]
         s, u, uinv = smith_form_left(w)
@@ -193,28 +191,28 @@ class Subgroup:
         for i in range(k):
             if s[i] == 1:
                 continue
-            lift = [sum(m[r][t] * uinv[t][i] for t in range(k)) for r in range(k)]
+            lift = [sum(self.hnf[t][r] * uinv[t][i] for t in range(k)) for r in range(k)]
             gens.append(self.ring.element(lift))
             gen_orders.append(s[i])
         idx = [i for i in range(k) if s[i] != 1]
-        self._dec = (m, u, tuple(s), tuple(gens), tuple(gen_orders), tuple(idx))
+        self._dec = (u, tuple(s), tuple(gens), tuple(gen_orders), tuple(idx))
         return self._dec
 
     @property
     def generators(self) -> tuple[Element, ...]:
-        return self._decomposition()[3]
+        return self._decomposition()[2]
 
     @property
     def generator_orders(self) -> tuple[int, ...]:
-        return self._decomposition()[4]
+        return self._decomposition()[3]
 
     def coords(self, x: Element) -> tuple[int, ...]:
         """Coordinates of x over the cyclic generators; raises if x is not a
         member.  The coordinate map is additive."""
         if x.ring != self.ring:
             raise AmbientMismatch("element from a different ring")
-        m, u, s, _gens, _go, idx = self._decomposition()
-        c = _forward_solve(m, list(x.coeffs), strict=False)
+        u, s, _gens, _go, idx = self._decomposition()
+        c = _solve_rows(self.hnf, list(x.coeffs), strict=False)
         if c is None:
             raise StructureViolation("element is not in the subgroup")
         k = len(s)
@@ -236,12 +234,7 @@ class Subgroup:
     def contains(self, x: Element) -> bool:
         if x.ring != self.ring:
             raise AmbientMismatch("element from a different ring")
-        lifted = _forward_solve(
-            [[self.hnf[j][i] for j in range(len(self.ring.orders))] for i in range(len(self.ring.orders))],
-            list(x.coeffs),
-            strict=False,
-        )
-        return lifted is not None
+        return _solve_rows(self.hnf, list(x.coeffs), strict=False) is not None
 
     def __contains__(self, x: Element) -> bool:
         return self.contains(x)
@@ -270,15 +263,16 @@ class Subgroup:
         return "Subgroup(order=%d of %r)" % (self.order, self.ring)
 
 
-def _forward_solve(m, target, strict: bool = True):
-    """Solve the lower-triangular integer system m * c = target exactly.
-    Returns None (or raises when strict) if no integer solution exists."""
-    k = len(m)
+def _solve_rows(hnf, target, strict: bool = True):
+    """Solve sum_i c[i] * hnf[i] = target exactly in integers, for the
+    upper-triangular rows hnf of a Hermite form.  Returns None (or raises
+    when strict) if no integer solution exists."""
+    k = len(hnf)
     c = [0] * k
     rem = list(target)
     for i in range(k):
         v = rem[i]
-        q, r = divmod(v, m[i][i])
+        q, r = divmod(v, hnf[i][i])
         if r:
             if strict:
                 raise StructureViolation("no exact solution in triangular solve")
@@ -286,7 +280,7 @@ def _forward_solve(m, target, strict: bool = True):
         c[i] = q
         if q:
             for r2 in range(i, k):
-                rem[r2] -= q * m[r2][i]
+                rem[r2] -= q * hnf[i][r2]
     if any(rem):
         if strict:
             raise StructureViolation("triangular solve left a nonzero tail")

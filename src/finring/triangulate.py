@@ -66,15 +66,12 @@ def complete_triangulating_set(
     return TriangularSequence.build(ring, tuple(idems), cap)
 
 
-def _locate_over(
-    ring: RingPresentation,
-    idems: tuple[Element, ...],
-    active: list[int],
-    f: Element,
-) -> tuple[int, Element]:
+def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:
     """Shared core of locate_reduced, parameterized by the still-active block
     indices so the isomorphism decomposition can reuse it on shrinking tails.
     Returns (absolute block index, row part of f)."""
+    ring = seq.ring
+    idems = seq.idems
     hits = []
     for k in active:
         p = idems[k] * f * idems[k]
@@ -95,7 +92,7 @@ def _locate_over(
     for i in active:
         if i == k:
             break
-        if not vanishes(ring, idems[i], idems[k]):
+        if not seq.vanishing[i][k]:
             raise StructureViolation(
                 "component above the located block is nonzero at index %d" % i
             )
@@ -117,7 +114,7 @@ def locate_reduced(
         raise NotSemicentralReduced("idempotent is not semicentral")
     if not has_reduced_corner(ring, f, cap):
         raise NotSemicentralReduced("corner of the idempotent is not semicentral reduced")
-    return _locate_over(ring, seq.idems, list(range(seq.m)), f)
+    return _locate_over(seq, list(range(seq.m)), f)
 
 
 def extend_semicentral(

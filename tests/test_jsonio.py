@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import finring.corners
 from finring import (
     InadmissiblePermutation,
     ShapeMismatch,
@@ -111,6 +113,31 @@ def test_decomposition_from_obj_rejections():
     obj = decomposition_to_obj(iso_decompose(identity_iso(ring), seq, seq))
     with pytest.raises(ShapeMismatch):
         decomposition_from_obj({**obj, "sigma": [3, 1, 2]}, seq, seq)
+
+
+def test_sigma_checks_read_the_sequence_table(monkeypatch):
+    # parsing and synthesis ask the built sequence whether sigma is
+    # admissible; neither multiplies out a Peirce component again
+    ring = fixture("three_block")
+    seq = complete_triangulating_set(ring)
+    obj = decomposition_to_obj(iso_decompose(identity_iso(ring), seq, seq))
+    original = finring.corners.vanishes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "finring" or name.startswith("finring."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    d = decomposition_from_obj(obj, seq, seq)
+    assert iso_synthesize(seq, seq, d).map == identity_iso(ring).map
+    with pytest.raises(InadmissiblePermutation):
+        decomposition_from_obj({**obj, "sigma": [2, 1, 3]}, seq, seq)
+    assert calls == []
 
 
 def test_dumps_canonical_is_deterministic():

@@ -258,4 +258,4 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
 
     monkeypatch.setattr(RingPresentation, "_mul_coeffs", counted)
     assert aut_group(ring).order == 64
-    assert calls[0] == 36578
+    assert calls[0] == 35392

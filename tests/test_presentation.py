@@ -130,6 +130,14 @@ def test_permuted_re_presentation():
         t2.permuted((0, 0, 1))
 
 
+def test_gen_refuses_indices_outside_the_rank():
+    t2 = t2_f2()
+    assert [t2.gen(i) for i in range(t2.rank)] == list(t2.gens())
+    for i in (-1, t2.rank):
+        with pytest.raises(ShapeMismatch):
+            t2.gen(i)
+
+
 def test_validate_presentation_wrapper():
     ring = validate_presentation((6,), (((1,),),), (1,), name="wrapped")
     assert ring.name == "wrapped"

@@ -1,14 +1,27 @@
+import itertools
+
 import pytest
 
 from finring import (
     InvalidSequence,
     RingPresentation,
+    Subgroup,
     TriangularSequence,
+    brute_triangular_check,
     complete_triangulating_set,
     is_strongly_triangular,
+    peirce_component,
     triangularity_failure,
 )
-from finring.fixtures import field_f4, t2_f2, three_block, upper_triangular, z6
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    field_f4,
+    fixture,
+    t2_f2,
+    three_block,
+    upper_triangular,
+    z6,
+)
 
 
 def test_t2f2_sequence_accepted_and_reverse_rejected():
@@ -67,7 +80,7 @@ def test_tails_shrink():
     from finring import complete_triangulating_set
 
     seq = complete_triangulating_set(ring)
-    assert seq.tails[0].presentation == ring
+    assert seq.tails[0] == Subgroup.full(ring)
     orders = [t.order for t in seq.tails]
     assert orders == [16, 4, 2]
     # tail idempotents are the partial sums from the right
@@ -105,27 +118,51 @@ def _count_corner_rings(monkeypatch) -> list:
 
 
 def test_build_makes_each_corner_once(monkeypatch):
-    # reducedness is decided in the ring, and the last tail is the last
-    # corner: m corners plus m - 1 larger tails
+    # reducedness is decided in the ring, and tails are kept as subgroups
+    # (the last is the last corner's): m corner rings
     calls = _count_corner_rings(monkeypatch)
     for ring in (upper_triangular(3, 4), three_block(), z6(), field_f4()):
         seq = complete_triangulating_set(ring)
         calls.clear()
         rebuilt = TriangularSequence.build(ring, seq.idems)
-        assert len(calls) == 2 * seq.m - 1
+        assert len(calls) == seq.m
         assert rebuilt.corners == seq.corners and rebuilt.tails == seq.tails
-        assert rebuilt.tails[-1] is rebuilt.corners[-1]
-        assert [t.idem for t in rebuilt.tails] == [
-            seq.tail_idempotent(i) for i in range(seq.m)
-        ]
+        assert rebuilt.tails[-1] is rebuilt.corners[-1].subgroup
 
 
 def test_triangularity_is_decided_without_corner_presentations(monkeypatch):
     ring = upper_triangular(4, 2)
     calls = _count_corner_rings(monkeypatch)
     seq = complete_triangulating_set(ring)
-    # the 4 corners and 3 tails that build keeps; the sweep builds none
-    assert len(calls) == 7
+    # the 4 corners that build keeps; the sweep and the tails build none
+    assert len(calls) == 4
     calls.clear()
     assert triangularity_failure(ring, seq.idems) is None
     assert calls == []
+
+
+def _table_cases():
+    from test_triangulate import _permuted_copies
+
+    rings = {name: fixture(name) for name in FIXTURE_BUILDERS}
+    rings["T3(Z4)"] = upper_triangular(3, 4)
+    rings["T4(F2)"] = upper_triangular(4, 2)
+    cases = [pytest.param(ring, id=name) for name, ring in rings.items()]
+    for name in ("three_block", "T3(Z4)", "T4(F2)"):
+        for i, copy in enumerate(_permuted_copies(rings[name])):
+            cases.append(pytest.param(copy, id="%s-perm%d" % (name, i)))
+    return cases
+
+
+@pytest.mark.parametrize("ring", _table_cases())
+def test_vanishing_table_admits_and_tails_match_the_components(ring):
+    seq = complete_triangulating_set(ring)
+    for i, ei in enumerate(seq.idems):
+        for j, ej in enumerate(seq.idems):
+            assert seq.vanishing[i][j] == peirce_component(ring, ei, ej).is_trivial(), (i, j)
+    for sigma in itertools.permutations(range(seq.m)):
+        reordered = [seq.idems[j] for j in sigma]
+        assert seq.admits(sigma) == brute_triangular_check(ring, reordered, cap=ring.order)
+    for i, tail in enumerate(seq.tails):
+        t = seq.tail_idempotent(i)
+        assert tail == peirce_component(ring, t, t), i

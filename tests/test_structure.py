@@ -7,6 +7,7 @@ from finring import (
     InadmissiblePermutation,
     IsoDecomposition,
     PreconditionViolated,
+    StructureViolation,
     TooManyBlocks,
     ToolkitError,
     admissible_orders,
@@ -21,7 +22,6 @@ from finring import (
     reorder_front,
 )
 from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, product
-from finring.structure import _admits, _vanishing_table
 
 ADMISSIBLE = {
     "z6": [(0, 1), (1, 0)],
@@ -147,6 +147,14 @@ def test_reorder_front_blocked_by_nonzero_component():
     assert exc.value.index == 0
 
 
+def test_sequence_of_another_ring_is_refused():
+    seq = complete_triangulating_set(fixture("z6"))
+    with pytest.raises(StructureViolation):
+        reorder_front(fixture("z2xz3"), seq, 1)
+    with pytest.raises(StructureViolation):
+        admissible_orders(fixture("z2xz3"), seq)
+
+
 def test_permutation_guard():
     ring = reduce(lambda a, b: product(a, b), [f2() for _ in range(9)])
     seq = complete_triangulating_set(ring)
@@ -171,11 +179,10 @@ def test_sigma_check_matches_full_revalidation(ring):
     # the vanishing table decides sigma as the full check of the reordered
     # sequence does, and iso_synthesize refuses exactly those sigma
     seq = complete_triangulating_set(ring)
-    table = _vanishing_table(ring, seq)
     identity = iso_decompose(identity_iso(ring), seq, seq)
     for sigma in itertools.permutations(range(seq.m)):
         want = is_strongly_triangular(ring, [seq.idems[j] for j in sigma])
-        assert _admits(table, sigma) == want, sigma
+        assert seq.admits(sigma) == want, sigma
         d = IsoDecomposition(sigma, identity.layers, identity.last_rho)
         refused = False
         try:
