@@ -3,7 +3,8 @@
 stdout carries a canonically serialized JSON payload (sorted keys, no
 whitespace); a short human summary goes to stderr.  With --format text the
 summary is printed to stdout instead.  Exit codes: 0 success, 1 domain error,
-2 unreadable or malformed input, 3 enumeration cap exceeded.
+2 unreadable or malformed input or a usage error (such as an option the
+subcommand does not take), 3 enumeration cap exceeded.
 
 --oracle reruns the relevant analyses with the definitional brute-force
 sweeps and fails (exit 1) on any disagreement; oracle checks whose sweep caps
@@ -343,67 +344,58 @@ def _oracle_aut(ring, aut_order: int) -> str:
 # -- wiring ----------------------------------------------------------------
 
 
+_OPTIONS = {
+    "--cap": dict(type=int, default=None, metavar="N",
+                  help="override the element-enumeration cap"),
+    "--all": dict(action="store_true", help="list every result instead of the first"),
+    "--oracle": dict(action="store_true",
+                     help="cross-check with brute-force sweeps; fail on mismatch"),
+    "--format": dict(choices=("json", "text"), default="json", help="stdout payload format"),
+}
+
+# positionals are (dest, metavar, nargs)
+_RING = [("ring", "RING", None)]
+_PAIR = [("ring_a", "RING_A", None), ("ring_b", "RING_B", None)]
+
+# (name, handler, help, positionals, options): each subcommand takes only the
+# options its handler reads.
+_COMMANDS = [
+    ("validate", cmd_validate, "validate ring presentation files",
+     [("rings", "RING", "+")], ("--format",)),
+    ("idempotents", cmd_idempotents, "list idempotents and semicentral idempotents",
+     _RING, ("--cap", "--oracle", "--format")),
+    ("triangulate", cmd_triangulate, "compute the canonical complete left-triangulating set",
+     _RING, ("--cap", "--oracle", "--format")),
+    ("orders", cmd_orders, "list admissible reorderings of the canonical sequence",
+     _RING, ("--cap", "--oracle", "--format")),
+    ("split", cmd_split, "detect direct-summand blocks",
+     _RING, ("--cap", "--format")),
+    ("aut", cmd_aut, "compute the automorphism group",
+     _RING, ("--cap", "--all", "--oracle", "--format")),
+    ("iso-synth", cmd_iso_synth, "synthesize an isomorphism from decomposition data",
+     _PAIR + [("decomposition", "DECOMP", None)], ("--cap", "--format")),
+    ("iso-decompose", cmd_iso_decompose, "decompose an isomorphism into layer data",
+     _PAIR + [("map", "MAP", None)], ("--cap", "--format")),
+    ("iso-search", cmd_iso_search, "search for an isomorphism between two rings",
+     _PAIR, ("--cap", "--all", "--oracle", "--format")),
+    ("report", cmd_report, "full structural report for one ring",
+     _RING, ("--cap", "--oracle", "--format")),
+]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None, metavar="N",
-                        help="override the element-enumeration cap")
-    common.add_argument("--all", action="store_true",
-                        help="list every result instead of the first")
-    common.add_argument("--oracle", action="store_true",
-                        help="cross-check with brute-force sweeps; fail on mismatch")
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="stdout payload format")
     parser = argparse.ArgumentParser(
         prog="finring",
         description="Structure and isomorphism analysis of finite rings given by additive presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", parents=[common], help="validate ring presentation files")
-    sp.add_argument("rings", nargs="+", metavar="RING")
-    sp.set_defaults(handler=cmd_validate)
-
-    sp = sub.add_parser("idempotents", parents=[common], help="list idempotents and semicentral idempotents")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_idempotents)
-
-    sp = sub.add_parser("triangulate", parents=[common], help="compute the canonical complete left-triangulating set")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_triangulate)
-
-    sp = sub.add_parser("orders", parents=[common], help="list admissible reorderings of the canonical sequence")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_orders)
-
-    sp = sub.add_parser("split", parents=[common], help="detect direct-summand blocks")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_split)
-
-    sp = sub.add_parser("aut", parents=[common], help="compute the automorphism group")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_aut)
-
-    sp = sub.add_parser("iso-synth", parents=[common], help="synthesize an isomorphism from decomposition data")
-    sp.add_argument("ring_a", metavar="RING_A")
-    sp.add_argument("ring_b", metavar="RING_B")
-    sp.add_argument("decomposition", metavar="DECOMP")
-    sp.set_defaults(handler=cmd_iso_synth)
-
-    sp = sub.add_parser("iso-decompose", parents=[common], help="decompose an isomorphism into layer data")
-    sp.add_argument("ring_a", metavar="RING_A")
-    sp.add_argument("ring_b", metavar="RING_B")
-    sp.add_argument("map", metavar="MAP")
-    sp.set_defaults(handler=cmd_iso_decompose)
-
-    sp = sub.add_parser("iso-search", parents=[common], help="search for an isomorphism between two rings")
-    sp.add_argument("ring_a", metavar="RING_A")
-    sp.add_argument("ring_b", metavar="RING_B")
-    sp.set_defaults(handler=cmd_iso_search)
-
-    sp = sub.add_parser("report", parents=[common], help="full structural report for one ring")
-    sp.add_argument("ring", metavar="RING")
-    sp.set_defaults(handler=cmd_report)
-
+    for name, handler, help_text, positionals, options in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in options:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        for dest, metavar, nargs in positionals:
+            sp.add_argument(dest, metavar=metavar, nargs=nargs)
+        sp.set_defaults(handler=handler)
     return parser
 
 

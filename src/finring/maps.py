@@ -250,37 +250,6 @@ def identity_iso(ring: RingPresentation) -> RingIsomorphism:
     return RingIsomorphism.create(identity_map(ring))
 
 
-class BimoduleIsomorphism:
-    """An additive bijection between bimodule subgroups, tagged with the ring
-    isomorphisms that twist the left and right actions.  The compatibility
-    equations depend on corner context and are checked where that context
-    lives (see morphisms.check_corner_quadruple)."""
-
-    __slots__ = ("map", "left_via", "right_via")
-
-    def __init__(self, map: AdditiveMap, left_via: RingIsomorphism, right_via: RingIsomorphism):
-        if not isinstance(map.domain, Subgroup) or not isinstance(map.codomain, Subgroup):
-            raise ShapeMismatch("bimodule isomorphisms connect subgroups")
-        self.map = map
-        self.left_via = left_via
-        self.right_via = right_via
-
-    def apply(self, x: Element) -> Element:
-        return self.map.apply(x)
-
-    def __eq__(self, other):
-        if not isinstance(other, BimoduleIsomorphism):
-            return NotImplemented
-        return (
-            self.map == other.map
-            and self.left_via == other.left_via
-            and self.right_via == other.right_via
-        )
-
-    def __hash__(self):
-        return hash((self.map, self.left_via, self.right_via))
-
-
 # -- units and inner automorphisms ----------------------------------------
 
 

@@ -46,12 +46,7 @@ from .errors import (
     ToolkitError,
 )
 from .idempotents import is_semicentral
-from .maps import (
-    AdditiveMap,
-    BimoduleIsomorphism,
-    RingIsomorphism,
-    verify_ring_iso,
-)
+from .maps import AdditiveMap, RingIsomorphism, verify_ring_iso
 from .presentation import Element, RingPresentation
 from .sequences import TriangularSequence
 from .structure import admissible_orders
@@ -65,11 +60,12 @@ CORNER_SEARCH_CAP = 1 << 16
 
 @dataclass(frozen=True)
 class CornerQuadruple:
-    """Corner data (rho, phibar, chi, m) for one semicentral level."""
+    """Corner data (rho, phibar, chi, m) for one semicentral level; chi is
+    the additive map from the row e*A*(1-e) to the row f*B*(1-f)."""
 
     rho: RingIsomorphism
     phibar: RingIsomorphism
-    chi: BimoduleIsomorphism
+    chi: AdditiveMap
     m: Element
 
 
@@ -126,6 +122,36 @@ def _level_map(e: Element, tail: Element, rho_amb, chi: AdditiveMap, m: Element,
     return level
 
 
+def _checked_level(
+    layer,
+    corner_r: CornerRing,
+    corner_s: CornerRing,
+    row_l: Subgroup,
+    row_m: Subgroup,
+    tail: Element,
+    tail_sub: Subgroup,
+    phi_next,
+    level: int | None = None,
+):
+    """Check one level of corner data and return its level map.  layer has
+    rho (corner_r -> corner_s), chi (row_l -> row_m) and the offset m; the
+    tail t and its subgroup t*A*t carry phi_next, the map of the next level."""
+    _check_ends(
+        layer.rho, corner_r.presentation, corner_s.presentation, "corner isomorphism", level
+    )
+    _check_ends(layer.chi, row_l, row_m, "row map", level)
+    rho_amb = _in_ambient(corner_r, corner_s, layer.rho)
+    reason = _level_failure(
+        layer.chi,
+        layer.m,
+        _action_pairs(corner_r.subgroup, rho_amb),
+        _action_pairs(tail_sub, phi_next),
+    )
+    if reason is not None:
+        raise InconsistentQuadruple(reason, level)
+    return _level_map(corner_r.idem, tail, rho_amb, layer.chi, layer.m, phi_next)
+
+
 def _assemble(ring_a: RingPresentation, ring_b: RingPresentation, phi) -> RingIsomorphism:
     """The map with generator images phi(g); checked data always yields an
     isomorphism, so a failure here is reported as a StructureViolation."""
@@ -169,24 +195,13 @@ def _quadruple_level(ctx_a, ctx_b, q: CornerQuadruple):
     """Check q against the corner contexts of e and f; return its level map."""
     corner_r, corner_abar, row_l = ctx_a
     corner_s, corner_bbar, row_m = ctx_b
-    _check_ends(q.rho, corner_r.presentation, corner_s.presentation, "corner isomorphism")
     _check_ends(
         q.phibar, corner_abar.presentation, corner_bbar.presentation, "complement isomorphism"
     )
-    _check_ends(q.chi.map, row_l, row_m, "row map")
-    if q.chi.left_via != q.rho or q.chi.right_via != q.phibar:
-        raise InconsistentQuadruple("row map is not tagged with the quadruple's actions")
-    rho_amb = _in_ambient(corner_r, corner_s, q.rho)
     phibar_amb = _in_ambient(corner_abar, corner_bbar, q.phibar)
-    reason = _level_failure(
-        q.chi.map,
-        q.m,
-        _action_pairs(corner_r.subgroup, rho_amb),
-        _action_pairs(corner_abar.subgroup, phibar_amb),
+    return _checked_level(
+        q, corner_r, corner_s, row_l, row_m, corner_abar.idem, corner_abar.subgroup, phibar_amb
     )
-    if reason is not None:
-        raise InconsistentQuadruple(reason)
-    return _level_map(corner_r.idem, corner_abar.idem, rho_amb, q.chi.map, q.m, phibar_amb)
 
 
 def check_corner_quadruple(e: Element, f: Element, q: CornerQuadruple) -> None:
@@ -220,8 +235,7 @@ def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuad
         raise LocationMismatch("phi(e) is not in the row coset of f")
     rho = _restrict_corner(phi.apply, corner_r, corner_s)
     phibar = _restrict_corner(phi.apply, corner_abar, corner_bbar)
-    chi = BimoduleIsomorphism(_restrict_row(phi.apply, row_l, row_m), rho, phibar)
-    q = CornerQuadruple(rho, phibar, chi, offset)
+    q = CornerQuadruple(rho, phibar, _restrict_row(phi.apply, row_l, row_m), offset)
     if _assemble(ring_a, ring_b, _quadruple_level(ctx_a, ctx_b, q)).map != phi.map:
         raise StructureViolation("corner data does not resynthesize the map")
     return q
@@ -262,37 +276,6 @@ def _base_level(seq_a: TriangularSequence, seq_b: TriangularSequence, j: int, rh
     return _in_ambient(corner_r, corner_s, rho)
 
 
-def _wrap_level(
-    seq_a: TriangularSequence,
-    seq_b: TriangularSequence,
-    sigma,
-    i: int,
-    layer: IsoLayer,
-    phi_next,
-    check: bool = True,
-):
-    """Level i of the synthesis over the two sequences, wrapping phi_next."""
-    j = sigma[i]
-    corner_r = seq_a.corners[i]
-    corner_s = seq_b.corners[j]
-    tail = seq_a.tail_idempotent(i + 1)
-    rho_amb = _in_ambient(corner_r, corner_s, layer.rho)
-    if check:
-        _check_ends(
-            layer.rho, corner_r.presentation, corner_s.presentation, "layer corner isomorphism", i
-        )
-        _check_ends(layer.chi, seq_a.rows[i], seq_b.rows[j], "layer row map", i)
-        reason = _level_failure(
-            layer.chi,
-            layer.m,
-            _action_pairs(corner_r.subgroup, rho_amb),
-            _action_pairs(seq_a.tails[i + 1], phi_next),
-        )
-        if reason is not None:
-            raise InconsistentQuadruple(reason, i)
-    return _level_map(corner_r.idem, tail, rho_amb, layer.chi, layer.m, phi_next)
-
-
 def iso_synthesize(
     seq_a: TriangularSequence,
     seq_b: TriangularSequence,
@@ -318,7 +301,11 @@ def iso_synthesize(
         raise InadmissiblePermutation(d.sigma)
     phi = _base_level(seq_a, seq_b, d.sigma[m - 1], d.last_rho)
     for i in range(m - 2, -1, -1):
-        phi = _wrap_level(seq_a, seq_b, d.sigma, i, d.layers[i], phi)
+        j = d.sigma[i]
+        phi = _checked_level(
+            d.layers[i], seq_a.corners[i], seq_b.corners[j], seq_a.rows[i], seq_b.rows[j],
+            seq_a.tail_idempotent(i + 1), seq_a.tails[i + 1], phi, i,
+        )
     return _assemble(ring_a, ring_b, phi)
 
 
@@ -514,20 +501,19 @@ def enumerate_isomorphisms(
             corner_s = seq_b.corners[j]
             row_l = seq_a.rows[i]
             row_m = seq_b.rows[j]
+            tail = seq_a.tail_idempotent(i + 1)
             offsets = row_m.elements()
             for sub_layers, last_rho, phi_next in levels(i + 1):
                 right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
                 for rho in corner_isos(i, j):
-                    left_pairs = _action_pairs(
-                        corner_r.subgroup, _in_ambient(corner_r, corner_s, rho)
-                    )
+                    rho_amb = _in_ambient(corner_r, corner_s, rho)
+                    left_pairs = _action_pairs(corner_r.subgroup, rho_amb)
                     for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
                         for offset in offsets:
-                            layer = IsoLayer(rho, chi, offset)
-                            phi_here = _wrap_level(
-                                seq_a, seq_b, sigma, i, layer, phi_next, check=False
+                            phi_here = _level_map(
+                                corner_r.idem, tail, rho_amb, chi, offset, phi_next
                             )
-                            yield (layer,) + sub_layers, last_rho, phi_here
+                            yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi_here
 
         for layers, last_rho, phi in levels(0):
             yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)

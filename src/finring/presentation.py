@@ -114,16 +114,16 @@ class RingPresentation:
                     raise OrderViolation(i, j)
 
     def _check_unit(self):
-        for i in range(len(self.orders)):
-            g = self._basis_coeffs(i)
+        for i, gen in enumerate(self._gens):
+            g = gen.coeffs
             if self._mul_coeffs(self.one, g) != g or self._mul_coeffs(g, self.one) != g:
                 raise UnitFailure(i)
 
     def _check_associativity(self):
-        k = len(self.orders)
-        for i, j, l in itertools.product(range(k), repeat=3):
-            left = self._mul_coeffs(self.mul[i][j], self._basis_coeffs(l))
-            right = self._mul_coeffs(self._basis_coeffs(i), self.mul[j][l])
+        basis = [g.coeffs for g in self._gens]
+        for i, j, l in itertools.product(range(len(basis)), repeat=3):
+            left = self._mul_coeffs(self.mul[i][j], basis[l])
+            right = self._mul_coeffs(basis[i], self.mul[j][l])
             if left != right:
                 raise NonAssociative(i, j, l)
 

@@ -91,6 +91,8 @@ def detect_direct_sum(ring: RingPresentation, dec: PeirceDecomposition) -> list[
     """Blocks j (0-based) whose row and column components all vanish, i.e.
     whose corner splits off as a two-sided direct summand.  A single block is
     never reported as a split."""
+    if dec.seq.ring != ring:
+        raise StructureViolation("sequence belongs to a different ring")
     m = dec.seq.m
     if m < 2:
         return []

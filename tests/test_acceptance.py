@@ -37,7 +37,6 @@ from finring import (
 )
 from finring import (
     AdditiveMap,
-    BimoduleIsomorphism,
     CornerQuadruple,
     corner_synthesize,
     identity_iso,
@@ -64,7 +63,7 @@ def _trivial_offset_quadruple(ring, e, m):
     row = peirce_component(ring, e, comp)
     rho = identity_iso(corner.presentation)
     phibar = identity_iso(other.presentation)
-    chi = BimoduleIsomorphism(AdditiveMap(row, row, list(row.generators)), rho, phibar)
+    chi = AdditiveMap(row, row, list(row.generators))
     return CornerQuadruple(rho, phibar, chi, m)
 
 

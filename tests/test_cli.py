@@ -252,6 +252,24 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--oracle", fx("z6")],
+        ["validate", "--all", fx("z6")],
+        ["report", "--all", fx("z6")],
+        ["iso-decompose", "--oracle", fx("t2_f2"), fx("t2_f2"),
+         str(FIXTURE_DIR / "maps" / "t2_f2_inner.json")],
+    ],
+    ids=["split-oracle", "validate-all", "report-all", "iso-decompose-oracle"],
+)
+def test_option_a_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % argv[1] in capsys.readouterr().err
+
+
 def test_oracle_passes_on_whole_corpus(capsys):
     # the only permitted non-"agree" outcome is a cap-skipped sweep
     for path in sorted(FIXTURE_DIR.glob("*.json")):

@@ -5,7 +5,6 @@ import pytest
 
 from finring import (
     AdditiveMap,
-    BimoduleIsomorphism,
     CapExceeded,
     CornerQuadruple,
     InadmissiblePermutation,
@@ -54,7 +53,7 @@ def _identity_quadruple(ring, e, m):
     row = peirce_component(ring, e, comp)
     rho = identity_iso(corner.presentation)
     phibar = identity_iso(other.presentation)
-    chi = BimoduleIsomorphism(AdditiveMap(row, row, list(row.generators)), rho, phibar)
+    chi = AdditiveMap(row, row, list(row.generators))
     return CornerQuadruple(rho, phibar, chi, m)
 
 
@@ -129,11 +128,28 @@ def test_quadruple_validation():
         check_corner_quadruple(e, e, bad_offset)
 
     # non-bijective row map
-    zero_chi = BimoduleIsomorphism(
-        AdditiveMap(row, row, [ring.zero() for _ in row.generators]), q.rho, q.phibar
-    )
+    zero_chi = AdditiveMap(row, row, [ring.zero() for _ in row.generators])
     with pytest.raises(InconsistentQuadruple):
         check_corner_quadruple(e, e, CornerQuadruple(q.rho, q.phibar, zero_chi, ring.zero()))
+
+
+def test_corner_data_is_the_first_layer_of_a_two_block_decomposition():
+    # the single-level API is layer 0 over the two-block sequence, with the
+    # closing corner isomorphism as phibar
+    pairs = [("t2_f2", "t2_f2"), ("t2_z4", "t2_z4"), ("z6", "z6"), ("z6", "z2xz3"), ("z2xz3", "z6")]
+    cases = 0
+    for a, b in pairs:
+        ring_a, ring_b = fixture(a), fixture(b)
+        seq_a, seq_b = complete_triangulating_set(ring_a), complete_triangulating_set(ring_b)
+        assert seq_a.m == seq_b.m == 2
+        for _d, phi in enumerate_isomorphisms(ring_a, ring_b):
+            d = iso_decompose(phi, seq_a, seq_b)
+            q = corner_decompose(phi, seq_a.idems[0], seq_b.idems[d.sigma[0]])
+            layer = d.layers[0]
+            assert (q.rho, q.chi, q.m) == (layer.rho, layer.chi, layer.m), (a, b)
+            assert q.phibar == d.last_rho
+            cases += 1
+    assert cases == 13
 
 
 def test_iso_synthesize_rejects_inadmissible_sigma():

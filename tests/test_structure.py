@@ -153,6 +153,8 @@ def test_sequence_of_another_ring_is_refused():
         reorder_front(fixture("z2xz3"), seq, 1)
     with pytest.raises(StructureViolation):
         admissible_orders(fixture("z2xz3"), seq)
+    with pytest.raises(StructureViolation):
+        detect_direct_sum(fixture("z2xz3"), peirce_decompose(fixture("z6"), seq))
 
 
 def test_permutation_guard():
