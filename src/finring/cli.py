@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from .automorphisms import aut_group
+from .automorphisms import aut_group, aut_order
 from .errors import CapExceeded, ShapeMismatch, StructureViolation, ToolkitError
 from .idempotents import enumerate_idempotents, is_semicentral
 from .jsonio import (
@@ -170,15 +170,19 @@ def cmd_split(args):
 
 def cmd_aut(args):
     ring = _load_ring(args.ring)
-    group = aut_group(ring, args.cap)
-    payload = {"ring": ring_ref(ring), "aut_order": group.order}
+    payload = {"ring": ring_ref(ring)}
     if args.all:
+        group = aut_group(ring, args.cap)
+        order = group.order
         payload["automorphisms"] = [
             [list(row) for row in g.map.images] for g in group.elements
         ]
-    summary = ["%s: automorphism group of order %d" % (args.ring, group.order)]
+    else:
+        order = aut_order(ring, args.cap)
+    payload["aut_order"] = order
+    summary = ["%s: automorphism group of order %d" % (args.ring, order)]
     if args.oracle:
-        payload["oracle"] = _oracle_aut(ring, group.order)
+        payload["oracle"] = _oracle_aut(ring, order)
         summary.append("oracle: %s" % payload["oracle"])
     return payload, summary
 

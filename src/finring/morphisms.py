@@ -20,6 +20,12 @@ choices with deeper levels varying slowest and each level keyed by image
 tuples in lexicographic order; iso_search returns the first hit in that
 canonical order.
 
+iso_count counts the same maps without listing them.  A level with offset m
+is its offset-0 map followed by conjugation by the unit 1 - m (m*m = 0), so
+the choices at a level do not depend on the offsets chosen below it.  The
+count walks the enumeration's level recursion with every offset fixed at 0
+and multiplies, per sigma, by the orders of the target rows.
+
 Corner isomorphisms and row maps are found by one backtracking search over
 generator images.  It assigns the images in generator order, trying the
 candidates of each in element order, so complete tuples come out in the
@@ -32,6 +38,7 @@ check (verify_ring_iso, _level_failure).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .corners import CornerRing, corner_ring, peirce_component
 from .errors import (
@@ -455,23 +462,22 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     return [chi for chi in chis if _level_failure(chi, None, left_pairs, right_pairs) is None]
 
 
-def enumerate_isomorphisms(
-    ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None = None
-):
-    """Yield (IsoDecomposition, RingIsomorphism) pairs in canonical order.
-
-    Every valid parametrization over the canonical sequences appears exactly
-    once, and by the structure theorem that is every isomorphism a -> b.
-    """
-    if ring_a.order != ring_b.order:
-        return
-    if ring_a.order == 1:
-        yield IsoDecomposition((), (), None), RingIsomorphism.create(
-            AdditiveMap(ring_a, ring_b, [])
-        )
-        return
+def _canonical_sequences(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None):
+    """The canonical sequences of both rings; a ring paired with itself
+    (automorphisms) is triangulated once."""
     seq_a = complete_triangulating_set(ring_a, cap)
-    seq_b = complete_triangulating_set(ring_b, cap)
+    seq_b = seq_a if ring_b is ring_a else complete_triangulating_set(ring_b, cap)
+    return seq_a, seq_b
+
+
+def _zero_offset(row_m: Subgroup) -> tuple[Element, ...]:
+    return (row_m.ring.zero(),)
+
+
+def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offsets):
+    """Yield (sigma, layers, last_rho, phi) in canonical order, phi being the
+    level map of the parametrization; a level with target row row_m tries
+    the offsets in offsets(row_m)."""
     m = seq_a.m
     if seq_b.m != m:
         return
@@ -485,7 +491,7 @@ def enumerate_isomorphisms(
             )
         return corner_cache[key]
 
-    for sigma in admissible_orders(ring_b, seq_b):
+    for sigma in admissible_orders(seq_b.ring, seq_b):
         if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
             continue
         if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):
@@ -502,21 +508,63 @@ def enumerate_isomorphisms(
             row_l = seq_a.rows[i]
             row_m = seq_b.rows[j]
             tail = seq_a.tail_idempotent(i + 1)
-            offsets = row_m.elements()
+            level_offsets = offsets(row_m)
             for sub_layers, last_rho, phi_next in levels(i + 1):
                 right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
                 for rho in corner_isos(i, j):
                     rho_amb = _in_ambient(corner_r, corner_s, rho)
                     left_pairs = _action_pairs(corner_r.subgroup, rho_amb)
                     for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
-                        for offset in offsets:
+                        for offset in level_offsets:
                             phi_here = _level_map(
                                 corner_r.idem, tail, rho_amb, chi, offset, phi_next
                             )
                             yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi_here
 
         for layers, last_rho, phi in levels(0):
-            yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)
+            yield sigma, layers, last_rho, phi
+
+
+def enumerate_isomorphisms(
+    ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None = None
+):
+    """Yield (IsoDecomposition, RingIsomorphism) pairs in canonical order.
+
+    Every valid parametrization over the canonical sequences appears exactly
+    once, and by the structure theorem that is every isomorphism a -> b.
+    """
+    if ring_a.order != ring_b.order:
+        return
+    if ring_a.order == 1:
+        yield IsoDecomposition((), (), None), RingIsomorphism.create(
+            AdditiveMap(ring_a, ring_b, [])
+        )
+        return
+    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
+    for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements):
+        yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)
+
+
+def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None = None) -> int:
+    """|Iso(ring_a, ring_b)|, the number of maps enumerate_isomorphisms yields.
+
+    A level with offset m is its offset-0 map followed by conjugation by the
+    unit 1 - m, so the choices at a level do not depend on the offsets
+    chosen below it.  Hence the count is, summed over sigma, the number of
+    offset-free parametrizations times the orders of the target rows of
+    the levels above the last.  Each offset-free map is still assembled and
+    verified.
+    """
+    if ring_a.order != ring_b.order:
+        return 0
+    if ring_a.order == 1:
+        return 1
+    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
+    total = 0
+    for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset):
+        _assemble(ring_a, ring_b, phi)
+        total += prod(seq_b.rows[j].order for j in sigma[:-1])
+    return total
 
 
 def iso_search(

@@ -174,13 +174,13 @@ def test_group_law_check_composes_each_element_with_each_generator_once(monkeypa
 
     monkeypatch.setattr(automorphisms, "compose_maps", counting("compose", compose_maps))
     monkeypatch.setattr(automorphisms, "invert_map", counting("invert", invert_map))
-    order = aut_order(upper_triangular(2, 9))
+    order = aut_group(upper_triangular(2, 9)).order
     gens = calls["invert"]  # one inverse sweep per generator
     assert order == 54
     assert 1 <= gens and 2 ** gens <= order
     assert calls["compose"] == order * gens
     calls.update(compose=0, invert=0)
-    assert aut_order(fixture("z6")) == 1
+    assert aut_group(fixture("z6")).order == 1
     assert calls == {"compose": 0, "invert": 0}
 
 
@@ -189,6 +189,19 @@ def test_aut_of_t3_is_inner_above_the_oracle_caps(q, order):
     # Kezlan: every automorphism of T_n(Z_m) is inner, so
     # |Aut(T_n(Z_m))| = phi(m)^(n-1) * m^(n(n-1)/2); phi(3) = phi(4) = 2
     assert aut_order(upper_triangular(3, q)) == 2 ** 2 * q ** 3 == order
+
+
+@pytest.mark.parametrize("n, q, order", [(5, 2, 1024), (3, 5, 2000), (4, 3, 5832)])
+def test_aut_order_matches_kezlan_where_enumeration_is_slow(n, q, order):
+    # phi(m)^(n-1) * m^(n(n-1)/2): 1 * 2^10, 4^2 * 5^3, 2^3 * 3^6.  These
+    # rings exceed the default cap, and listing Aut(T5(F2)) takes about 20 s.
+    ring = upper_triangular(n, q)
+    assert aut_order(ring, cap=ring.order) == order
+
+
+def test_aut_order_does_not_check_the_group_law(monkeypatch):
+    monkeypatch.setattr(automorphisms, "_verify_group_law", None)
+    assert aut_order(upper_triangular(2, 9)) == 54
 
 
 @pytest.mark.parametrize("p", [2, 3])

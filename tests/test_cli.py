@@ -5,7 +5,7 @@ import pytest
 
 from finring import morphisms
 from finring.cli import main
-from finring.fixtures import matrix_ring
+from finring.fixtures import FIXTURE_BUILDERS, matrix_ring
 from finring.jsonio import ring_to_obj
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -84,6 +84,17 @@ def test_aut(capsys):
     assert len(mats) == 8
     assert mats == sorted(mats)
     assert payload["oracle"] == "agree"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_aut_count_and_enumeration_print_the_same_order(capsys, name):
+    orders = []
+    for flags in ((), ("--all",), ("--oracle",)):
+        code, payload, _ = run(capsys, "aut", *flags, fx(name))
+        assert code == 0
+        orders.append(payload["aut_order"])
+    assert orders[0] == orders[1] == orders[2]
+    assert payload["oracle"] in ("agree", "skipped")
 
 
 def test_iso_search(capsys):

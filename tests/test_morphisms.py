@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -13,6 +14,8 @@ from finring import (
     LocationMismatch,
     NotSemicentral,
     RingIsomorphism,
+    aut_group,
+    aut_order,
     check_corner_quadruple,
     complete_triangulating_set,
     corner_decompose,
@@ -23,6 +26,7 @@ from finring import (
     identity_iso,
     inner_automorphism,
     is_semicentral,
+    iso_count,
     iso_decompose,
     iso_search,
     iso_synthesize,
@@ -44,6 +48,8 @@ from finring.fixtures import (
     upper_triangular,
 )
 from finring.oracle import brute_isos
+from finring.presentation import RingPresentation
+from test_kernels import basis_change
 
 
 def _identity_quadruple(ring, e, m):
@@ -366,3 +372,82 @@ def test_corner_search_of_m2f2_tries_under_one_percent(monkeypatch):
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 65536 // 100)
     ring = matrix_ring(2, 2)
     assert len(list(enumerate_isomorphisms(ring, ring))) == 6
+
+
+# -- counting without listing ---------------------------------------------
+
+
+def poly_quotient(f: list[int]) -> RingPresentation:
+    """F2[x]/(f) on 1, x, ..., x^(d-1); f lists the low coefficients of a
+    monic polynomial of degree d = len(f)."""
+    d = len(f)
+    powers = [[int(i == t) for i in range(d)] for t in range(d)]
+    for _ in range(d, 2 * d - 1):
+        top = powers[-1][d - 1]
+        shifted = [0] + powers[-1][: d - 1]
+        powers.append([(x - top * c) % 2 for x, c in zip(shifted, f)])
+    mul = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return RingPresentation([2] * d, mul, powers[0])
+
+
+def dual_square() -> RingPresentation:
+    """F2[x,y]/(x^2, y^2) on 1, x, y, xy."""
+    monos = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    mul = [
+        [[int((a[0] + b[0], a[1] + b[1]) == c) for c in monos] for b in monos]
+        for a in monos
+    ]
+    return RingPresentation([2] * 4, mul, [1, 0, 0, 0])
+
+
+COUNTED_RINGS = [fixture(name) for name in sorted(FIXTURE_BUILDERS)] + [
+    upper_triangular(2, 8),
+    upper_triangular(2, 9),
+    upper_triangular(4, 2),
+    upper_triangular(3, 4),
+    matrix_ring(2, 2),
+    matrix_ring(2, 3),
+]
+
+
+@pytest.mark.parametrize("ring", COUNTED_RINGS, ids=lambda ring: ring.name)
+def test_iso_count_equals_the_order_of_the_enumerated_group(ring):
+    assert iso_count(ring, ring) == aut_group(ring).order
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [t2_z4(), fixture("t3_f2"), fixture("three_block"), upper_triangular(2, 9),
+     upper_triangular(3, 4), upper_triangular(4, 2), matrix_ring(2, 2)],
+    ids=lambda ring: ring.name,
+)
+def test_iso_count_equals_the_enumeration_on_basis_changed_pairs(ring):
+    other = basis_change(ring, random.Random(ring.order))[0]
+    for a, b in ((ring, other), (other, ring)):
+        assert iso_count(a, b) == sum(1 for _pair in enumerate_isomorphisms(a, b))
+
+
+def test_iso_count_of_non_isomorphic_pairs_is_zero():
+    f16 = poly_quotient([1, 1, 0, 0])  # x^4 + x + 1 is irreducible over F2
+    truncated = poly_quotient([0, 0, 0, 0])  # F2[x]/(x^4)
+    for a, b in ((matrix_ring(2, 2), f16), (truncated, dual_square())):
+        assert iso_count(a, b) == iso_count(b, a) == 0
+    assert aut_order(f16) == 4  # Gal(F16/F2)
+
+
+def test_automorphisms_triangulate_the_ring_once(monkeypatch):
+    original = morphisms.complete_triangulating_set
+    calls = []
+
+    def counted(ring, cap=None):
+        calls.append(ring)
+        return original(ring, cap)
+
+    monkeypatch.setattr(morphisms, "complete_triangulating_set", counted)
+    ring = t2_z4()
+    assert iso_count(ring, ring) == 8
+    assert len(list(enumerate_isomorphisms(ring, ring))) == 8
+    assert calls == [ring, ring]
+    calls.clear()
+    assert iso_count(ring, ring.permuted([1, 0, 2])) == 8
+    assert len(calls) == 2
