@@ -13,6 +13,7 @@ are exceeded are recorded as skipped rather than failing the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -387,7 +388,10 @@ _COMMANDS = [
 ]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones: parsing
+    writes only to the namespace it returns, so no call sees another's."""
     parser = argparse.ArgumentParser(
         prog="finring",
         description="Structure and isomorphism analysis of finite rings given by additive presentations.",

@@ -29,6 +29,21 @@ def peirce_component(ring: RingPresentation, e: Element, f: Element) -> Subgroup
     return Subgroup.span(ring, [e * g * f for g in ring.gens()])
 
 
+def _peirce_span(ring: RingPresentation, e: Element, f: Element, spans) -> Subgroup:
+    """peirce_component(ring, e, f), spanned at most once per spans dict.
+
+    spans maps idempotent pairs (e, f) to their components.  A sequence
+    construction creates one for a single call and hands it down, so the
+    sweep, the reducedness checks and the kept corners share their spans;
+    nothing is cached on the ring.  spans=None spans afresh."""
+    if spans is None:
+        return peirce_component(ring, e, f)
+    sub = spans.get((e, f))
+    if sub is None:
+        sub = spans[e, f] = peirce_component(ring, e, f)
+    return sub
+
+
 def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
     """True when e*A*f = 0, i.e. peirce_component(ring, e, f).is_trivial().
 
@@ -73,9 +88,9 @@ class CornerRing:
         return hash((self.parent, self.idem))
 
 
-def corner_ring(ring: RingPresentation, e: Element) -> CornerRing:
+def corner_ring(ring: RingPresentation, e: Element, *, _spans=None) -> CornerRing:
     _require_idempotent(e)
-    sub = peirce_component(ring, e, e)
+    sub = _peirce_span(ring, e, e, _spans)
     if sub.order == ring.order:
         # e A e = A forces e = 1; keep the original presentation untouched.
         ident = identity_map(ring)

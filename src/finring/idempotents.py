@@ -8,10 +8,12 @@ reduced, which keeps triangulating idempotents nonzero.
 Reducedness of a corner e*A*e is decided in A, with no corner presentation:
 for f idempotent in the corner, (e-f)*x*f = (e-f)*(e*x*e)*f for every x in
 A, so f is semicentral in the corner exactly when vanishes(A, e-f, f).
+0 and e are semicentral in every corner, so the test stops at the first
+other semicentral idempotent it meets.
 """
 from __future__ import annotations
 
-from .corners import _require_idempotent, peirce_component, vanishes
+from .corners import _peirce_span, _require_idempotent, vanishes
 from .presentation import Element, RingPresentation, require_cap
 
 
@@ -26,13 +28,22 @@ def is_semicentral(ring: RingPresentation, e: Element) -> bool:
     return vanishes(ring, ring.one_element() - e, e)
 
 
-def has_reduced_corner(ring: RingPresentation, e: Element, cap: int | None = None) -> bool:
+def has_reduced_corner(
+    ring: RingPresentation, e: Element, cap: int | None = None, *, _spans=None
+) -> bool:
     """True when the corner e*A*e is semicentral reduced: its semicentral
-    idempotents are exactly 0 and e, two of them (the zero corner has one)."""
-    corner = peirce_component(ring, e, e)
+    idempotents are exactly 0 and e, two of them (the zero corner has one).
+    _spans is the caller's dict of Peirce spans (see corners._peirce_span)."""
+    corner = _peirce_span(ring, e, e, _spans)
     require_cap(corner.order, cap, "idempotent sweep")
-    semis = [f for f in corner.elements() if f.is_idempotent() and vanishes(ring, e - f, f)]
-    return len(semis) == 2
+    if e.is_zero():
+        return False
+    for f in corner.elements():
+        if f.is_zero() or f == e:
+            continue
+        if f.is_idempotent() and vanishes(ring, e - f, f):
+            return False
+    return True
 
 
 def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bool:

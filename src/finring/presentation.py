@@ -11,12 +11,14 @@ extension well defined), the two-sided unit law on generators, and
 associativity on all generator triples.  Bilinearity then carries these to the
 whole ring, so a validated presentation is an honest finite unital ring.
 
-Products read a sparse copy of the tensor, built before validation so that
-the checks run through the same kernel: _terms[i][j] lists the nonzero
-(l, c[i][j][l]).  A product visits only the nonzero coefficients of both
-factors and the terms of their generator products, accumulates in plain
-integers and reduces once.  Matrix-unit rings such as T_n and M_n have at most
-one term per generator product.
+Products read a sparse copy of the tensor, built before validation:
+_terms[i][j] lists the nonzero (l, c[i][j][l]).  A product visits only the
+nonzero coefficients of both factors and the terms of their generator
+products, accumulates in plain integers and reduces once.  Matrix-unit rings
+such as T_n and M_n have at most one term per generator product.  The unit
+law runs through that product kernel; associativity is checked on _terms
+directly, expanding both bracketings of each generator triple and comparing
+them mod the orders, with no product call.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
 elements of different presentations raises AmbientMismatch.  gens() returns
@@ -120,11 +122,23 @@ class RingPresentation:
                 raise UnitFailure(i)
 
     def _check_associativity(self):
-        basis = [g.coeffs for g in self._gens]
-        for i, j, l in itertools.product(range(len(basis)), repeat=3):
-            left = self._mul_coeffs(self.mul[i][j], basis[l])
-            right = self._mul_coeffs(basis[i], self.mul[j][l])
-            if left != right:
+        # (g_i g_j) g_l = sum over (m, c) in terms[i][j] of c * (g_m g_l), and
+        # g_i (g_j g_l) = sum over (m, c) in terms[j][l] of c * (g_i g_m).
+        terms = self._terms
+        orders = self.orders
+        k = len(orders)
+        for i, j, l in itertools.product(range(k), repeat=3):
+            left = [0] * k
+            for m, c in terms[i][j]:
+                for n, d in terms[m][l]:
+                    left[n] += c * d
+            right = [0] * k
+            for m, c in terms[j][l]:
+                for n, d in terms[i][m]:
+                    right[n] += c * d
+            if left != right and (
+                list(map(operator.mod, left, orders)) != list(map(operator.mod, right, orders))
+            ):
                 raise NonAssociative(i, j, l)
 
     # -- coefficient arithmetic ------------------------------------------

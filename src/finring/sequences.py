@@ -11,12 +11,18 @@ check decides corner reducedness in A (has_reduced_corner); build then makes
 each corner ring once.  It also records which components e_i*A*e_j vanish,
 the one table every block-order question reads, and keeps each tail
 t_i*A*t_i only as a subgroup of A, which is all the engine reads of it.
+
+build spans each corner e_i*A*e_i and each tail once: the reducedness check,
+the corner ring and the tails read one dict of spans that lives for the one
+call.  complete_triangulating_set passes in its own dict, so the tails it
+listed and the head corners it checked are not spanned again; the dict is
+dropped when build returns, and only the subgroups the sequence keeps live on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corners import CornerRing, corner_ring, peirce_component, vanishes
+from .corners import CornerRing, _peirce_span, corner_ring, peirce_component, vanishes
 from .errors import InvalidSequence
 from .idempotents import has_reduced_corner
 from .presentation import Element, RingPresentation
@@ -24,11 +30,12 @@ from .subgroups import Subgroup
 
 
 def triangularity_failure(
-    ring: RingPresentation, idems, cap: int | None = None
+    ring: RingPresentation, idems, cap: int | None = None, *, _spans=None
 ) -> str | None:
     """First reason the sequence fails to be strongly triangulating, or None:
     idempotence, orthogonality, the unit sum, the vanishing lower components,
-    then the reducedness of each corner."""
+    then the reducedness of each corner.  _spans is the caller's dict of
+    Peirce spans (see corners._peirce_span)."""
     idems = tuple(idems)
     for i, e in enumerate(idems):
         if e.ring != ring:
@@ -46,7 +53,7 @@ def triangularity_failure(
             if not vanishes(ring, idems[j], idems[i]):
                 return "lower component (%d, %d) is nonzero" % (j, i)
     for i, e in enumerate(idems):
-        if not has_reduced_corner(ring, e, cap):
+        if not has_reduced_corner(ring, e, cap, _spans=_spans):
             return "corner %d is not semicentral reduced" % i
     return None
 
@@ -75,18 +82,22 @@ class TriangularSequence:
 
     @classmethod
     def build(
-        cls, ring: RingPresentation, idems, cap: int | None = None
+        cls, ring: RingPresentation, idems, cap: int | None = None, *, _spans=None
     ) -> "TriangularSequence":
+        """Validate idems and collect their Peirce data.  _spans is a dict of
+        spans the caller already made, keyed by idempotent pair; build adds
+        its own to it."""
         idems = tuple(idems)
-        reason = triangularity_failure(ring, idems, cap)
+        spans = {} if _spans is None else _spans
+        reason = triangularity_failure(ring, idems, cap, _spans=spans)
         if reason is not None:
             raise InvalidSequence(reason)
-        corners = tuple(corner_ring(ring, e) for e in idems)
-        # the last tail is the last corner's subgroup
+        corners = tuple(corner_ring(ring, e, _spans=spans) for e in idems)
+        # t_m = e_m, so the last tail is the last corner's subgroup
         tails = tuple(
-            peirce_component(ring, t, t)
-            for t in (ring.sum(idems[i:]) for i in range(len(idems) - 1))
-        ) + tuple(c.subgroup for c in corners[-1:])
+            _peirce_span(ring, t, t, spans)
+            for t in (ring.sum(idems[i:]) for i in range(len(idems)))
+        )
         one = ring.one_element()
         rows = tuple(peirce_component(ring, e, one - e) for e in idems)
         # the lower triangle was just checked to vanish

@@ -16,6 +16,8 @@ require.
 """
 from __future__ import annotations
 
+import operator
+
 from .errors import AmbientMismatch, StructureViolation
 from .presentation import Element, RingPresentation
 
@@ -216,7 +218,7 @@ class Subgroup:
         if c is None:
             raise StructureViolation("element is not in the subgroup")
         k = len(s)
-        y = [sum(u[i][r] * c[r] for r in range(k)) for i in range(k)]
+        y = [sum(map(operator.mul, row, c)) for row in u]
         for i in range(k):
             if i not in idx and y[i] % s[i]:
                 raise StructureViolation("inconsistent coordinates; invalid state")

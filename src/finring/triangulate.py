@@ -15,6 +15,12 @@ over the generators instead of computing the Hermite form of a span.  The
 reducedness of a candidate's corner is decided in A by has_reduced_corner,
 so the sweep and locate_reduced build no corner presentation.
 
+Each Peirce component is spanned once per call: the sweep keeps the tails
+t*A*t it lists and the candidate corners e*A*e it checks in one dict, keyed by
+idempotent pair, and hands it to TriangularSequence.build, which reads the
+head corners and tails from it instead of spanning them again.  The dict lives
+for that one call; the ring keeps no cache.
+
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
 that product equals f_j, f - f_j lies in the row of f_j, and every component
@@ -22,7 +28,7 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from .corners import _require_idempotent, corner_ring, peirce_component, vanishes
+from .corners import _peirce_span, _require_idempotent, corner_ring, peirce_component, vanishes
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
@@ -38,10 +44,11 @@ def complete_triangulating_set(
     one = ring.one_element()
     tail = one
     idems: list[Element] = []
+    spans: dict = {}
     while not tail.is_zero():
         chosen = None
         if idems:
-            sweep = peirce_component(ring, tail, tail).elements()
+            sweep = _peirce_span(ring, tail, tail, spans).elements()
         else:
             # The first tail is 1, whose corner is A: sweep A lazily, in the
             # lexicographic order a sorted subgroup listing would have.
@@ -52,7 +59,7 @@ def complete_triangulating_set(
             # Semicentral within the tail corner: (tail - e) A e must vanish.
             if not vanishes(ring, tail - e, e):
                 continue
-            if not has_reduced_corner(ring, e, cap):
+            if not has_reduced_corner(ring, e, cap, _spans=spans):
                 continue
             chosen = e
             break
@@ -63,7 +70,7 @@ def complete_triangulating_set(
             )
         idems.append(chosen)
         tail = tail - chosen
-    return TriangularSequence.build(ring, tuple(idems), cap)
+    return TriangularSequence.build(ring, tuple(idems), cap, _spans=spans)
 
 
 def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from finring import morphisms
+from finring import cli, morphisms
 from finring.cli import main
 from finring.fixtures import FIXTURE_BUILDERS, matrix_ring
 from finring.jsonio import ring_to_obj
@@ -255,6 +255,38 @@ def test_text_format(capsys):
     assert code == 0
     assert payload is None
     assert "complete left-triangulating set of length 2" in cap.out
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    # The parser is built once per process; each call must still answer as
+    # if it had been built anew, whatever the calls before it did.
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"orders": [2], "mul": [[[3]]], "one": [1]}))
+    calls = [
+        ["iso-search", "--format", "yaml", fx("z6"), fx("z2xz3")],
+        ["iso-search", str(malformed), fx("z6")],
+        ["iso-search", "--all", fx("z6"), fx("z2xz3")],
+        ["iso-search", fx("z6"), fx("z2xz3")],
+    ]
+    cli._build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [2, 2, 0, 0]
+    assert '"count":1' in shared[2][1] and '"count"' not in shared[3][1]
 
 
 def test_unknown_subcommand_exits_2(capsys):

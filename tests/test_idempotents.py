@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finring import (
@@ -8,7 +10,7 @@ from finring import (
     is_semicentral,
     is_semicentral_reduced,
 )
-from finring.corners import corner_ring
+from finring.corners import corner_ring, peirce_component, vanishes
 from finring.fixtures import (
     FIXTURE_BUILDERS,
     cyclic,
@@ -21,6 +23,7 @@ from finring.fixtures import (
     z6,
 )
 from finring.idempotents import has_reduced_corner
+from test_kernels import basis_change
 
 
 def test_z6_idempotents():
@@ -104,6 +107,28 @@ def test_reduced_corner_decided_in_the_ring(ring):
     # every idempotent, semicentral or not, and 0 among them
     for e in enumerate_idempotents(ring):
         assert has_reduced_corner(ring, e) == _reference_has_reduced_corner(ring, e), e.coeffs
+
+
+def _counted_has_reduced_corner(ring, e):
+    """The definition in the ring: list e*A*e and count its semicentral
+    idempotents, which must be exactly 0 and e."""
+    corner = peirce_component(ring, e, e)
+    semis = [f for f in corner.elements() if f.is_idempotent() and vanishes(ring, e - f, f)]
+    return len(semis) == 2 and set(semis) == {ring.zero(), e}
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS]
+    + [
+        pytest.param(upper_triangular(2, 8), id="T2(Z8)"),
+        pytest.param(basis_change(upper_triangular(3, 4), random.Random(3))[0], id="T3(Z4)-basis"),
+    ],
+)
+def test_short_circuit_reducedness_matches_the_count(ring):
+    # the test stops at the first semicentral idempotent other than 0 and e
+    for e in enumerate_idempotents(ring):
+        assert has_reduced_corner(ring, e) == _counted_has_reduced_corner(ring, e), e.coeffs
 
 
 def test_reduced_corner_keeps_its_checks():

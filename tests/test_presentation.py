@@ -1,4 +1,9 @@
+import itertools
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finring import (
     AmbientMismatch,
@@ -10,7 +15,7 @@ from finring import (
     UnitFailure,
     validate_presentation,
 )
-from finring.fixtures import cyclic, t2_f2, upper_triangular
+from finring.fixtures import FIXTURE_BUILDERS, cyclic, fixture, matrix_ring, t2_f2, upper_triangular
 from finring.presentation import require_cap
 
 
@@ -77,6 +82,79 @@ def test_associativity_check():
     with pytest.raises(NonAssociative) as exc:
         RingPresentation((2, 2, 2), mul, (1, 0, 0))
     assert exc.value.triple == (1, 1, 1)
+
+
+def _reference_associativity(ring):
+    """The element-product check: both bracketings of every generator triple
+    through the product kernel, in lexicographic order of (i, j, l)."""
+    basis = [g.coeffs for g in ring.gens()]
+    for i, j, l in itertools.product(range(ring.rank), repeat=3):
+        left = ring._mul_coeffs(ring.mul[i][j], basis[l])
+        right = ring._mul_coeffs(basis[i], ring.mul[j][l])
+        if left != right:
+            raise NonAssociative(i, j, l)
+
+
+def _associativity_verdicts(orders, mul, one):
+    """(sparse check, reference) on the same data: the failing triple, or None
+    when the check accepts.  The presentation is built with the three axiom
+    checks switched off, so any reduced tensor gets to both."""
+    skip = lambda self: None  # noqa: E731
+    with mock.patch.multiple(
+        RingPresentation,
+        _check_order_compat=skip,
+        _check_unit=skip,
+        _check_associativity=skip,
+    ):
+        ring = RingPresentation(orders, mul, one)
+    verdicts = []
+    for check in (RingPresentation._check_associativity, _reference_associativity):
+        try:
+            check(ring)
+        except NonAssociative as exc:
+            verdicts.append(exc.triple)
+        else:
+            verdicts.append(None)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_sparse_associativity_check_accepts_the_fixtures(name):
+    ring = fixture(name)
+    assert _associativity_verdicts(ring.orders, ring.mul, ring.one) == [None, None]
+
+
+MUTATED_BASES = {
+    "T2(Z4)": upper_triangular(2, 4),
+    "T3(F2)": upper_triangular(3, 2),
+    "M2(F2)": matrix_ring(2, 2),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(MUTATED_BASES)), data=st.data())
+def test_sparse_associativity_check_matches_the_reference(name, data):
+    # one structure constant changed to any reduced value
+    ring = MUTATED_BASES[name]
+    k = ring.rank
+    i, j, l = (data.draw(st.integers(0, k - 1)) for _ in range(3))
+    value = data.draw(st.integers(0, ring.orders[l] - 1))
+    mul = [[list(vec) for vec in row] for row in ring.mul]
+    mul[i][j][l] = value
+    sparse, reference = _associativity_verdicts(ring.orders, mul, ring.one)
+    assert sparse == reference
+
+
+def test_sparse_associativity_check_reports_the_first_triple():
+    # e12*e12 := e12 in T2(F2) on (e11, e12, e22): (e12 e11) e12 = 0 but
+    # e12 (e11 e12) = e12, and no triple before (1, 0, 1) fails
+    ring = upper_triangular(2, 2)
+    mul = [[list(vec) for vec in row] for row in ring.mul]
+    mul[1][1] = [0, 1, 0]
+    assert _associativity_verdicts(ring.orders, mul, ring.one) == [(1, 0, 1), (1, 0, 1)]
+    with pytest.raises(NonAssociative) as exc:
+        RingPresentation(ring.orders, mul, ring.one)
+    assert exc.value.triple == (1, 0, 1)
 
 
 def test_element_arithmetic():

@@ -105,9 +105,9 @@ def _count_corner_rings(monkeypatch) -> list:
     original = finring.corners.corner_ring
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for modname, mod in list(sys.modules.items()):
         if modname == "finring" or modname.startswith("finring."):

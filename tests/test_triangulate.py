@@ -1,3 +1,7 @@
+import collections
+import random
+import sys
+
 import pytest
 
 from finring import (
@@ -14,6 +18,7 @@ from finring import (
 from finring.corners import corner_ring
 from finring.fixtures import FIXTURE_BUILDERS, fixture, matrix_ring, upper_triangular
 from finring.subgroups import Subgroup
+from test_kernels import basis_change
 
 CANONICAL_SEQUENCES = {
     "z6": [(3,), (4,)],
@@ -227,10 +232,52 @@ def test_sweep_lists_no_full_ring_and_spans_little(monkeypatch):
     monkeypatch.setattr(Subgroup, "span", classmethod(counted_span))
     monkeypatch.setattr(Subgroup, "elements", counted_elements)
     complete_triangulating_set(upper_triangular(4, 2))
-    # 4 head corners e*A*e and 3 later tail listings in the sweep, then 4
-    # corners for the reducedness check, 4 kept corners, 3 tails and 4 rows in
-    # build.  build spans each e*A*e twice, once to decide reducedness in A
-    # and once for the corner presentation it keeps.  A span per semicentral
-    # test and a sorted listing of A would make 139 spans and 1 full-ring
-    # list.
-    assert counts == {"span": 22, "full": 0}
+    # The sweep spans 3 head corners e*A*e and 3 later tails t*A*t (the last
+    # tail is the last head's corner); build reuses them and adds the first
+    # tail A and 4 rows.  Spanning each corner again for the reducedness check
+    # and for the corner presentation, and each tail again, made 22; a span
+    # per semicentral test and a sorted listing of A would make 139 spans and
+    # 1 full-ring list.
+    assert counts == {"span": 11, "full": 0}
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        pytest.param(upper_triangular(4, 2), id="T4(F2)"),
+        pytest.param(basis_change(upper_triangular(4, 2), random.Random(4))[0], id="T4(F2)-basis"),
+    ],
+)
+def test_one_triangulation_spans_each_peirce_component_once(monkeypatch, ring):
+    import finring.corners
+
+    original = finring.corners.peirce_component
+    components = collections.Counter()
+    spans = [0]
+
+    def counted(ring, e, f):
+        components[e.coeffs, f.coeffs] += 1
+        return original(ring, e, f)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "finring" or name.startswith("finring.")) and (
+            getattr(mod, "peirce_component", None) is original
+        ):
+            monkeypatch.setattr(mod, "peirce_component", counted)
+    span = Subgroup.span.__func__
+
+    def counted_span(cls, ring, elems):
+        spans[0] += 1
+        return span(cls, ring, elems)
+
+    monkeypatch.setattr(Subgroup, "span", classmethod(counted_span))
+    seq = complete_triangulating_set(ring)
+    assert seq.m == 4
+    assert max(components.values()) == 1
+    # every span is one of those components
+    assert spans[0] == sum(components.values())
+    # the shared spans are the components themselves
+    assert seq.tails[-1] is seq.corners[-1].subgroup
+    assert [c.subgroup for c in seq.corners] == [original(ring, e, e) for e in seq.idems]
+    tails = [seq.tail_idempotent(i) for i in range(seq.m)]
+    assert list(seq.tails) == [original(ring, t, t) for t in tails]
