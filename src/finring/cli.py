@@ -4,7 +4,8 @@ stdout carries a canonically serialized JSON payload (sorted keys, no
 whitespace); a short human summary goes to stderr.  With --format text the
 summary is printed to stdout instead.  Exit codes: 0 success, 1 domain error,
 2 unreadable or malformed input or a usage error (such as an option the
-subcommand does not take), 3 enumeration cap exceeded.
+subcommand does not take, or --cap below 1), 3 a size refusal: an enumeration
+cap or the block permutation guard exceeded, with the stage named on stderr.
 
 --oracle reruns the relevant analyses with the definitional brute-force
 sweeps and fails (exit 1) on any disagreement; oracle checks whose sweep caps
@@ -40,7 +41,7 @@ from .oracle import (
     brute_semicentral_list,
     brute_triangular_check,
 )
-from .structure import admissible_orders, detect_direct_sum, peirce_decompose
+from .structure import admissible_orders, detect_direct_sum
 from .triangulate import complete_triangulating_set
 
 
@@ -132,7 +133,7 @@ def cmd_triangulate(args):
 def cmd_orders(args):
     ring = _load_ring(args.ring)
     seq = complete_triangulating_set(ring, args.cap)
-    sigmas = admissible_orders(ring, seq)
+    sigmas = admissible_orders(seq)
     payload = {
         "ring": ring_ref(ring),
         "m": seq.m,
@@ -158,8 +159,7 @@ def cmd_orders(args):
 def cmd_split(args):
     ring = _load_ring(args.ring)
     seq = complete_triangulating_set(ring, args.cap)
-    dec = peirce_decompose(ring, seq)
-    splits = detect_direct_sum(ring, dec)
+    splits = detect_direct_sum(seq)
     payload = {
         "ring": ring_ref(ring),
         "m": seq.m,
@@ -278,8 +278,8 @@ def cmd_report(args):
     idems = timed("idempotents", lambda: enumerate_idempotents(ring, args.cap))
     semis = [e for e in idems if is_semicentral(ring, e)]
     seq = timed("triangulate", lambda: complete_triangulating_set(ring, args.cap))
-    sigmas = timed("orders", lambda: admissible_orders(ring, seq))
-    splits = timed("split", lambda: detect_direct_sum(ring, peirce_decompose(ring, seq)))
+    sigmas = timed("orders", lambda: admissible_orders(seq))
+    splits = timed("split", lambda: detect_direct_sum(seq))
     group = timed("aut", lambda: aut_group(ring, args.cap))
     report = {
         "ring": {"name": ring.name, "hash": ring_hash(ring)},
@@ -349,8 +349,15 @@ def _oracle_aut(ring, aut_order: int) -> str:
 # -- wiring ----------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("N must be at least 1, got %d" % n)
+    return n
+
+
 _OPTIONS = {
-    "--cap": dict(type=int, default=None, metavar="N",
+    "--cap": dict(type=positive_int, default=None, metavar="N",
                   help="override the element-enumeration cap"),
     "--all": dict(action="store_true", help="list every result instead of the first"),
     "--oracle": dict(action="store_true",

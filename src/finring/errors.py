@@ -98,15 +98,6 @@ class PreconditionViolated(DomainError):
         super().__init__("component at index %d obstructs the move" % index)
 
 
-class TooManyBlocks(DomainError):
-    """Permutation enumeration refused above the block-count guard."""
-
-    def __init__(self, m: int, bound: int):
-        self.m = m
-        self.bound = bound
-        super().__init__("%d blocks exceeds the permutation guard %d" % (m, bound))
-
-
 class LocationMismatch(DomainError):
     """phi(e) does not sit over f in the expected coset."""
 

@@ -81,13 +81,9 @@ def ring_from_obj(obj: Any) -> RingPresentation:
 
 
 def ring_hash(ring: RingPresentation) -> str:
-    stripped = {
-        "orders": list(ring.orders),
-        "mul": [[list(cell) for cell in row] for row in ring.mul],
-        "one": list(ring.one),
-    }
-    blob = json.dumps(stripped, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    stripped = ring_to_obj(ring)
+    stripped.pop("name", None)
+    return hashlib.sha256(dumps_canonical(stripped).encode("utf-8")).hexdigest()
 
 
 def ring_ref(ring: RingPresentation) -> dict:

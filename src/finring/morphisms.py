@@ -491,7 +491,7 @@ def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offs
             )
         return corner_cache[key]
 
-    for sigma in admissible_orders(seq_b.ring, seq_b):
+    for sigma in admissible_orders(seq_b):
         if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
             continue
         if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):

@@ -107,7 +107,7 @@ def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tupl
 
 
 def locate_reduced(
-    ring: RingPresentation, seq: TriangularSequence, f: Element, cap: int | None = None
+    seq: TriangularSequence, f: Element, cap: int | None = None
 ) -> tuple[int, Element]:
     """Position a semicentral reduced idempotent over its unique block.
 
@@ -115,8 +115,7 @@ def locate_reduced(
     and all components above block j vanish.
     """
     _require_idempotent(f)
-    if seq.ring != ring:
-        raise StructureViolation("sequence belongs to a different ring")
+    ring = seq.ring
     if not is_semicentral(ring, f):
         raise NotSemicentralReduced("idempotent is not semicentral")
     if not has_reduced_corner(ring, f, cap):

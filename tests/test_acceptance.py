@@ -32,7 +32,6 @@ from finring import (
     iso_synthesize,
     locate_reduced,
     peirce_component,
-    peirce_decompose,
     ring_units,
 )
 from finring import (
@@ -77,8 +76,8 @@ def test_criterion_01_t2f2_golden_run_with_oracle():
     seq = complete_triangulating_set(ring)
     assert seq.m == 2
     assert [e.coeffs for e in seq.idems] == [(1, 0, 0), (0, 0, 1)]
-    assert admissible_orders(ring, seq) == [(0, 1)]
-    assert detect_direct_sum(ring, peirce_decompose(ring, seq)) == []
+    assert admissible_orders(seq) == [(0, 1)]
+    assert detect_direct_sum(seq) == []
     assert aut_order(ring) == 2
 
     # independent confirmation of every number above
@@ -100,8 +99,8 @@ def test_criterion_02_z6_golden_run():
     assert {e.coeffs for e in idems} == {(0,), (1,), (3,), (4,)}
     seq = complete_triangulating_set(ring)
     assert seq.m == 2
-    assert len(admissible_orders(ring, seq)) == 2
-    assert detect_direct_sum(ring, peirce_decompose(ring, seq)) == [0, 1]
+    assert len(admissible_orders(seq)) == 2
+    assert detect_direct_sum(seq) == [0, 1]
     assert aut_order(ring) == 1
     crt = iso_search(ring, fixture("z2xz3"))
     assert crt is not None
@@ -155,7 +154,7 @@ def test_criterion_05_unique_location_of_reduced_idempotents():
                 if seq.idems[j] * f * seq.idems[j] == seq.idems[j]
             ]
             assert len(hits) == 1, (name, f)
-            j, rest = locate_reduced(ring, seq, f)
+            j, rest = locate_reduced(seq, f)
             assert j == hits[0]
             assert f == seq.idems[j] + rest
             tail = seq.tail_idempotent(j + 1)

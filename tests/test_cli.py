@@ -1,12 +1,14 @@
 import json
 import pathlib
+from functools import reduce
 
 import pytest
 
 from finring import cli, morphisms
 from finring.cli import main
-from finring.fixtures import FIXTURE_BUILDERS, matrix_ring
+from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, product
 from finring.jsonio import ring_to_obj
+from test_structure import SPLITS
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,12 +70,10 @@ def test_orders_and_split(capsys):
     assert payload["admissible"] == [[1, 2, 3], [1, 3, 2], [3, 1, 2]]
     assert payload["oracle"] == "agree"
 
-    code, payload, _ = run(capsys, "split", fx("three_block"))
-    assert code == 0
-    assert payload["splits"] == [3]
-
-    code, payload, _ = run(capsys, "split", fx("f4"))
-    assert payload["splits"] == []
+    for name in FIXTURE_BUILDERS:
+        code, payload, _ = run(capsys, "split", fx(name))
+        assert code == 0, name
+        assert payload["splits"] == [j + 1 for j in SPLITS[name]], name
 
 
 def test_aut(capsys):
@@ -215,6 +215,14 @@ def test_aut_of_matrix_rings(tmp_path, capsys, p):
     assert payload["aut_order"] == p * (p * p - 1)
 
 
+def test_permutation_guard_exits_3_and_names_the_stage(tmp_path, capsys):
+    # F2^9 has 512 elements, under the default cap, and 9 blocks
+    ring = reduce(product, [f2() for _ in range(9)])
+    code, _, cap = run(capsys, "orders", _ring_file(tmp_path, ring))
+    assert code == 3
+    assert "block permutation guard" in cap.err
+
+
 def test_search_caps_exit_3_and_name_the_stage(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 8)
     code, _, cap = run(capsys, "aut", _ring_file(tmp_path, matrix_ring(2, 2)))
@@ -296,21 +304,24 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["split", "--oracle", fx("z6")],
-        ["validate", "--all", fx("z6")],
-        ["report", "--all", fx("z6")],
-        ["iso-decompose", "--oracle", fx("t2_f2"), fx("t2_f2"),
-         str(FIXTURE_DIR / "maps" / "t2_f2_inner.json")],
+        (["split", "--oracle", fx("z6")], "unrecognized arguments: --oracle"),
+        (["validate", "--all", fx("z6")], "unrecognized arguments: --all"),
+        (["report", "--all", fx("z6")], "unrecognized arguments: --all"),
+        (["iso-decompose", "--oracle", fx("t2_f2"), fx("t2_f2"),
+          str(FIXTURE_DIR / "maps" / "t2_f2_inner.json")], "unrecognized arguments: --oracle"),
+        (["aut", "--cap", "0", fx("f2")], "argument --cap: N must be at least 1, got 0"),
+        (["aut", "--cap", "-1", fx("f2")], "argument --cap: N must be at least 1, got -1"),
     ],
-    ids=["split-oracle", "validate-all", "report-all", "iso-decompose-oracle"],
+    ids=["split-oracle", "validate-all", "report-all", "iso-decompose-oracle",
+         "aut-cap-0", "aut-cap-negative"],
 )
-def test_option_a_subcommand_does_not_read_exits_2(argv, capsys):
+def test_option_a_subcommand_does_not_read_exits_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: %s" % argv[1] in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_passes_on_whole_corpus(capsys):

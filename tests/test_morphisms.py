@@ -102,7 +102,7 @@ def test_corner_decompose_roundtrip():
         semicentral = [e for e in enumerate_idempotents(ring) if is_semicentral(ring, e)]
         offsets = set()
         for _d, phi in enumerate_isomorphisms(ring, ring):
-            j, m = locate_reduced(ring, seq, phi.apply(head))
+            j, m = locate_reduced(seq, phi.apply(head))
             offsets.add(m.coeffs)
             pairs = [(head, seq.idems[j])] + [(e, phi.apply(e)) for e in semicentral]
             for e, f in pairs:

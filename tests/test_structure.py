@@ -1,14 +1,14 @@
 import itertools
+import math
 from functools import reduce
 
 import pytest
 
 from finring import (
+    CapExceeded,
     InadmissiblePermutation,
     IsoDecomposition,
     PreconditionViolated,
-    StructureViolation,
-    TooManyBlocks,
     ToolkitError,
     admissible_orders,
     complete_triangulating_set,
@@ -18,10 +18,10 @@ from finring import (
     iso_decompose,
     iso_synthesize,
     peirce_component,
-    peirce_decompose,
     reorder_front,
 )
 from finring.fixtures import FIXTURE_BUILDERS, f2, fixture, product
+from test_triangulate import LADDER, _permuted_copies
 
 ADMISSIBLE = {
     "z6": [(0, 1), (1, 0)],
@@ -50,16 +50,15 @@ SPLITS = {
 
 def test_admissible_orders_frozen():
     for name in FIXTURE_BUILDERS:
-        ring = fixture(name)
-        seq = complete_triangulating_set(ring)
-        assert admissible_orders(ring, seq) == ADMISSIBLE[name], name
+        seq = complete_triangulating_set(fixture(name))
+        assert admissible_orders(seq) == ADMISSIBLE[name], name
 
 
 def test_admissible_matches_exhaustive_revalidation():
     for name in FIXTURE_BUILDERS:
         ring = fixture(name)
         seq = complete_triangulating_set(ring)
-        got = set(admissible_orders(ring, seq))
+        got = set(admissible_orders(seq))
         for perm in itertools.permutations(range(seq.m)):
             arranged = [seq.idems[j] for j in perm]
             assert is_strongly_triangular(ring, arranged) == (perm in got), (name, perm)
@@ -71,17 +70,17 @@ def test_consecutive_nonzero_rows_force_identity():
     for name in ("t2_f2", "t2_z4", "t3_f2"):
         ring = fixture(name)
         seq = complete_triangulating_set(ring)
-        dec = peirce_decompose(ring, seq)
+        e = seq.idems
         for i in range(seq.m - 1):
-            assert not dec.components[i][i + 1].is_trivial()
-        assert admissible_orders(ring, seq) == [tuple(range(seq.m))]
+            assert not peirce_component(ring, e[i], e[i + 1]).is_trivial()
+        assert admissible_orders(seq) == [tuple(range(seq.m))]
 
 
 def test_peirce_decomposition_orders():
     ring = fixture("t2_f2")
-    seq = complete_triangulating_set(ring)
-    dec = peirce_decompose(ring, seq)
-    assert [[c.order for c in row] for row in dec.components] == [[2, 2], [1, 2]]
+    e = complete_triangulating_set(ring).idems
+    orders = [[peirce_component(ring, ei, ej).order for ej in e] for ei in e]
+    assert orders == [[2, 2], [1, 2]]
 
 
 def test_sequence_rows_are_the_peirce_rows():
@@ -89,19 +88,35 @@ def test_sequence_rows_are_the_peirce_rows():
     for name in FIXTURE_BUILDERS:
         ring = fixture(name)
         seq = complete_triangulating_set(ring)
-        dec = peirce_decompose(ring, seq)
         assert len(seq.rows) == seq.m, name
         for i, e in enumerate(seq.idems):
             assert seq.rows[i] == peirce_component(ring, e, ring.one_element() - e), name
-            assert seq.rows[i] == dec.rows[i], name
+            assert seq.rows[i] == peirce_component(ring, e, seq.tail_idempotent(i + 1)), name
+
+
+TILING_CASES = [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS] + [
+    pytest.param(ring, id=name) for name, ring in LADDER.items()
+]
+
+
+@pytest.mark.parametrize("ring", TILING_CASES)
+def test_peirce_components_tile_the_ring(ring):
+    # A is the direct sum of the m^2 components e_i*A*e_j, each row[i] is the
+    # sum of the components right of the diagonal, and the vanishing table
+    # records exactly the trivial components
+    seq = complete_triangulating_set(ring)
+    comps = [[peirce_component(ring, ei, ej) for ej in seq.idems] for ei in seq.idems]
+    assert math.prod(c.order for row in comps for c in row) == ring.order
+    for i in range(seq.m):
+        assert seq.rows[i].order == math.prod(c.order for c in comps[i][i + 1:])
+        for j in range(seq.m):
+            assert seq.vanishing[i][j] == comps[i][j].is_trivial(), (i, j)
 
 
 def test_splits_frozen():
     for name in FIXTURE_BUILDERS:
-        ring = fixture(name)
-        seq = complete_triangulating_set(ring)
-        dec = peirce_decompose(ring, seq)
-        assert detect_direct_sum(ring, dec) == SPLITS[name], name
+        seq = complete_triangulating_set(fixture(name))
+        assert detect_direct_sum(seq) == SPLITS[name], name
 
 
 def test_split_block_is_an_ideal_summand():
@@ -109,9 +124,8 @@ def test_split_block_is_an_ideal_summand():
     for name in ("z6", "z2xz3", "three_block"):
         ring = fixture(name)
         seq = complete_triangulating_set(ring)
-        dec = peirce_decompose(ring, seq)
         one = ring.one_element()
-        for j in detect_direct_sum(ring, dec):
+        for j in detect_direct_sum(seq):
             f = seq.idems[j]
             rest = one - f
             for g in ring.gens():
@@ -121,53 +135,39 @@ def test_split_block_is_an_ideal_summand():
 
 
 def test_no_split_for_single_block():
-    ring = fixture("f4")
-    seq = complete_triangulating_set(ring)
-    assert detect_direct_sum(ring, peirce_decompose(ring, seq)) == []
+    seq = complete_triangulating_set(fixture("f4"))
+    assert detect_direct_sum(seq) == []
 
 
 def test_reorder_front():
-    ring = fixture("z6")
-    seq = complete_triangulating_set(ring)
-    moved = reorder_front(ring, seq, 1)
+    seq = complete_triangulating_set(fixture("z6"))
+    moved = reorder_front(seq, 1)
     assert [e.coeffs for e in moved.idems] == [(4,), (3,)]
 
     tb = fixture("three_block")
     seq3 = complete_triangulating_set(tb)
-    moved3 = reorder_front(tb, seq3, 2)
+    moved3 = reorder_front(seq3, 2)
     assert moved3.idems[0] == seq3.idems[2]
     assert is_strongly_triangular(tb, moved3.idems)
 
 
 def test_reorder_front_blocked_by_nonzero_component():
-    ring = fixture("t2_f2")
-    seq = complete_triangulating_set(ring)
+    seq = complete_triangulating_set(fixture("t2_f2"))
     with pytest.raises(PreconditionViolated) as exc:
-        reorder_front(ring, seq, 1)
+        reorder_front(seq, 1)
     assert exc.value.index == 0
-
-
-def test_sequence_of_another_ring_is_refused():
-    seq = complete_triangulating_set(fixture("z6"))
-    with pytest.raises(StructureViolation):
-        reorder_front(fixture("z2xz3"), seq, 1)
-    with pytest.raises(StructureViolation):
-        admissible_orders(fixture("z2xz3"), seq)
-    with pytest.raises(StructureViolation):
-        detect_direct_sum(fixture("z2xz3"), peirce_decompose(fixture("z6"), seq))
 
 
 def test_permutation_guard():
     ring = reduce(lambda a, b: product(a, b), [f2() for _ in range(9)])
     seq = complete_triangulating_set(ring)
     assert seq.m == 9
-    with pytest.raises(TooManyBlocks):
-        admissible_orders(ring, seq)
+    with pytest.raises(CapExceeded) as exc:
+        admissible_orders(seq)
+    assert (exc.value.size, exc.value.what) == (9, "block permutation guard")
 
 
 def _sigma_cases():
-    from test_triangulate import LADDER, _permuted_copies
-
     cases = [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS]
     for name, ring in LADDER.items():
         cases.append(pytest.param(ring, id=name))

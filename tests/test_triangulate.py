@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from finring import (
+    AmbientMismatch,
     NotIdempotent,
     NotSemicentral,
     NotSemicentralReduced,
@@ -54,16 +55,16 @@ def test_sequences_are_valid():
 def test_locate_on_z6():
     ring = fixture("z6")
     seq = complete_triangulating_set(ring)
-    j, rest = locate_reduced(ring, seq, ring.element((3,)))
+    j, rest = locate_reduced(seq, ring.element((3,)))
     assert (j, rest.is_zero()) == (0, True)
-    j, rest = locate_reduced(ring, seq, ring.element((4,)))
+    j, rest = locate_reduced(seq, ring.element((4,)))
     assert (j, rest.is_zero()) == (1, True)
 
 
 def test_locate_on_t2f2():
     ring = fixture("t2_f2")
     seq = complete_triangulating_set(ring)
-    j, rest = locate_reduced(ring, seq, ring.element((1, 1, 0)))
+    j, rest = locate_reduced(seq, ring.element((1, 1, 0)))
     assert j == 0
     assert rest.coeffs == (0, 1, 0)
     # the offset lies strictly in the truncated row of block j
@@ -74,11 +75,15 @@ def test_locate_preconditions():
     ring = fixture("t2_f2")
     seq = complete_triangulating_set(ring)
     with pytest.raises(NotIdempotent):
-        locate_reduced(ring, seq, ring.element((0, 1, 0)))
+        locate_reduced(seq, ring.element((0, 1, 0)))
     with pytest.raises(NotSemicentralReduced):
-        locate_reduced(ring, seq, ring.one_element())
+        locate_reduced(seq, ring.one_element())
     with pytest.raises(NotSemicentralReduced):
-        locate_reduced(ring, seq, ring.element((0, 0, 1)))
+        locate_reduced(seq, ring.element((0, 0, 1)))
+    # the sequence carries its ring; an idempotent of another ring is refused
+    # by the element arithmetic
+    with pytest.raises(AmbientMismatch):
+        locate_reduced(seq, fixture("z6").element((3,)))
 
 
 def test_locate_uniqueness_sweep():
@@ -94,7 +99,7 @@ def test_locate_uniqueness_sweep():
                 continue
             if not is_semicentral_reduced(corner_ring(ring, f).presentation):
                 continue
-            j, rest = locate_reduced(ring, seq, f)
+            j, rest = locate_reduced(seq, f)
             hits = [
                 k
                 for k in range(seq.m)
