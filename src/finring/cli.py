@@ -7,9 +7,14 @@ summary is printed to stdout instead.  Exit codes: 0 success, 1 domain error,
 subcommand does not take, or --cap below 1), 3 a size refusal: an enumeration
 cap or the block permutation guard exceeded, with the stage named on stderr.
 
---oracle reruns the relevant analyses with the definitional brute-force
-sweeps and fails (exit 1) on any disagreement; oracle checks whose sweep caps
-are exceeded are recorded as skipped rather than failing the run.
+Each handler returns (payload, summary, check).  check is None or a
+zero-argument function that reruns the answer with the definitional
+brute-force sweeps and raises StructureViolation("oracle disagrees with
+engine on ...") on any disagreement (exit 1).  With --oracle, main runs it
+once through _oracle, which gives "agree", or "skipped" when a sweep exceeds
+its own cap, stores that verdict as payload["oracle"] and appends
+"oracle: <verdict>" to the summary.  report has three verdicts, so it runs
+the same checks itself under report.oracle and returns no check.
 """
 from __future__ import annotations
 
@@ -94,7 +99,7 @@ def cmd_validate(args):
             }
         )
         summary.append("%s: valid presentation, order %d, rank %d" % (path, ring.order, ring.rank))
-    return {"rings": rings}, summary
+    return {"rings": rings}, summary, None
 
 
 def cmd_idempotents(args):
@@ -108,10 +113,7 @@ def cmd_idempotents(args):
         "semicentral": _coeff_rows(semis),
     }
     summary = ["%s: %d idempotents, %d semicentral" % (args.ring, len(idems), len(semis))]
-    if args.oracle:
-        payload["oracle"] = _oracle_semicentral(ring, payload["semicentral"])
-        summary.append("oracle: %s" % payload["oracle"])
-    return payload, summary
+    return payload, summary, lambda: _check_semicentral(ring, payload["semicentral"])
 
 
 def cmd_triangulate(args):
@@ -124,10 +126,7 @@ def cmd_triangulate(args):
         "corner_orders": [c.order for c in seq.corners],
     }
     summary = ["%s: complete left-triangulating set of length %d" % (args.ring, seq.m)]
-    if args.oracle:
-        payload["oracle"] = _oracle_triangular(ring, seq)
-        summary.append("oracle: %s" % payload["oracle"])
-    return payload, summary
+    return payload, summary, lambda: _check_triangular(ring, seq)
 
 
 def cmd_orders(args):
@@ -140,20 +139,16 @@ def cmd_orders(args):
         "admissible": _one_based(sigmas),
     }
     summary = ["%s: %d admissible orders out of %d blocks factorial" % (args.ring, len(sigmas), seq.m)]
-    if args.oracle:
-        def check():
-            for perm in itertools.permutations(range(seq.m)):
-                arranged = [seq.idems[j] for j in perm]
-                want = perm in set(sigmas)
-                _require_agreement(
-                    brute_triangular_check(ring, arranged) == want,
-                    "admissibility of %s" % (perm,),
-                )
-            return "agree"
 
-        payload["oracle"] = _oracle_guard(check)
-        summary.append("oracle: %s" % payload["oracle"])
-    return payload, summary
+    def check():
+        admissible = set(sigmas)
+        for perm in itertools.permutations(range(seq.m)):
+            _require_agreement(
+                brute_triangular_check(ring, [seq.idems[j] for j in perm]) == (perm in admissible),
+                "admissibility of %s" % (perm,),
+            )
+
+    return payload, summary, check
 
 
 def cmd_split(args):
@@ -166,7 +161,7 @@ def cmd_split(args):
         "splits": [j + 1 for j in splits],
     }
     summary = ["%s: %d direct-summand blocks" % (args.ring, len(splits))]
-    return payload, summary
+    return payload, summary, None
 
 
 def cmd_aut(args):
@@ -182,10 +177,7 @@ def cmd_aut(args):
         order = aut_order(ring, args.cap)
     payload["aut_order"] = order
     summary = ["%s: automorphism group of order %d" % (args.ring, order)]
-    if args.oracle:
-        payload["oracle"] = _oracle_aut(ring, order)
-        summary.append("oracle: %s" % payload["oracle"])
-    return payload, summary
+    return payload, summary, lambda: _check_aut(ring, order)
 
 
 def cmd_iso_synth(args):
@@ -203,7 +195,7 @@ def cmd_iso_synth(args):
     iso = iso_synthesize(seq_a, seq_b, d)
     payload = {"isomorphism": map_to_obj(iso)}
     summary = ["synthesized isomorphism %s -> %s" % (args.ring_a, args.ring_b)]
-    return payload, summary
+    return payload, summary, None
 
 
 def cmd_iso_decompose(args):
@@ -222,7 +214,7 @@ def cmd_iso_decompose(args):
     payload["domain"] = ring_ref(ring_a)
     payload["codomain"] = ring_ref(ring_b)
     summary = ["decomposed map across %d blocks, sigma %s" % (seq_a.m, payload["sigma"])]
-    return payload, summary
+    return payload, summary, None
 
 
 def cmd_iso_search(args):
@@ -236,15 +228,12 @@ def cmd_iso_search(args):
             "isomorphisms": [map_to_obj(i) for i in isos],
         }
         summary = ["%d isomorphisms %s -> %s" % (len(isos), args.ring_a, args.ring_b)]
-        if args.oracle:
-            payload["oracle"] = _oracle_guard(
-                lambda: _require_agreement(
-                    {i.map.images for i in isos}
-                    == {i.map.images for i in brute_isos(ring_a, ring_b)},
-                    "isomorphism list",
-                )
+
+        def check():
+            _require_agreement(
+                {i.map.images for i in isos} == {i.map.images for i in brute_isos(ring_a, ring_b)},
+                "isomorphism list",
             )
-            summary.append("oracle: %s" % payload["oracle"])
     else:
         iso = iso_search(ring_a, ring_b, args.cap)
         payload = {
@@ -254,15 +243,12 @@ def cmd_iso_search(args):
         summary = [
             "isomorphism found" if iso is not None else "rings are not isomorphic (no map found)"
         ]
-        if args.oracle:
-            payload["oracle"] = _oracle_guard(
-                lambda: _require_agreement(
-                    (iso is not None) == bool(brute_isos(ring_a, ring_b)),
-                    "isomorphism existence",
-                )
+
+        def check():
+            _require_agreement(
+                (iso is not None) == bool(brute_isos(ring_a, ring_b)), "isomorphism existence"
             )
-            summary.append("oracle: %s" % payload["oracle"])
-    return payload, summary
+    return payload, summary, check
 
 
 def cmd_report(args):
@@ -292,58 +278,51 @@ def cmd_report(args):
         "splits": [j + 1 for j in splits],
         "aut_order": group.order,
     }
-    if args.oracle:
-        report["oracle"] = {
-            "semicentral": _oracle_semicentral(ring, report["semicentral"]),
-            "triangular": _oracle_triangular(ring, seq),
-            "aut": _oracle_aut(ring, report["aut_order"]),
-        }
-    payload = {"report": report, "timings": timings}
     summary = [
         "%s: order %d, %d idempotents, m = %d, aut order %d"
         % (args.ring, ring.order, len(idems), seq.m, group.order)
     ]
     if args.oracle:
+        report["oracle"] = {
+            "semicentral": _oracle(lambda: _check_semicentral(ring, report["semicentral"])),
+            "triangular": _oracle(lambda: _check_triangular(ring, seq)),
+            "aut": _oracle(lambda: _check_aut(ring, group.order)),
+        }
         summary.append(
             "oracle: " + ", ".join("%s %s" % kv for kv in sorted(report["oracle"].items()))
         )
-    return payload, summary
+    return {"report": report, "timings": timings}, summary, None
 
 
-def _require_agreement(ok: bool, what: str) -> str:
+# -- oracle checks: each raises StructureViolation on a disagreement ---------
+
+
+def _require_agreement(ok: bool, what: str) -> None:
     if not ok:
         raise StructureViolation("oracle disagrees with engine on %s" % what)
+
+
+def _oracle(check) -> str:
+    """Run a check: 'agree', or 'skipped' when a brute-force sweep exceeds its cap."""
+    try:
+        check()
+    except CapExceeded:
+        return "skipped"
     return "agree"
 
 
-def _oracle_guard(thunk):
-    """Run an oracle check; report 'skipped' when its sweep caps bail out."""
-    try:
-        return thunk()
-    except CapExceeded:
-        return "skipped"
-
-
-def _oracle_semicentral(ring, semicentral_rows) -> str:
-    return _oracle_guard(
-        lambda: _require_agreement(
-            _coeff_rows(brute_semicentral_list(ring)) == semicentral_rows, "semicentral list"
-        )
+def _check_semicentral(ring, semicentral_rows) -> None:
+    _require_agreement(
+        _coeff_rows(brute_semicentral_list(ring)) == semicentral_rows, "semicentral list"
     )
 
 
-def _oracle_triangular(ring, seq) -> str:
-    return _oracle_guard(
-        lambda: _require_agreement(
-            brute_triangular_check(ring, seq.idems), "triangulating sequence"
-        )
-    )
+def _check_triangular(ring, seq) -> None:
+    _require_agreement(brute_triangular_check(ring, seq.idems), "triangulating sequence")
 
 
-def _oracle_aut(ring, aut_order: int) -> str:
-    return _oracle_guard(
-        lambda: _require_agreement(brute_aut_count(ring) == aut_order, "automorphism count")
-    )
+def _check_aut(ring, aut_order: int) -> None:
+    _require_agreement(brute_aut_count(ring) == aut_order, "automorphism count")
 
 
 # -- wiring ----------------------------------------------------------------
@@ -417,7 +396,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, summary = args.handler(args)
+        payload, summary, check = args.handler(args)
+        if check is not None and args.oracle:
+            payload["oracle"] = _oracle(check)
+            summary.append("oracle: %s" % payload["oracle"])
     except InputProblem as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

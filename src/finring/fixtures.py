@@ -10,58 +10,31 @@ def cyclic(n: int, name: str | None = None) -> RingPresentation:
     return RingPresentation((n,), (((1 % n,),),), (1 % n,), name=name or "Z%d" % n)
 
 
-def upper_triangular(n: int, modulus: int, name: str | None = None) -> RingPresentation:
-    """n-by-n upper triangular matrices over Z_modulus.
-
-    Basis is E_ab for a <= b in row-major order; E_ab * E_cd = [b == c] E_ad.
-    """
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+def _matrix_units(pairs, modulus: int, name: str) -> RingPresentation:
+    """The ring over Z_modulus spanned by the matrix units E_ab, (a, b) in
+    pairs, in that order: E_ab * E_cd = [b == c] E_ad, and 1 = sum of the E_aa."""
     index = {p: t for t, p in enumerate(pairs)}
     k = len(pairs)
+    units = [tuple(int(s == t) for t in range(k)) for s in range(k)]
     zero = (0,) * k
-    mul = []
-    for a, b in pairs:
-        row = []
-        for c, d in pairs:
-            if b == c:
-                vec = [0] * k
-                vec[index[(a, d)]] = 1
-                row.append(tuple(vec))
-            else:
-                row.append(zero)
-        mul.append(tuple(row))
-    one = [0] * k
-    for a in range(n):
-        one[index[(a, a)]] = 1
-    return RingPresentation(
-        (modulus,) * k, tuple(mul), tuple(one), name=name or "T%d(Z%d)" % (n, modulus)
+    mul = tuple(
+        tuple(units[index[a, d]] if b == c else zero for c, d in pairs) for a, b in pairs
     )
+    one = tuple(int(a == b) for a, b in pairs)
+    return RingPresentation((modulus,) * k, mul, one, name=name)
+
+
+def upper_triangular(n: int, modulus: int, name: str | None = None) -> RingPresentation:
+    """n-by-n upper triangular matrices over Z_modulus, on E_ab for a <= b in
+    row-major order."""
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    return _matrix_units(pairs, modulus, name or "T%d(Z%d)" % (n, modulus))
 
 
 def matrix_ring(n: int, modulus: int, name: str | None = None) -> RingPresentation:
-    """n-by-n matrices over Z_modulus.
-
-    Basis is E_ab in row-major order; E_ab * E_cd = [b == c] E_ad.
-    """
-    k = n * n
-    zero = (0,) * k
-    mul = []
-    for a in range(n):
-        for b in range(n):
-            row = []
-            for c in range(n):
-                for d in range(n):
-                    if b == c:
-                        vec = [0] * k
-                        vec[a * n + d] = 1
-                        row.append(tuple(vec))
-                    else:
-                        row.append(zero)
-            mul.append(tuple(row))
-    one = tuple(1 if a == b else 0 for a in range(n) for b in range(n))
-    return RingPresentation(
-        (modulus,) * k, tuple(mul), one, name=name or "M%d(Z%d)" % (n, modulus)
-    )
+    """n-by-n matrices over Z_modulus, on E_ab in row-major order."""
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return _matrix_units(pairs, modulus, name or "M%d(Z%d)" % (n, modulus))
 
 
 def product(a: RingPresentation, b: RingPresentation, name: str | None = None) -> RingPresentation:

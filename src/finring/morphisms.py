@@ -349,7 +349,7 @@ def iso_decompose(
         layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
         active.remove(k)
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
-        psi = _restrict(psi, shrink)
+        psi = _restrict(phi.apply, shrink)
     d = IsoDecomposition(tuple(sigma), tuple(layers), last_rho)
     if iso_synthesize(seq_a, seq_b, d).map != phi.map:
         raise StructureViolation("decomposition does not resynthesize the isomorphism")

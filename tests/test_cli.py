@@ -6,6 +6,7 @@ import pytest
 
 from finring import cli, morphisms
 from finring.cli import main
+from finring.errors import CapExceeded
 from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, product
 from finring.jsonio import ring_to_obj
 from test_structure import SPLITS
@@ -333,3 +334,83 @@ def test_oracle_passes_on_whole_corpus(capsys):
         assert set(checks.values()) <= {"agree", "skipped"}, (path.name, checks)
         assert checks["semicentral"] == "agree"
         assert checks["triangular"] == "agree"
+
+
+def _cap_exceeded(*_args, **_kwargs):
+    raise CapExceeded(2048, 1024, "oracle element sweep")
+
+
+# (argv, the brute-force function cli imports, a wrong answer for it, the
+# disagreement named on stderr)
+ORACLE_CASES = [
+    (["idempotents", "--oracle", fx("t2_f2")], "brute_semicentral_list", [],
+     "semicentral list"),
+    (["triangulate", "--oracle", fx("t3_f2")], "brute_triangular_check", False,
+     "triangulating sequence"),
+    (["orders", "--oracle", fx("three_block")], "brute_triangular_check", False,
+     "admissibility of (0, 1, 2)"),
+    (["aut", "--oracle", fx("t2_z4")], "brute_aut_count", 0, "automorphism count"),
+    (["aut", "--all", "--oracle", fx("t2_z4")], "brute_aut_count", 0, "automorphism count"),
+    (["iso-search", "--oracle", fx("z6"), fx("z2xz3")], "brute_isos", [],
+     "isomorphism existence"),
+    (["iso-search", "--all", "--oracle", fx("z6"), fx("z2xz3")], "brute_isos", [],
+     "isomorphism list"),
+]
+ORACLE_IDS = ["idempotents", "triangulate", "orders", "aut", "aut-all", "iso-search",
+              "iso-search-all"]
+
+
+@pytest.mark.parametrize("argv, brute, wrong, what", ORACLE_CASES, ids=ORACLE_IDS)
+def test_oracle_disagreement_exits_1_with_nothing_on_stdout(
+    argv, brute, wrong, what, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, brute, lambda *_args, **_kwargs: wrong)
+    code, out, err = _outcome(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: StructureViolation: oracle disagrees with engine on %s\n" % what
+
+
+@pytest.mark.parametrize("argv, brute, wrong, what", ORACLE_CASES, ids=ORACLE_IDS)
+def test_oracle_over_its_cap_is_skipped(argv, brute, wrong, what, capsys, monkeypatch):
+    monkeypatch.setattr(cli, brute, _cap_exceeded)
+    code, payload, cap = run(capsys, *argv)
+    assert code == 0
+    assert payload["oracle"] == "skipped"
+    assert cap.err.splitlines()[-1] == "oracle: skipped"
+
+
+@pytest.mark.parametrize(
+    "brute, wrong, what",
+    [
+        ("brute_semicentral_list", [], "semicentral list"),
+        ("brute_triangular_check", False, "triangulating sequence"),
+        ("brute_aut_count", 0, "automorphism count"),
+    ],
+    ids=["semicentral", "triangular", "aut"],
+)
+def test_report_oracle_disagreement_exits_1(brute, wrong, what, capsys, monkeypatch):
+    monkeypatch.setattr(cli, brute, lambda *_args, **_kwargs: wrong)
+    code, out, err = _outcome(capsys, ["report", "--oracle", fx("t2_f2")])
+    assert code == 1
+    assert out == ""
+    assert err == "error: StructureViolation: oracle disagrees with engine on %s\n" % what
+
+
+def test_report_oracle_over_its_caps_is_skipped(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_aut_count", _cap_exceeded)
+    code, payload, cap = run(capsys, "report", "--oracle", fx("t2_f2"))
+    assert code == 0
+    assert payload["report"]["oracle"] == {
+        "aut": "skipped", "semicentral": "agree", "triangular": "agree",
+    }
+    assert cap.err.splitlines()[-1] == "oracle: aut skipped, semicentral agree, triangular agree"
+    for brute in ("brute_semicentral_list", "brute_triangular_check"):
+        monkeypatch.setattr(cli, brute, _cap_exceeded)
+    code, payload, cap = run(capsys, "report", "--oracle", fx("t2_f2"))
+    assert code == 0
+    assert payload["report"]["oracle"] == dict.fromkeys(("aut", "semicentral", "triangular"),
+                                                        "skipped")
+    assert cap.err.splitlines()[-1] == (
+        "oracle: aut skipped, semicentral skipped, triangular skipped"
+    )
