@@ -41,6 +41,7 @@ from .jsonio import (
 from .maps import RingIsomorphism
 from .morphisms import enumerate_isomorphisms, iso_decompose, iso_search, iso_synthesize
 from .oracle import (
+    BrutePeirceTable,
     brute_aut_count,
     brute_isos,
     brute_semicentral_list,
@@ -142,9 +143,11 @@ def cmd_orders(args):
 
     def check():
         admissible = set(sigmas)
+        table = BrutePeirceTable(ring)
         for perm in itertools.permutations(range(seq.m)):
             _require_agreement(
-                brute_triangular_check(ring, [seq.idems[j] for j in perm]) == (perm in admissible),
+                brute_triangular_check(ring, [seq.idems[j] for j in perm], table=table)
+                == (perm in admissible),
                 "admissibility of %s" % (perm,),
             )
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,9 +17,12 @@ from finring import (
     enumerate_isomorphisms,
     is_semicentral,
 )
-from finring.fixtures import FIXTURE_BUILDERS, cyclic, f2, fixture, t2_f2, t3_f2
+from finring import oracle
+from finring.fixtures import FIXTURE_BUILDERS, cyclic, f2, fixture, product, t2_f2, t3_f2
 from finring.maps import AdditiveMap
+from finring.oracle import BrutePeirceTable
 from finring.presentation import RingPresentation
+from test_kernels import basis_change
 
 
 def test_brute_semicentral_t2f2():
@@ -75,8 +79,11 @@ def test_brute_triangular_matches_engine():
 
 
 def test_brute_iso_caps():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as info:
         brute_isos(t3_f2(), t3_f2())  # 64^6 candidate tuples
+    # the cap counts order-compatible tuples before the unit and square rules
+    # cut them: it refuses at the fourth generator's 64^4
+    assert info.value.size == 16777216
     with pytest.raises(CapExceeded):
         brute_semicentral(cyclic(2048), cyclic(2048).one_element())
     # caps can be raised explicitly
@@ -134,6 +141,15 @@ def _isos_by_elements(dom, cod):
     return out
 
 
+# Z4 x Z4 on a = (1, 3), b = (0, 1): 1 = a + 2b, so the unit is solved for the
+# image of b through the zero divisor 2, and a*a = a + 2b is no multiple of a
+Z4XZ4_SKEW = RingPresentation(
+    [4, 4], [[[1, 2], [0, 3]], [[0, 3], [0, 1]]], [1, 2], name="Z4xZ4 skew"
+)
+# Z8 on g = 3: 1 = 3g and g*g = 3g
+Z8_ON_3 = RingPresentation([8], [[[3]]], [3], name="Z8 on 3")
+
+
 def test_brute_isos_matches_the_element_reference_in_order():
     rings = [fixture(name) for name in sorted(FIXTURE_BUILDERS)]
     rings = [r for r in rings if r.order <= 16]
@@ -141,11 +157,21 @@ def test_brute_isos_matches_the_element_reference_in_order():
     pairs.append((cyclic(2), cyclic(3)))
     zero = RingPresentation([], [], [])
     pairs.append((zero, zero))
+    for ring, standard in ((Z4XZ4_SKEW, product(cyclic(4), cyclic(4))), (Z8_ON_3, cyclic(8))):
+        pairs += [(ring, ring), (ring, standard), (standard, ring)]
+    # seeded basis changes of the fixtures with at most 16 elements on one
+    # generator order (basis_change needs it): the unit's coefficients and
+    # the generators' squares move off the standard basis
+    for seed, ring in enumerate(r for r in rings if len(set(r.orders)) == 1):
+        changed = basis_change(ring, random.Random(seed))[0]
+        pairs.append((changed, changed))
     for dom, cod in pairs:
         expected = [iso.map for iso in _isos_by_elements(dom, cod)]
         assert [iso.map for iso in brute_isos(dom, cod)] == expected, (dom, cod)
-    assert len(pairs) == 13
+    assert len(pairs) == 25
     assert [iso.map.images for iso in brute_isos(zero, zero)] == [()]
+    assert len(brute_isos(Z4XZ4_SKEW, Z4XZ4_SKEW)) == 2
+    assert len(brute_isos(Z8_ON_3, Z8_ON_3)) == 1
 
 
 def test_brute_isos_refuses_before_filling_tables(monkeypatch):
@@ -163,3 +189,54 @@ def test_brute_isos_refuses_before_filling_tables(monkeypatch):
         brute_isos(ring, ring)
     assert info.value.what == "oracle image tuples"
     assert calls == []
+
+
+def test_brute_aut_count_work_on_t2_z4(monkeypatch):
+    # the cost model of the sweep: the addition table and one multiplication
+    # table (64^2 entries each), the 64 squares and 3 generator squares, and
+    # 120 visited tuples where the order-compatible product has 64^3
+    ring = fixture("t2_z4")
+    calls = {"_add_coeffs": 0, "_mul_coeffs": 0}
+    for name in calls:
+        original = getattr(RingPresentation, name)
+
+        def counted(self, a, b, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, a, b)
+
+        monkeypatch.setattr(RingPresentation, name, counted)
+    visited = []
+    unit_tuples = oracle._unit_tuples
+
+    def counted_tuples(*args):
+        for tup in unit_tuples(*args):
+            visited.append(tup)
+            yield tup
+
+    monkeypatch.setattr(oracle, "_unit_tuples", counted_tuples)
+    assert brute_aut_count(ring) == 8
+    assert calls["_add_coeffs"] <= 4159
+    assert calls["_mul_coeffs"] <= 4163
+    assert 8 <= len(visited) <= 120
+
+
+def test_one_peirce_table_decides_every_order():
+    # F2^4: the 4! orders of the canonical sequence share one table, which
+    # sweeps each of the 12 off-diagonal components and the 4 corners once
+    ring = f2()
+    for _ in range(3):
+        ring = product(ring, f2())
+    seq = complete_triangulating_set(ring)
+    table = BrutePeirceTable(ring)
+    for perm in itertools.permutations(range(seq.m)):
+        idems = [seq.idems[j] for j in perm]
+        assert brute_triangular_check(ring, idems, table=table) is True
+        assert brute_triangular_check(ring, idems) is True
+    assert len(table._vanishes) == 12
+    assert len(table._reduced) == 4
+    t2 = t2_f2()
+    table = BrutePeirceTable(t2)
+    e11, e22 = t2.element((1, 0, 0)), t2.element((0, 0, 1))
+    assert brute_triangular_check(t2, [e11, e22], table=table) is True
+    assert brute_triangular_check(t2, [e22, e11], table=table) is False
+    assert table.vanishes(e22, e11) and not table.vanishes(e11, e22)
