@@ -1,4 +1,5 @@
-"""CLI output is pinned byte for byte by tests/cli_golden.json.
+"""CLI output is pinned byte for byte by tests/cli_golden.json and
+tests/cli_golden_ladder.json.
 
 Each entry is one SHA-256 over a group of in-process CLI invocations: one
 group per (subcommand, flags) over the nine fixture files, and one per
@@ -7,9 +8,15 @@ argv, exit code, stdout and stderr of each invocation in its group.  Paths
 are relative to the repository root, and report's "timings" object is cut
 from stdout, since it is the only part that varies from run to run.
 
+The ladder file pins the same way a few larger rings that the fixtures do
+not reach: T4(F2), T3(Z4), T2(Z9), M2(F2), M2(F3), F16, F2^7 and the
+one-element ring, with seeded basis-changed copies of the first four.  They
+are written as ring files under fixed names into a scratch directory, and
+the CLI runs from there, so stderr names the same files on every run.
+
 A change that is meant to keep every output byte-identical must pass this
-test unchanged.  A change that alters output on purpose regenerates the file
-from the repository root and says so:
+test unchanged.  A change that alters output on purpose regenerates the
+files from the repository root and says so:
 
     PYTHONPATH=src:tests python -c "import test_cli_golden as g; g.write_golden()"
 """
@@ -21,13 +28,20 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
+import tempfile
 
 from finring.cli import main
-from finring.fixtures import FIXTURE_BUILDERS
+from finring.fixtures import FIXTURE_BUILDERS, cyclic, matrix_ring, product, upper_triangular
+from finring.jsonio import ring_to_obj
+from finring.presentation import RingPresentation
+from test_kernels import basis_change
+from test_morphisms import poly_quotient
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "cli_golden.json"
+LADDER_GOLDEN = ROOT / "tests" / "cli_golden_ladder.json"
 FIXTURES = ["fixtures/%s.json" % name for name in sorted(FIXTURE_BUILDERS)]
 INNER_MAP = "fixtures/maps/t2_f2_inner.json"
 
@@ -75,13 +89,52 @@ def _groups():
         yield key, [["iso-search", *flags, a, b] for a in FIXTURES for b in FIXTURES]
 
 
-def digests() -> dict[str, str]:
-    """Run every group from the repository root; map each key to its digest."""
+def _ladder_rings() -> dict[str, RingPresentation]:
+    """File name -> ring.  The copies are on a random basis of GL_k(Z_n),
+    seeded by the ring's order."""
+    rings = {
+        "t4_f2.json": upper_triangular(4, 2),
+        "t3_z4.json": upper_triangular(3, 4),
+        "t2_z9.json": upper_triangular(2, 9),
+        "m2_f2.json": matrix_ring(2, 2),
+    }
+    for name, ring in list(rings.items()):
+        rings[name.replace(".json", "_basis.json")] = basis_change(
+            ring, random.Random(ring.order)
+        )[0]
+    f2_7 = cyclic(2)
+    for _ in range(6):
+        f2_7 = product(f2_7, cyclic(2))
+    rings.update({
+        "m2_f3.json": matrix_ring(2, 3),
+        "f16.json": poly_quotient([1, 1, 0, 0]),
+        "zero.json": RingPresentation([], [], [], name="0"),
+        "f2_7.json": f2_7,
+    })
+    return rings
+
+
+def _ladder_groups(rings: dict[str, RingPresentation]):
+    names = [n for n in rings if n != "f2_7.json"]
+    small = [n for n in names if rings[n].order <= 729]
+    copies = [(n.replace("_basis", ""), n) for n in names if "_basis" in n]
+    for command in ("triangulate", "split", "aut"):
+        yield command, [[command, n] for n in names]
+    yield "orders", [["orders", n] for n in rings]
+    yield "aut --all", [["aut", "--all", n] for n in small]
+    yield "iso-search", [["iso-search", a, b] for a, b in copies]
+    yield "iso-search --all", [["iso-search", "--all", "t2_z9.json", "t2_z9_basis.json"]]
+    yield "report", [["report", n] for n in small]
+    yield "report --oracle", [["report", "--oracle", n] for n in small]
+
+
+def _run_groups(groups, where) -> dict[str, str]:
+    """Run every group from the directory where; map each key to its digest."""
     result = {}
     cwd = os.getcwd()
-    os.chdir(ROOT)
+    os.chdir(where)
     try:
-        for key, calls in _groups():
+        for key, calls in groups:
             h = hashlib.sha256()
             for argv in calls:
                 h.update(json.dumps(_invoke(argv)).encode() + b"\n")
@@ -91,12 +144,32 @@ def digests() -> dict[str, str]:
     return result
 
 
+def digests() -> dict[str, str]:
+    return _run_groups(_groups(), ROOT)
+
+
+def ladder_digests() -> dict[str, str]:
+    rings = _ladder_rings()
+    with tempfile.TemporaryDirectory() as where:
+        for name, ring in rings.items():
+            pathlib.Path(where, name).write_text(json.dumps(ring_to_obj(ring)))
+        return _run_groups(_ladder_groups(rings), where)
+
+
 def write_golden() -> None:
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    for path, got in ((GOLDEN, digests()), (LADDER_GOLDEN, ladder_digests())):
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+
+
+def _assert_matches(path: pathlib.Path, got: dict[str, str]) -> None:
+    want = json.loads(path.read_text())
+    assert sorted(got) == sorted(want)
+    assert [k for k in sorted(want) if got[k] != want[k]] == []
 
 
 def test_cli_output_matches_the_golden_digests():
-    want = json.loads(GOLDEN.read_text())
-    got = digests()
-    assert sorted(got) == sorted(want)
-    assert [k for k in sorted(want) if got[k] != want[k]] == []
+    _assert_matches(GOLDEN, digests())
+
+
+def test_cli_output_on_the_ladder_matches_its_golden_digests():
+    _assert_matches(LADDER_GOLDEN, ladder_digests())
