@@ -28,14 +28,17 @@ class AutomorphismGroup:
 def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGroup:
     """Enumerate Aut(ring) and verify it is closed under the group operations.
 
-    The parametrized enumeration visits each automorphism once; duplicates are
-    collapsed by underlying map so the count stays honest either way.  The
-    group law is checked from a greedy generating set T (see
-    `_verify_group_law`): |G|·|T| compositions and |T| inversions.
+    The parametrized enumeration visits each automorphism once, so a map it
+    yields twice is an enumeration bug and raises StructureViolation; the
+    group then has the order that `aut_order` counts.  The group law is
+    checked from a greedy generating set T (see `_verify_group_law`):
+    |G|·|T| compositions and |T| inversions.
     """
     seen = {}
     for _d, iso in enumerate_isomorphisms(ring, ring, cap):
-        seen.setdefault(iso.map, iso)
+        if iso.map in seen:
+            raise StructureViolation("the enumeration yields an automorphism twice")
+        seen[iso.map] = iso
     elements = tuple(sorted(seen.values(), key=lambda g: g.map.images))
     group = AutomorphismGroup(ring, elements)
     _verify_group_law(group, cap)

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     StructureViolation,
 )
-from .presentation import DEFAULT_ENUMERATION_CAP, Element, RingPresentation, require_cap
+from .presentation import Element, RingPresentation, require_cap
 from .subgroups import Subgroup
 
 Side = RingPresentation | Subgroup
@@ -55,17 +55,10 @@ class AdditiveMap:
 
     def __init__(self, domain: Side, codomain: Side, images):
         amb = _ambient(codomain)
-        elems = []
-        coeff_rows = []
-        for img in images:
-            if isinstance(img, Element):
-                if img.ring != amb:
-                    raise AmbientMismatch("image element from the wrong ring")
-                e = img
-            else:
-                e = amb.element(img)
-            elems.append(e)
-            coeff_rows.append(e.coeffs)
+        elems = tuple(images)
+        for e in elems:
+            if not isinstance(e, Element) or e.ring != amb:
+                raise AmbientMismatch("image is not an element of the codomain's ring")
         orders = _side_generator_orders(domain)
         if len(elems) != len(orders):
             raise ShapeMismatch(
@@ -80,8 +73,8 @@ class AdditiveMap:
                 raise ShapeMismatch("image falls outside the codomain subgroup")
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(coeff_rows)
-        self._image_elems = tuple(elems)
+        self.images = tuple(e.coeffs for e in elems)
+        self._image_elems = elems
 
     # -- evaluation ------------------------------------------------------
 
@@ -150,12 +143,8 @@ def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
     if n != f.codomain.order:
         raise NotBijective("domain and codomain orders differ")
     require_cap(n, cap, "map inversion sweep")
-    if isinstance(f.domain, RingPresentation):
-        domain_elems = list(f.domain.elements())
-    else:
-        domain_elems = f.domain.elements()
     table = {}
-    for x in domain_elems:
+    for x in f.domain.elements():
         y = f.apply(x)
         if y in table:
             raise NotBijective("map is not injective")

@@ -32,8 +32,10 @@ candidates of each in element order, so complete tuples come out in the
 lexicographic order of the full product.  Each defining equation (the unit
 and the generator products for a corner, the two twisted actions for a row)
 is tested as soon as every image it reads is assigned, and a failing partial
-assignment is dropped with all its extensions.  Survivors still get the full
-check (verify_ring_iso, _level_failure).
+assignment is dropped with all its extensions.  So every complete survivor
+satisfies every equation.  A surviving corner tuple still gets the full
+verify_ring_iso, which also proves it bijective; a surviving row tuple is
+kept when it is bijective, the one condition the equations do not test.
 """
 from __future__ import annotations
 
@@ -98,13 +100,13 @@ def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
         raise InconsistentQuadruple("%s has wrong endpoints" % what, level)
 
 
-def _level_failure(chi: AdditiveMap, offset, left_pairs, right_pairs) -> str | None:
-    """First reason the row map chi fails at one level, else None: chi must
-    be bijective and twist both actions, chi(r*l) = rho(r)*chi(l) over the
-    pairs (r, rho(r)) and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a)).
-    An offset other than None must also lie in the target row."""
+def _level_failure(chi: AdditiveMap, offset: Element, left_pairs, right_pairs) -> str | None:
+    """First reason the row map chi and the offset fail at one level, else
+    None: the offset must lie in the target row, and chi must be bijective
+    and twist both actions, chi(r*l) = rho(r)*chi(l) over the pairs
+    (r, rho(r)) and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a))."""
     row_m = chi.codomain
-    if offset is not None and (offset.ring != row_m.ring or not row_m.contains(offset)):
+    if offset.ring != row_m.ring or not row_m.contains(offset):
         return "offset lies outside the target row"
     if not chi.is_bijective():
         return "row map is not bijective"
@@ -119,11 +121,13 @@ def _level_failure(chi: AdditiveMap, offset, left_pairs, right_pairs) -> str | N
 def _level_map(e: Element, tail: Element, rho_amb, chi: AdditiveMap, m: Element, phi_next):
     """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
     for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
-    the tail t."""
+    the tail t.  rho_amb and phi_next take x whole: rho_amb projects it
+    through e*_*e itself, and phi_next reads only t*x*t.  Only chi, defined
+    on the row alone, is handed its part l."""
 
     def level(x: Element) -> Element:
-        rho_r = rho_amb(e * x * e)
-        phi_a = phi_next(tail * x * tail)
+        rho_r = rho_amb(x)
+        phi_a = phi_next(x)
         return rho_r + rho_r * m + chi.apply(e * x * tail) - m * phi_a + phi_a
 
     return level
@@ -330,8 +334,6 @@ def iso_decompose(
     m = seq_a.m
     if seq_b.m != m:
         raise StructureViolation("isomorphic rings have sequences of equal length")
-    if m == 0:
-        return IsoDecomposition((), (), None)
     active = list(range(m))
     psi = phi.apply
     sigma: list[int] = []
@@ -421,8 +423,6 @@ def _enumerate_corner_isos(
     search assigns generator images with order pruning and drops a partial
     assignment once f(1) = 1 or some f(g_i*g_j) = f(g_i)*f(g_j) fails; every
     survivor is verified in full."""
-    if dom.order != cod.order:
-        return []
     one = cod.one_element()
     equations = [(dom.one, [], lambda images: one)]
     for i in range(dom.rank):
@@ -443,7 +443,8 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     """Bijective additive maps row_l -> row_m compatible with both actions,
     in lexicographic image order.  The search drops a partial assignment once
     some chi(r*l_j) = rho(r)*chi(l_j) or chi(l_j*a) = chi(l_j)*phi(a) fails on
-    the generators l_j of row_l; every survivor is checked in full."""
+    the generators l_j of row_l, so every survivor twists both actions and
+    only its bijectivity is left to check."""
     equations = []
     for j, l in enumerate(row_l.generators):
         for r, rho_r in left_pairs:
@@ -459,7 +460,7 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
         AdditiveMap(row_l, row_m, images)
         for images in _backtrack(row_m.ring, candidates, equations, "row map search")
     )
-    return [chi for chi in chis if _level_failure(chi, None, left_pairs, right_pairs) is None]
+    return [chi for chi in chis if chi.is_bijective()]
 
 
 def _canonical_sequences(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None):
@@ -480,6 +481,9 @@ def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offs
     the offsets in offsets(row_m)."""
     m = seq_a.m
     if seq_b.m != m:
+        return
+    if m == 0:  # the one-element rings: one empty parametrization
+        yield (), (), None, lambda x: seq_b.ring.zero()
         return
     corner_cache: dict[tuple[int, int], list[RingIsomorphism]] = {}
 
@@ -535,11 +539,6 @@ def enumerate_isomorphisms(
     """
     if ring_a.order != ring_b.order:
         return
-    if ring_a.order == 1:
-        yield IsoDecomposition((), (), None), RingIsomorphism.create(
-            AdditiveMap(ring_a, ring_b, [])
-        )
-        return
     seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
     for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements):
         yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)
@@ -557,8 +556,6 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     """
     if ring_a.order != ring_b.order:
         return 0
-    if ring_a.order == 1:
-        return 1
     seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
     total = 0
     for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset):

@@ -170,23 +170,20 @@ def _unit_tuples(candidates, one_coeffs, one_terms, add, cod_zero, cod_one):
                 yield prefix + (y,) + suffix
 
 
-def brute_isos(
-    dom: RingPresentation,
-    cod: RingPresentation,
-    element_cap: int = ORACLE_ELEMENT_CAP,
-    tuple_cap: int = ORACLE_TUPLE_CAP,
-) -> list[RingIsomorphism]:
+def brute_isos(dom: RingPresentation, cod: RingPresentation) -> list[RingIsomorphism]:
     """All ring isomorphisms dom -> cod, found by definitional brute force.
 
-    A generator's candidate images are the elements its additive order
-    annihilates; the tuple cap counts the product of these lists.  Of that
-    product the sweep visits only the tuples that rules (a) and (b) of the
-    module docstring leave: the image of the last generator in the unit's
-    support solves phi(1) = 1 (see _unit_tuples), and a generator with
-    g*g = c*g keeps only images y with y*y = c*y.  Each visited tuple is
-    checked for unit preservation, bijectivity, and multiplicativity on
-    every pair of elements, in that order.  Survivors are wrapped without
-    re-validation and come back sorted lexicographically by image tuple.
+    Both caps are the module's: a ring of more than ORACLE_ELEMENT_CAP
+    elements is refused, and so is a product of more than ORACLE_TUPLE_CAP
+    tuples, where a generator's candidate images are the elements its
+    additive order annihilates.  Of that product the sweep visits only the
+    tuples that rules (a) and (b) of the module docstring leave: the image
+    of the last generator in the unit's support solves phi(1) = 1 (see
+    _unit_tuples), and a generator with g*g = c*g keeps only images y with
+    y*y = c*y.  Each visited tuple is checked for unit preservation,
+    bijectivity, and multiplicativity on every pair of elements, in that
+    order.  Survivors are wrapped without re-validation and come back sorted
+    lexicographically by image tuple.
 
     The sweep works on positions: an element's index in elements() order.
     Once the caps pass, each ring is indexed and its position tables are
@@ -198,14 +195,14 @@ def brute_isos(
     """
     if dom.order != cod.order:
         return []
-    _require_small(dom.order, element_cap, "oracle element sweep")
+    _require_small(dom.order, ORACLE_ELEMENT_CAP, "oracle element sweep")
     cod_elems = list(cod.elements())
     candidates = []
     space = 1
     for o in dom.orders:
         annihilated = [p for p, y in enumerate(cod_elems) if (o * y).is_zero()]
         space *= len(annihilated)
-        _require_small(space, tuple_cap, "oracle image tuples")
+        _require_small(space, ORACLE_TUPLE_CAP, "oracle image tuples")
         candidates.append(annihilated)
     cod_pos = {y.coeffs: p for p, y in enumerate(cod_elems)}
     if cod is dom:
@@ -256,5 +253,5 @@ def brute_isos(
     return out
 
 
-def brute_aut_count(ring: RingPresentation, **caps) -> int:
-    return len(brute_isos(ring, ring, **caps))
+def brute_aut_count(ring: RingPresentation) -> int:
+    return len(brute_isos(ring, ring))

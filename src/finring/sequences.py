@@ -43,8 +43,8 @@ def triangularity_failure(
         if not e.is_idempotent():
             return "element %d is not idempotent" % i
     for i, ei in enumerate(idems):
-        for j, ej in enumerate(idems):
-            if i != j and not ((ei * ej).is_zero() and (ej * ei).is_zero()):
+        for j, ej in enumerate(idems[i + 1:], i + 1):
+            if not ((ei * ej).is_zero() and (ej * ei).is_zero()):
                 return "elements %d and %d are not orthogonal" % (i, j)
     if ring.sum(idems) != ring.one_element():
         return "sequence does not sum to the unit"

@@ -28,7 +28,7 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from .corners import _peirce_span, _require_idempotent, corner_ring, peirce_component, vanishes
+from .corners import _peirce_span, _require_idempotent, corner_ring, vanishes
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
@@ -39,10 +39,8 @@ def complete_triangulating_set(
     ring: RingPresentation, cap: int | None = None
 ) -> TriangularSequence:
     require_cap(ring.order, cap, "triangulating sweep")
-    if ring.order == 1:
-        return TriangularSequence.build(ring, (), cap)
-    one = ring.one_element()
-    tail = one
+    # In the one-element ring 1 = 0, so the loop never runs.
+    tail = ring.one_element()
     idems: list[Element] = []
     spans: dict = {}
     while not tail.is_zero():
@@ -76,8 +74,11 @@ def complete_triangulating_set(
 def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:
     """Shared core of locate_reduced, parameterized by the still-active block
     indices so the isomorphism decomposition can reuse it on shrinking tails.
-    Returns (absolute block index, row part of f)."""
-    ring = seq.ring
+    Returns (absolute block index, row part of f).
+
+    f lies in u*A*u for u the sum of the active idempotents, so its row part
+    lies in e_k*A*(u - e_k) exactly when it lies in the row e_k*A*(1 - e_k)
+    that the sequence keeps."""
     idems = seq.idems
     hits = []
     for k in active:
@@ -91,10 +92,8 @@ def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tupl
     k, p = hits[0]
     if p != idems[k]:
         raise StructureViolation("diagonal product is nonzero but not the block idempotent")
-    u = ring.sum(idems[i] for i in active)
-    row = peirce_component(ring, idems[k], u - idems[k])
     rest = f - idems[k]
-    if not row.contains(rest):
+    if not seq.rows[k].contains(rest):
         raise StructureViolation("idempotent does not sit in its block's row coset")
     for i in active:
         if i == k:

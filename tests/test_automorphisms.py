@@ -58,6 +58,20 @@ def test_aut_group_sorted_and_deduplicated():
     assert len(set(images)) == len(images)
 
 
+def test_aut_group_refuses_an_automorphism_enumerated_twice(monkeypatch):
+    # a duplicate is an enumeration bug; collapsing it would let aut and
+    # aut --all disagree
+    original = automorphisms.enumerate_isomorphisms
+
+    def first_twice(ring_a, ring_b, cap=None):
+        pairs = list(original(ring_a, ring_b, cap))
+        return pairs[:1] + pairs
+
+    monkeypatch.setattr(automorphisms, "enumerate_isomorphisms", first_twice)
+    with pytest.raises(StructureViolation, match="twice"):
+        aut_group(fixture("t2_f2"))
+
+
 def test_inner_automorphisms_lie_in_group():
     ring = fixture("t3_f2")
     group = aut_group(ring)
@@ -66,7 +80,9 @@ def test_inner_automorphisms_lie_in_group():
 
 
 def test_trivial_rings():
-    assert aut_order(RingPresentation((), (), ())) == 1
+    zero = RingPresentation((), (), ())
+    assert aut_order(zero) == 1
+    assert [g.map.images for g in aut_group(zero).elements] == [()]
     assert aut_order(f2()) == 1
     assert aut_order(product(f2(), f2())) == 2  # swap of the two factors
 

@@ -2,6 +2,7 @@ import pytest
 
 from finring import (
     AdditiveMap,
+    AmbientMismatch,
     NotBijective,
     RingIsomorphism,
     ShapeMismatch,
@@ -36,6 +37,13 @@ def test_generator_order_enforced():
         AdditiveMap(cyclic(2), cyclic(3), [cyclic(3).element((1,))])
     # 2 * (0,) == 0 is fine
     AdditiveMap(cyclic(2), cyclic(3), [cyclic(3).zero()])
+
+
+def test_images_must_be_elements_of_the_codomain_ring():
+    with pytest.raises(AmbientMismatch):
+        AdditiveMap(z6(), z2xz3(), [(1, 1)])
+    with pytest.raises(AmbientMismatch):
+        AdditiveMap(z6(), z2xz3(), [z6().element((1,))])
 
 
 def test_subgroup_codomain_membership_enforced():

@@ -258,11 +258,12 @@ def test_iso_search_negative_cases():
 
 
 def test_roundtrip_b_small_rings():
-    for name in ("z6", "z2xz3", "t2_f2", "three_block"):
-        ring = fixture(name)
+    # the one-element ring has the empty sequence and one empty decomposition
+    rings = [fixture(name) for name in ("z6", "z2xz3", "t2_f2", "three_block")]
+    for ring in rings + [RingPresentation((), (), ())]:
         seq = complete_triangulating_set(ring)
         for d, iso in enumerate_isomorphisms(ring, ring):
-            assert iso_decompose(iso, seq, seq) == d, name
+            assert iso_decompose(iso, seq, seq) == d, ring
 
 
 def test_synthesis_output_always_verifies():
@@ -304,6 +305,8 @@ def test_zero_ring_isomorphism():
     assert d.sigma == ()
     assert d.last_rho is None
     assert iso.map.images == ()
+    assert iso_search(za, zb).map == iso.map
+    assert iso_count(za, zb) == 1
 
 
 def test_corner_search_matches_the_oracle_in_order():
