@@ -235,6 +235,18 @@ def test_corner_search_cap_counts_candidate_images(monkeypatch):
     assert (info.value.size, info.value.cap) == (9, 8)
 
 
+def test_corner_search_cap_is_met_exactly_by_m2_f3(monkeypatch):
+    # M2(F3)'s one corner search places 6318 candidate images in all: a cap
+    # of 6318 answers and one less refuses at the same count
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 6318)
+    assert aut_order(matrix_ring(2, 3)) == 24
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 6317)
+    with pytest.raises(CapExceeded) as info:
+        aut_order(matrix_ring(2, 3))
+    assert info.value.what == "corner isomorphism search"
+    assert (info.value.size, info.value.cap) == (6318, 6317)
+
+
 def test_row_search_cap_counts_candidate_images(monkeypatch):
     # T3(F2): corner searches over F2 try 2 images, the first row (F2^2) at
     # least 4, so a cap of 3 stops the row search only
