@@ -53,6 +53,12 @@ def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
     """
     _require_idempotent(e)
     _require_idempotent(f)
+    return _vanishes(ring, e, f)
+
+
+def _vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
+    """vanishes for idempotents the caller has already checked or built as
+    such (t - e for e idempotent in the corner of t), without checking again."""
     return all((e * g * f).is_zero() for g in ring.gens())
 
 

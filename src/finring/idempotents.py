@@ -8,12 +8,13 @@ reduced, which keeps triangulating idempotents nonzero.
 Reducedness of a corner e*A*e is decided in A, with no corner presentation:
 for f idempotent in the corner, (e-f)*x*f = (e-f)*(e*x*e)*f for every x in
 A, so f is semicentral in the corner exactly when vanishes(A, e-f, f).
-0 and e are semicentral in every corner, so the test stops at the first
-other semicentral idempotent it meets.
+Spanning e*A*e checked e, and e-f is then idempotent too, so that test does
+not re-prove idempotence.  0 and e are semicentral in every corner, so the
+test stops at the first other semicentral idempotent it meets.
 """
 from __future__ import annotations
 
-from .corners import _peirce_span, _require_idempotent, vanishes
+from .corners import _peirce_span, _require_idempotent, _vanishes
 from .presentation import Element, RingPresentation, require_cap
 
 
@@ -25,7 +26,7 @@ def enumerate_idempotents(ring: RingPresentation, cap: int | None = None) -> lis
 
 def is_semicentral(ring: RingPresentation, e: Element) -> bool:
     _require_idempotent(e)
-    return vanishes(ring, ring.one_element() - e, e)
+    return _vanishes(ring, ring.one_element() - e, e)
 
 
 def has_reduced_corner(
@@ -41,7 +42,7 @@ def has_reduced_corner(
     for f in corner.elements():
         if f.is_zero() or f == e:
             continue
-        if f.is_idempotent() and vanishes(ring, e - f, f):
+        if f.is_idempotent() and _vanishes(ring, e - f, f):
             return False
     return True
 

@@ -31,14 +31,19 @@ generator images.  It assigns the images in generator order, trying the
 candidates of each in element order, so complete tuples come out in the
 lexicographic order of the full product.  Each defining equation (the unit
 and the generator products for a corner, the two twisted actions for a row)
-is tested as soon as every image it reads is assigned, and a failing partial
-assignment is dropped with all its extensions.  So every complete survivor
-satisfies every equation.  A surviving corner tuple still gets the full
-verify_ring_iso, which also proves it bijective; a surviving row tuple is
-kept when it is bijective, the one condition the equations do not test.
+is decided as soon as every image it reads is assigned, and a failing
+partial assignment is dropped with all its extensions.  So every complete
+survivor satisfies every equation.  The search runs on coefficient tuples:
+an equation that reads only the image being placed filters that image's
+candidates once per search, one that the earlier images solve for it picks
+its candidates by one lookup, and the rest are tested per candidate.  A
+surviving corner tuple still gets the full verify_ring_iso, which also
+proves it bijective; a surviving row tuple is kept when it is bijective,
+the one condition the equations do not test.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -368,52 +373,99 @@ def _restrict(psi, shrink: Element):
 # -- structured enumeration ------------------------------------------------
 
 
+def _residual(orders, terms, rhs, images) -> tuple[int, ...]:
+    """rhs(images) - sum c*images[l] over the (l, c) in terms, reduced."""
+    acc = rhs(images)
+    for l, c in terms:
+        acc = map(operator.sub, acc, map(c.__mul__, images[l]))
+    return tuple(map(operator.mod, acc, orders))
+
+
+def _pool(ring: RingPresentation, ys, unary, solvable, images, d: int):
+    """The candidates ys for image d that pass the unary equations, grouped
+    by their keys c*y under the solvable equations, in the order of ys.  Each
+    y is tried in images[d]."""
+    orders = ring.orders
+    groups: dict = {}
+    for y in ys:
+        images[d] = y
+        if all(not any(_residual(orders, terms, rhs, images)) for terms, rhs in unary):
+            key = tuple(ring._scale_coeffs(c, y) for c, _terms, _rhs in solvable)
+            groups.setdefault(key, []).append(y)
+    return groups
+
+
 def _backtrack(ring: RingPresentation, candidates, equations, what: str):
     """The tuples of the product of candidates that satisfy every equation,
-    in lexicographic order.
+    in lexicographic order.  Images are coefficient tuples of ring.
 
     An equation (coeffs, reads, rhs) asks sum_l coeffs[l]*images[l] ==
-    rhs(images), where rhs reads the images listed in reads.  It is tested as
-    soon as every image it reads is assigned, and a partial tuple that fails
-    it is dropped with all its extensions.  Each candidate image tried counts
-    against CORNER_SEARCH_CAP; past it, CapExceeded names what."""
+    rhs(images), where rhs reads the images listed in reads and returns a
+    coefficient tuple.  It is decided at the depth d of the last image it
+    reads, as one of three kinds:
+
+    - unary, reading image d alone: it filters candidates[d] once, on the
+      first visit to depth d;
+    - solvable, with rhs reading only earlier images and coeffs[d] = c != 0:
+      it asks c*y == rhs(images) - (the earlier terms) of the image y at d.
+      The filtered candidates are grouped once by their keys c*y, and each
+      prefix takes the group of its right-hand sides with one lookup;
+    - any other equation is tested on each candidate a prefix tries.
+
+    A prefix that fails is dropped with all its extensions.  Each node at
+    depth d charges the unfiltered |candidates[d]| against
+    CORNER_SEARCH_CAP, the placements a scan of every candidate would make;
+    past the cap, CapExceeded names what."""
     n = len(candidates)
-    # with no generators the one (empty) tuple is returned untested
-    tests = [[] for _ in range(max(n, 1))]
+    if n == 0:  # the one (empty) tuple, untested
+        return [()]
+    orders = ring.orders
+    unary = [[] for _ in range(n)]
+    solvable = [[] for _ in range(n)]
+    other = [[] for _ in range(n)]
     for coeffs, reads, rhs in equations:
         terms = [(l, c) for l, c in enumerate(coeffs) if c]
-        tests[max([l for l, _c in terms] + reads, default=0)].append((terms, rhs))
+        d = max([l for l, _c in terms] + reads, default=0)
+        earlier = [(l, c) for l, c in terms if l < d]
+        if not earlier and all(r == d for r in reads):
+            unary[d].append((terms, rhs))
+        elif coeffs[d] and all(r < d for r in reads):
+            solvable[d].append((coeffs[d], earlier, rhs))
+        else:
+            other[d].append((terms, rhs))
     cap = CORNER_SEARCH_CAP
-    images: list = [None] * n
-    out = []
     tried = 0
-
-    def holds(terms, rhs) -> bool:
-        lhs = ring.zero()
-        for l, c in terms:
-            lhs = lhs + c * images[l]
-        return lhs == rhs(images)
-
-    def extend(d: int) -> None:
-        nonlocal tried
-        if d == n:
-            out.append(list(images))
-            return
-        for y in candidates[d]:
-            tried += 1
+    images: list = [None] * n
+    pools: list = [None] * n
+    choices: list = [None] * n
+    out = []
+    d = 0
+    while d >= 0:
+        if choices[d] is None:
+            tried += len(candidates[d])
             if tried > cap:
-                raise CapExceeded(tried, cap, what)
+                raise CapExceeded(cap + 1, cap, what)
+            if pools[d] is None:
+                pools[d] = _pool(ring, candidates[d], unary[d], solvable[d], images, d)
+            key = tuple(_residual(orders, terms, rhs, images) for _c, terms, rhs in solvable[d])
+            choices[d] = iter(pools[d].get(key, ()))
+        for y in choices[d]:
             images[d] = y
-            if all(holds(terms, rhs) for terms, rhs in tests[d]):
-                extend(d + 1)
-
-    extend(0)
+            if all(not any(_residual(orders, terms, rhs, images)) for terms, rhs in other[d]):
+                if d + 1 < n:
+                    d += 1
+                    break
+                out.append(tuple(images))
+        else:
+            choices[d] = None
+            d -= 1
     return out
 
 
-def _order_candidates(orders, elems) -> list[list[Element]]:
-    """Per generator order o, the elements that o annihilates, in elems order."""
-    return [[y for y in elems if (o * y).is_zero()] for o in orders]
+def _order_candidates(orders, elems) -> list[list[tuple[int, ...]]]:
+    """Per generator order o, the coefficients of the elements that o
+    annihilates, in elems order."""
+    return [[y.coeffs for y in elems if (o * y).is_zero()] for o in orders]
 
 
 def _enumerate_corner_isos(
@@ -423,17 +475,17 @@ def _enumerate_corner_isos(
     search assigns generator images with order pruning and drops a partial
     assignment once f(1) = 1 or some f(g_i*g_j) = f(g_i)*f(g_j) fails; every
     survivor is verified in full."""
-    one = cod.one_element()
-    equations = [(dom.one, [], lambda images: one)]
+    mul = cod._mul_coeffs
+    equations = [(dom.one, [], lambda images, one=cod.one: one)]
     for i in range(dom.rank):
         for j in range(dom.rank):
             equations.append(
-                (dom.mul[i][j], [i, j], lambda images, i=i, j=j: images[i] * images[j])
+                (dom.mul[i][j], [i, j], lambda images, i=i, j=j: mul(images[i], images[j]))
             )
     candidates = _order_candidates(dom.orders, list(cod.elements()))
     out = []
     for images in _backtrack(cod, candidates, equations, "corner isomorphism search"):
-        f = AdditiveMap(dom, cod, images)
+        f = AdditiveMap(dom, cod, [Element(cod, y) for y in images])
         if verify_ring_iso(f, dom, cod):
             out.append(RingIsomorphism(f))
     return out
@@ -445,20 +497,22 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     some chi(r*l_j) = rho(r)*chi(l_j) or chi(l_j*a) = chi(l_j)*phi(a) fails on
     the generators l_j of row_l, so every survivor twists both actions and
     only its bijectivity is left to check."""
+    ring = row_m.ring
+    mul = ring._mul_coeffs
     equations = []
     for j, l in enumerate(row_l.generators):
         for r, rho_r in left_pairs:
             equations.append(
-                (row_l.coords(r * l), [j], lambda images, j=j, x=rho_r: x * images[j])
+                (row_l.coords(r * l), [j], lambda images, j=j, x=rho_r.coeffs: mul(x, images[j]))
             )
         for a, phi_a in right_pairs:
             equations.append(
-                (row_l.coords(l * a), [j], lambda images, j=j, x=phi_a: images[j] * x)
+                (row_l.coords(l * a), [j], lambda images, j=j, x=phi_a.coeffs: mul(images[j], x))
             )
     candidates = _order_candidates(row_l.generator_orders, row_m.elements())
     chis = (
-        AdditiveMap(row_l, row_m, images)
-        for images in _backtrack(row_m.ring, candidates, equations, "row map search")
+        AdditiveMap(row_l, row_m, [Element(ring, y) for y in images])
+        for images in _backtrack(ring, candidates, equations, "row map search")
     )
     return [chi for chi in chis if chi.is_bijective()]
 

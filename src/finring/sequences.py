@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corners import CornerRing, _peirce_span, corner_ring, peirce_component, vanishes
+from .corners import CornerRing, _peirce_span, _vanishes, corner_ring, peirce_component
 from .errors import InvalidSequence
 from .idempotents import has_reduced_corner
 from .presentation import Element, RingPresentation
@@ -50,7 +50,7 @@ def triangularity_failure(
         return "sequence does not sum to the unit"
     for j in range(len(idems)):
         for i in range(j):
-            if not vanishes(ring, idems[j], idems[i]):
+            if not _vanishes(ring, idems[j], idems[i]):
                 return "lower component (%d, %d) is nonzero" % (j, i)
     for i, e in enumerate(idems):
         if not has_reduced_corner(ring, e, cap, _spans=_spans):
@@ -102,7 +102,7 @@ class TriangularSequence:
         rows = tuple(peirce_component(ring, e, one - e) for e in idems)
         # the lower triangle was just checked to vanish
         vanishing = tuple(
-            tuple(i > j or vanishes(ring, ei, ej) for j, ej in enumerate(idems))
+            tuple(i > j or _vanishes(ring, ei, ej) for j, ej in enumerate(idems))
             for i, ei in enumerate(idems)
         )
         return cls(ring, idems, corners, tails, rows, vanishing)

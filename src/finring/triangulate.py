@@ -28,7 +28,7 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from .corners import _peirce_span, _require_idempotent, corner_ring, vanishes
+from .corners import _peirce_span, _require_idempotent, _vanishes, corner_ring
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
@@ -54,8 +54,9 @@ def complete_triangulating_set(
         for e in sweep:
             if e.is_zero() or not e.is_idempotent():
                 continue
-            # Semicentral within the tail corner: (tail - e) A e must vanish.
-            if not vanishes(ring, tail - e, e):
+            # Semicentral within the tail corner: (tail - e) A e must vanish;
+            # e was just checked and tail - e is then idempotent too.
+            if not _vanishes(ring, tail - e, e):
                 continue
             if not has_reduced_corner(ring, e, cap, _spans=spans):
                 continue

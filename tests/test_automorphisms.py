@@ -215,6 +215,13 @@ def test_aut_order_matches_kezlan_where_enumeration_is_slow(n, q, order):
     assert aut_order(ring, cap=ring.order) == order
 
 
+@pytest.mark.parametrize("n, q, order", [(2, 8, 32), (4, 2, 64)])
+def test_aut_order_matches_kezlan_on_the_ladder(n, q, order):
+    # the same closed form on the benchmark ladder's T2(Z8) and T4(F2):
+    # 4 * 8 and 1 * 2^6, within the default cap
+    assert aut_order(upper_triangular(n, q)) == order
+
+
 def test_aut_order_does_not_check_the_group_law(monkeypatch):
     monkeypatch.setattr(automorphisms, "_verify_group_law", None)
     assert aut_order(upper_triangular(2, 9)) == 54

@@ -1,6 +1,7 @@
 import pytest
 
 from finring import NotIdempotent, corner_ring, iso_search, peirce_component, vanishes
+from finring.corners import _vanishes
 from finring.fixtures import FIXTURE_BUILDERS, cyclic, fixture, matrix_ring, t2_f2, z6
 
 
@@ -24,6 +25,18 @@ def test_corner_requires_idempotent():
     ring = t2_f2()
     with pytest.raises(NotIdempotent):
         corner_ring(ring, ring.element((0, 1, 0)))
+
+
+def test_vanishes_requires_idempotents():
+    # e12*A*e11 = 0, so only the idempotence check stops the public test
+    # from answering on the nilpotent e12
+    ring = t2_f2()
+    e11, e12 = ring.element((1, 0, 0)), ring.element((0, 1, 0))
+    assert _vanishes(ring, e12, e11)
+    with pytest.raises(NotIdempotent):
+        vanishes(ring, e12, e11)
+    with pytest.raises(NotIdempotent):
+        vanishes(ring, e11, e12)
 
 
 def test_t2f2_diagonal_corners():

@@ -264,7 +264,7 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_group(ring).order == 64
-    assert calls[0] == 23843
+    assert calls[0] == 23663
 
 
 def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
@@ -272,4 +272,13 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_order(ring) == 64
-    assert calls[0] == 2372
+    assert calls[0] == 2144
+
+
+def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
+    # One corner search: the unit equation fixes the image of the last
+    # generator, so the search looks it up instead of scanning 81 candidates.
+    ring = matrix_ring(2, 3)
+    calls = _count_products(monkeypatch)
+    assert aut_order(ring) == 24
+    assert calls[0] == 3018

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -368,6 +369,24 @@ def test_row_search_matches_product_and_filter_in_order(monkeypatch):
         assert any(found for _args, found in visited)
         for args, found in visited:
             assert found == _row_maps_by_product(*args)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the search keeps its state in flat lists, with no closure that reaches
+    # itself, so nothing it allocates waits for the cyclic collector
+    ring = matrix_ring(2, 2)
+    seq = complete_triangulating_set(fixture("t3_f2"))
+    row = seq.rows[0]
+    left = [(x, x) for x in seq.corners[0].subgroup.generators]
+    right = [(a, a) for a in seq.tails[1].generators]
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(morphisms._enumerate_corner_isos(ring, ring)) == 6
+        assert morphisms._enumerate_row_maps(row, row, left, right)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_corner_search_of_m2f2_tries_under_one_percent(monkeypatch):
