@@ -18,7 +18,8 @@ same engine on the two-block sequence (e, 1-e), with phibar as the next level.
 Enumeration walks sigma in lexicographic order and, per sigma, the layer
 choices with deeper levels varying slowest and each level keyed by image
 tuples in lexicographic order; iso_search returns the first hit in that
-canonical order.
+canonical order.  Each level map is an AdditiveMap on A, built once from its
+images on the generators and read by every choice above it.
 
 iso_count counts the same maps without listing them.  A level with offset m
 is its offset-0 map followed by conjugation by the unit 1 - m (m*m = 0), so
@@ -60,15 +61,16 @@ from .errors import (
     ToolkitError,
 )
 from .idempotents import is_semicentral
-from .maps import AdditiveMap, RingIsomorphism, verify_ring_iso
+from .maps import AdditiveMap, RingIsomorphism, compose_maps, verify_ring_iso
 from .presentation import Element, RingPresentation
 from .sequences import TriangularSequence
 from .structure import admissible_orders
 from .subgroups import Subgroup
 from .triangulate import _locate_over, complete_triangulating_set
 
-# Candidate images tried by one corner or row search (every placement of a
-# candidate at some generator counts, pruned or not).
+# Candidate images handled by one corner or row search: each candidate of a
+# generator once when its candidates are filtered, and each candidate that a
+# partial assignment takes up for that generator.
 CORNER_SEARCH_CAP = 1 << 16
 
 
@@ -88,16 +90,12 @@ class CornerQuadruple:
 
 def _in_ambient(corner_r: CornerRing, corner_s: CornerRing, rho: RingIsomorphism):
     """rho read in ambient coordinates: x -> rho(e*x*e), embedded at f."""
-
-    def amb(x: Element) -> Element:
-        return corner_s.embed(rho.apply(corner_r.project(x)))
-
-    return amb
+    return compose_maps(compose_maps(corner_r.project_map, rho.map), corner_s.embed_map)
 
 
-def _action_pairs(sub: Subgroup, phi) -> list[tuple[Element, Element]]:
+def _action_pairs(sub: Subgroup, phi: AdditiveMap) -> list[tuple[Element, Element]]:
     """(x, phi(x)) over the ambient additive generators x of the subgroup."""
-    return [(x, phi(x)) for x in sub.generators]
+    return [(x, phi.apply(x)) for x in sub.generators]
 
 
 def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
@@ -105,37 +103,53 @@ def _check_ends(f, dom, cod, what: str, level: int | None = None) -> None:
         raise InconsistentQuadruple("%s has wrong endpoints" % what, level)
 
 
-def _level_failure(chi: AdditiveMap, offset: Element, left_pairs, right_pairs) -> str | None:
+def _row_equations(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pairs):
+    """The twisted actions on a row map chi: row_l -> row_m, as two lists of
+    _backtrack equations in the images of the generators l_j of row_l: the
+    left list asks chi(r*l_j) = rho(r)*chi(l_j) over the pairs (r, rho(r)),
+    the right list chi(l_j*a) = chi(l_j)*phi(a) over the pairs (a, phi(a)).
+    The right-hand sides multiply in row_m's ring."""
+    mul = row_m.ring._mul_coeffs
+    gens = list(enumerate(row_l.generators))
+    left = [
+        (row_l.coords(r * l), [j], lambda images, j=j, x=rho_r.coeffs: mul(x, images[j]))
+        for j, l in gens for r, rho_r in left_pairs
+    ]
+    right = [
+        (row_l.coords(l * a), [j], lambda images, j=j, x=phi_a.coeffs: mul(images[j], x))
+        for j, l in gens for a, phi_a in right_pairs
+    ]
+    return left, right
+
+
+def _level_failure(chi: AdditiveMap, offset: Element, left, right) -> str | None:
     """First reason the row map chi and the offset fail at one level, else
     None: the offset must lie in the target row, and chi must be bijective
-    and twist both actions, chi(r*l) = rho(r)*chi(l) over the pairs
-    (r, rho(r)) and chi(l*a) = chi(l)*phi(a) over the pairs (a, phi(a))."""
+    and satisfy the left and then the right equations of _row_equations."""
     row_m = chi.codomain
     if offset.ring != row_m.ring or not row_m.contains(offset):
         return "offset lies outside the target row"
     if not chi.is_bijective():
         return "row map is not bijective"
-    images = list(zip(chi.domain.generators, chi._image_elems))
-    if any(chi.apply(r * l) != rho_r * img for r, rho_r in left_pairs for l, img in images):
-        return "left action compatibility fails"
-    if any(chi.apply(l * a) != img * phi_a for a, phi_a in right_pairs for l, img in images):
-        return "right action compatibility fails"
+    orders = row_m.ring.orders
+    for side, equations in (("left", left), ("right", right)):
+        for coeffs, _reads, rhs in equations:
+            if any(_residual(orders, enumerate(coeffs), rhs, chi.images)):
+                return "%s action compatibility fails" % side
     return None
 
 
-def _level_map(e: Element, tail: Element, rho_amb, chi: AdditiveMap, m: Element, phi_next):
+def _level_map(e: Element, tail: Element, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:
     """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
     for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
-    the tail t.  rho_amb and phi_next take x whole: rho_amb projects it
-    through e*_*e itself, and phi_next reads only t*x*t.  Only chi, defined
-    on the row alone, is handed its part l."""
-
-    def level(x: Element) -> Element:
-        rho_r = rho_amb(x)
-        phi_a = phi_next(x)
-        return rho_r + rho_r * m + chi.apply(e * x * tail) - m * phi_a + phi_a
-
-    return level
+    the tail t, given by its images on the generators of A.  rho_amb and
+    phi_next are AdditiveMaps on A that read only r and a; chi is defined on
+    the row alone."""
+    ring_a = rho_amb.domain
+    return AdditiveMap(ring_a, m.ring, [
+        rho_r + rho_r * m + chi.apply(e * g * tail) - m * phi_a + phi_a
+        for g, rho_r, phi_a in zip(ring_a.gens(), rho_amb._image_elems, phi_next._image_elems)
+    ])
 
 
 def _checked_level(
@@ -146,9 +160,9 @@ def _checked_level(
     row_m: Subgroup,
     tail: Element,
     tail_sub: Subgroup,
-    phi_next,
+    phi_next: AdditiveMap,
     level: int | None = None,
-):
+) -> AdditiveMap:
     """Check one level of corner data and return its level map.  layer has
     rho (corner_r -> corner_s), chi (row_l -> row_m) and the offset m; the
     tail t and its subgroup t*A*t carry phi_next, the map of the next level."""
@@ -157,39 +171,33 @@ def _checked_level(
     )
     _check_ends(layer.chi, row_l, row_m, "row map", level)
     rho_amb = _in_ambient(corner_r, corner_s, layer.rho)
-    reason = _level_failure(
-        layer.chi,
-        layer.m,
-        _action_pairs(corner_r.subgroup, rho_amb),
-        _action_pairs(tail_sub, phi_next),
-    )
+    rho_pairs = _action_pairs(corner_r.subgroup, rho_amb)
+    phi_pairs = _action_pairs(tail_sub, phi_next)
+    reason = _level_failure(layer.chi, layer.m, *_row_equations(row_l, row_m, rho_pairs, phi_pairs))
     if reason is not None:
         raise InconsistentQuadruple(reason, level)
     return _level_map(corner_r.idem, tail, rho_amb, layer.chi, layer.m, phi_next)
 
 
-def _assemble(ring_a: RingPresentation, ring_b: RingPresentation, phi) -> RingIsomorphism:
-    """The map with generator images phi(g); checked data always yields an
-    isomorphism, so a failure here is reported as a StructureViolation."""
-    images = AdditiveMap(ring_a, ring_b, [phi(g) for g in ring_a.gens()])
+def _assemble(phi: AdditiveMap) -> RingIsomorphism:
+    """phi as a ring isomorphism; checked data always yields one, so a
+    failure here is reported as a StructureViolation."""
     try:
-        return RingIsomorphism.create(images)
+        return RingIsomorphism.create(phi)
     except ToolkitError as exc:
         raise StructureViolation("checked data synthesized a non-isomorphism: %s" % exc)
 
 
-def _restrict_corner(psi, corner_r: CornerRing, corner_s: CornerRing) -> RingIsomorphism:
+def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRing):
     """The corner isomorphism x -> f*psi(x)*f from the corner at e to that at f."""
-    dom = corner_r.presentation
-    cod = corner_s.presentation
     return RingIsomorphism.create(
-        AdditiveMap(dom, cod, [corner_s.project(psi(corner_r.embed(g))) for g in dom.gens()])
+        compose_maps(compose_maps(corner_r.embed_map, psi), corner_s.project_map)
     )
 
 
-def _restrict_row(psi, row_l: Subgroup, row_m: Subgroup) -> AdditiveMap:
+def _restrict_row(psi: AdditiveMap, row_l: Subgroup, row_m: Subgroup) -> AdditiveMap:
     try:
-        return AdditiveMap(row_l, row_m, [psi(l) for l in row_l.generators])
+        return AdditiveMap(row_l, row_m, [psi.apply(l) for l in row_l.generators])
     except ShapeMismatch as exc:
         raise StructureViolation("restriction of phi leaves the target row: %s" % exc)
 
@@ -228,8 +236,7 @@ def check_corner_quadruple(e: Element, f: Element, q: CornerQuadruple) -> None:
 
 def corner_synthesize(e: Element, f: Element, q: CornerQuadruple) -> RingIsomorphism:
     """Build the isomorphism determined by corner data at one level."""
-    level = _quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q)
-    return _assemble(e.ring, f.ring, level)
+    return _assemble(_quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q))
 
 
 def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuadruple:
@@ -249,10 +256,10 @@ def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuad
     offset = phi.apply(e) - f
     if not row_m.contains(offset):
         raise LocationMismatch("phi(e) is not in the row coset of f")
-    rho = _restrict_corner(phi.apply, corner_r, corner_s)
-    phibar = _restrict_corner(phi.apply, corner_abar, corner_bbar)
-    q = CornerQuadruple(rho, phibar, _restrict_row(phi.apply, row_l, row_m), offset)
-    if _assemble(ring_a, ring_b, _quadruple_level(ctx_a, ctx_b, q)).map != phi.map:
+    rho = _restrict_corner(phi.map, corner_r, corner_s)
+    phibar = _restrict_corner(phi.map, corner_abar, corner_bbar)
+    q = CornerQuadruple(rho, phibar, _restrict_row(phi.map, row_l, row_m), offset)
+    if _assemble(_quadruple_level(ctx_a, ctx_b, q)).map != phi.map:
         raise StructureViolation("corner data does not resynthesize the map")
     return q
 
@@ -283,15 +290,6 @@ class IsoDecomposition:
     last_rho: RingIsomorphism | None
 
 
-def _base_level(seq_a: TriangularSequence, seq_b: TriangularSequence, j: int, rho: RingIsomorphism):
-    corner_r = seq_a.corners[seq_a.m - 1]
-    corner_s = seq_b.corners[j]
-    _check_ends(
-        rho, corner_r.presentation, corner_s.presentation, "closing corner isomorphism", seq_a.m - 1
-    )
-    return _in_ambient(corner_r, corner_s, rho)
-
-
 def iso_synthesize(
     seq_a: TriangularSequence,
     seq_b: TriangularSequence,
@@ -315,14 +313,19 @@ def iso_synthesize(
         return RingIsomorphism.create(AdditiveMap(ring_a, ring_b, []))
     if not seq_b.admits(d.sigma):
         raise InadmissiblePermutation(d.sigma)
-    phi = _base_level(seq_a, seq_b, d.sigma[m - 1], d.last_rho)
+    corner_r, corner_s = seq_a.corners[m - 1], seq_b.corners[d.sigma[m - 1]]
+    _check_ends(
+        d.last_rho, corner_r.presentation, corner_s.presentation,
+        "closing corner isomorphism", m - 1,
+    )
+    phi = _in_ambient(corner_r, corner_s, d.last_rho)
     for i in range(m - 2, -1, -1):
         j = d.sigma[i]
         phi = _checked_level(
             d.layers[i], seq_a.corners[i], seq_b.corners[j], seq_a.rows[i], seq_b.rows[j],
             seq_a.tail_idempotent(i + 1), seq_a.tails[i + 1], phi, i,
         )
-    return _assemble(ring_a, ring_b, phi)
+    return _assemble(phi)
 
 
 def iso_decompose(
@@ -340,12 +343,12 @@ def iso_decompose(
     if seq_b.m != m:
         raise StructureViolation("isomorphic rings have sequences of equal length")
     active = list(range(m))
-    psi = phi.apply
+    psi = phi.map
     sigma: list[int] = []
     layers: list[IsoLayer] = []
     last_rho = None
     for i in range(m):
-        k, rest = _locate_over(seq_b, active, psi(seq_a.idems[i]))
+        k, rest = _locate_over(seq_b, active, psi.apply(seq_a.idems[i]))
         sigma.append(k)
         rho = _restrict_corner(psi, seq_a.corners[i], seq_b.corners[k])
         if i == m - 1:
@@ -356,18 +359,11 @@ def iso_decompose(
         layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
         active.remove(k)
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
-        psi = _restrict(phi.apply, shrink)
+        psi = AdditiveMap(ring_a, ring_b, [shrink * y * shrink for y in phi.map._image_elems])
     d = IsoDecomposition(tuple(sigma), tuple(layers), last_rho)
     if iso_synthesize(seq_a, seq_b, d).map != phi.map:
         raise StructureViolation("decomposition does not resynthesize the isomorphism")
     return d
-
-
-def _restrict(psi, shrink: Element):
-    def inner(x: Element) -> Element:
-        return shrink * psi(x) * shrink
-
-    return inner
 
 
 # -- structured enumeration ------------------------------------------------
@@ -412,10 +408,11 @@ def _backtrack(ring: RingPresentation, candidates, equations, what: str):
       prefix takes the group of its right-hand sides with one lookup;
     - any other equation is tested on each candidate a prefix tries.
 
-    A prefix that fails is dropped with all its extensions.  Each node at
-    depth d charges the unfiltered |candidates[d]| against
-    CORNER_SEARCH_CAP, the placements a scan of every candidate would make;
-    past the cap, CapExceeded names what."""
+    A prefix that fails is dropped with all its extensions.  The search
+    charges its work against CORNER_SEARCH_CAP: |candidates[d]| once, when
+    the candidates at depth d are filtered and grouped, and then the size of
+    the group each node at depth d takes; past the cap, CapExceeded names
+    what."""
     n = len(candidates)
     if n == 0:  # the one (empty) tuple, untested
         return [()]
@@ -442,13 +439,15 @@ def _backtrack(ring: RingPresentation, candidates, equations, what: str):
     d = 0
     while d >= 0:
         if choices[d] is None:
-            tried += len(candidates[d])
-            if tried > cap:
-                raise CapExceeded(cap + 1, cap, what)
             if pools[d] is None:
                 pools[d] = _pool(ring, candidates[d], unary[d], solvable[d], images, d)
+                tried += len(candidates[d])
             key = tuple(_residual(orders, terms, rhs, images) for _c, terms, rhs in solvable[d])
-            choices[d] = iter(pools[d].get(key, ()))
+            group = pools[d].get(key, ())
+            tried += len(group)
+            if tried > cap:
+                raise CapExceeded(cap + 1, cap, what)
+            choices[d] = iter(group)
         for y in choices[d]:
             images[d] = y
             if all(not any(_residual(orders, terms, rhs, images)) for terms, rhs in other[d]):
@@ -498,21 +497,11 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     the generators l_j of row_l, so every survivor twists both actions and
     only its bijectivity is left to check."""
     ring = row_m.ring
-    mul = ring._mul_coeffs
-    equations = []
-    for j, l in enumerate(row_l.generators):
-        for r, rho_r in left_pairs:
-            equations.append(
-                (row_l.coords(r * l), [j], lambda images, j=j, x=rho_r.coeffs: mul(x, images[j]))
-            )
-        for a, phi_a in right_pairs:
-            equations.append(
-                (row_l.coords(l * a), [j], lambda images, j=j, x=phi_a.coeffs: mul(images[j], x))
-            )
+    left, right = _row_equations(row_l, row_m, left_pairs, right_pairs)
     candidates = _order_candidates(row_l.generator_orders, row_m.elements())
     chis = (
         AdditiveMap(row_l, row_m, [Element(ring, y) for y in images])
-        for images in _backtrack(ring, candidates, equations, "row map search")
+        for images in _backtrack(ring, candidates, left + right, "row map search")
     )
     return [chi for chi in chis if chi.is_bijective()]
 
@@ -529,6 +518,47 @@ def _zero_offset(row_m: Subgroup) -> tuple[Element, ...]:
     return (row_m.ring.zero(),)
 
 
+def _corner_isos(table: dict, seq_a: TriangularSequence, seq_b: TriangularSequence, i, j):
+    """(rho, rho_amb, left_pairs) over the corner isomorphisms rho from block
+    i of seq_a to block j of seq_b, read in ambient coordinates and with
+    their left action pairs; found on first use and kept in table, which
+    lives for one query."""
+    entry = table.get((i, j))
+    if entry is None:
+        corner_r = seq_a.corners[i]
+        corner_s = seq_b.corners[j]
+        entry = table[i, j] = []
+        for rho in _enumerate_corner_isos(corner_r.presentation, corner_s.presentation):
+            rho_amb = _in_ambient(corner_r, corner_s, rho)
+            entry.append((rho, rho_amb, _action_pairs(corner_r.subgroup, rho_amb)))
+    return entry
+
+
+def _levels(seq_a: TriangularSequence, seq_b: TriangularSequence, sigma, offsets, table, i):
+    """Yield (layers, last_rho, phi) for the levels i, ..., m-1 of the block
+    order sigma in canonical order, deeper levels varying slowest; phi is the
+    level map at i.  A level with target row row_m tries the offsets in
+    offsets(row_m), and table holds the corner isomorphisms (_corner_isos)."""
+    m = seq_a.m
+    j = sigma[i]
+    if i == m - 1:
+        for rho, rho_amb, _left_pairs in _corner_isos(table, seq_a, seq_b, i, j):
+            yield (), rho, rho_amb
+        return
+    corner_r = seq_a.corners[i]
+    row_l = seq_a.rows[i]
+    row_m = seq_b.rows[j]
+    tail = seq_a.tail_idempotent(i + 1)
+    level_offsets = offsets(row_m)
+    for sub_layers, last_rho, phi_next in _levels(seq_a, seq_b, sigma, offsets, table, i + 1):
+        right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
+        for rho, rho_amb, left_pairs in _corner_isos(table, seq_a, seq_b, i, j):
+            for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
+                for offset in level_offsets:
+                    phi = _level_map(corner_r.idem, tail, rho_amb, chi, offset, phi_next)
+                    yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi
+
+
 def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offsets):
     """Yield (sigma, layers, last_rho, phi) in canonical order, phi being the
     level map of the parametrization; a level with target row row_m tries
@@ -537,49 +567,15 @@ def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offs
     if seq_b.m != m:
         return
     if m == 0:  # the one-element rings: one empty parametrization
-        yield (), (), None, lambda x: seq_b.ring.zero()
+        yield (), (), None, AdditiveMap(seq_a.ring, seq_b.ring, [])
         return
-    corner_cache: dict[tuple[int, int], list[RingIsomorphism]] = {}
-
-    def corner_isos(i: int, j: int) -> list[RingIsomorphism]:
-        key = (i, j)
-        if key not in corner_cache:
-            corner_cache[key] = _enumerate_corner_isos(
-                seq_a.corners[i].presentation, seq_b.corners[j].presentation
-            )
-        return corner_cache[key]
-
+    table: dict = {}
     for sigma in admissible_orders(seq_b):
         if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
             continue
         if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):
             continue
-
-        def levels(i: int):
-            if i == m - 1:
-                for rho in corner_isos(m - 1, sigma[m - 1]):
-                    yield (), rho, _base_level(seq_a, seq_b, sigma[m - 1], rho)
-                return
-            j = sigma[i]
-            corner_r = seq_a.corners[i]
-            corner_s = seq_b.corners[j]
-            row_l = seq_a.rows[i]
-            row_m = seq_b.rows[j]
-            tail = seq_a.tail_idempotent(i + 1)
-            level_offsets = offsets(row_m)
-            for sub_layers, last_rho, phi_next in levels(i + 1):
-                right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
-                for rho in corner_isos(i, j):
-                    rho_amb = _in_ambient(corner_r, corner_s, rho)
-                    left_pairs = _action_pairs(corner_r.subgroup, rho_amb)
-                    for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
-                        for offset in level_offsets:
-                            phi_here = _level_map(
-                                corner_r.idem, tail, rho_amb, chi, offset, phi_next
-                            )
-                            yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi_here
-
-        for layers, last_rho, phi in levels(0):
+        for layers, last_rho, phi in _levels(seq_a, seq_b, sigma, offsets, table, 0):
             yield sigma, layers, last_rho, phi
 
 
@@ -595,7 +591,7 @@ def enumerate_isomorphisms(
         return
     seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
     for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements):
-        yield IsoDecomposition(sigma, layers, last_rho), _assemble(ring_a, ring_b, phi)
+        yield IsoDecomposition(sigma, layers, last_rho), _assemble(phi)
 
 
 def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None = None) -> int:
@@ -613,7 +609,7 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
     total = 0
     for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset):
-        _assemble(ring_a, ring_b, phi)
+        _assemble(phi)
         total += prod(seq_b.rows[j].order for j in sigma[:-1])
     return total
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finring import (
@@ -22,6 +24,7 @@ from finring.fixtures import (
     upper_triangular,
 )
 from finring.maps import compose_maps, invert_map
+from test_kernels import basis_change
 
 # computed once by exhaustive search and frozen
 AUT_ORDERS = {
@@ -243,20 +246,35 @@ def test_corner_search_cap_counts_candidate_images(monkeypatch):
 
 
 def test_corner_search_cap_is_met_exactly_by_m2_f3(monkeypatch):
-    # M2(F3)'s one corner search places 6318 candidate images in all: a cap
-    # of 6318 answers and one less refuses at the same count
-    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 6318)
+    # M2(F3)'s one corner search charges 830 candidates in all: 4 * 81 for
+    # filtering each generator's candidates once and 506 taken up by partial
+    # assignments.  A cap of 830 answers and one less refuses
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 830)
     assert aut_order(matrix_ring(2, 3)) == 24
-    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 6317)
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 829)
     with pytest.raises(CapExceeded) as info:
         aut_order(matrix_ring(2, 3))
     assert info.value.what == "corner isomorphism search"
-    assert (info.value.size, info.value.cap) == (6318, 6317)
+    assert (info.value.size, info.value.cap) == (830, 829)
+
+
+@pytest.mark.parametrize(
+    "ring, order",
+    [(matrix_ring(2, 5), 120), (matrix_ring(3, 2), 168),
+     (basis_change(matrix_ring(2, 3), random.Random(5))[0], 24)],
+    ids=["M2(F5)", "M3(F2)", "M2(F3) on a random basis"],
+)
+def test_corner_search_charges_the_candidates_it_takes_up(ring, order):
+    # Charged per placement of every candidate, these searches exceeded the
+    # default cap of 65536; charged per candidate filtered or taken up, they
+    # cost 7252, 39095 and 1580 (PGL2(F5), PGL3(F2) and PGL2(F3))
+    assert aut_order(ring) == order
 
 
 def test_row_search_cap_counts_candidate_images(monkeypatch):
-    # T3(F2): corner searches over F2 try 2 images, the first row (F2^2) at
-    # least 4, so a cap of 3 stops the row search only
+    # T3(F2): a corner search over F2 charges its 2 candidates and the 1 that
+    # f(1) = 1 keeps, the first row search (F2^2) at least its 4 candidates,
+    # so a cap of 3 stops the row search only
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 3)
     with pytest.raises(CapExceeded) as info:
         aut_group(fixture("t3_f2"))

@@ -117,27 +117,30 @@ def test_decomposition_from_obj_rejections():
 
 def test_sigma_checks_read_the_sequence_table(monkeypatch):
     # parsing and synthesis ask the built sequence whether sigma is
-    # admissible; neither multiplies out a Peirce component again
+    # admissible; neither multiplies out a Peirce component again, through
+    # the checked vanishes or the unchecked _vanishes the sequence uses
     ring = fixture("three_block")
     seq = complete_triangulating_set(ring)
     obj = decomposition_to_obj(iso_decompose(identity_iso(ring), seq, seq))
-    original = finring.corners.vanishes
     calls = []
+    for original in (finring.corners.vanishes, finring.corners._vanishes):
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+        def counted(*args, original=original):
+            calls.append(args)
+            return original(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "finring" or name.startswith("finring."):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, counted)
+        for name, mod in list(sys.modules.items()):
+            if name == "finring" or name.startswith("finring."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
     d = decomposition_from_obj(obj, seq, seq)
     assert iso_synthesize(seq, seq, d).map == identity_iso(ring).map
     with pytest.raises(InadmissiblePermutation):
         decomposition_from_obj({**obj, "sigma": [2, 1, 3]}, seq, seq)
     assert calls == []
+    complete_triangulating_set(ring)  # the patches reach the sequence's table
+    assert calls
 
 
 def test_dumps_canonical_is_deterministic():

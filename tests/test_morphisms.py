@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -45,6 +46,7 @@ from finring.fixtures import (
     matrix_ring,
     product,
     t2_f2,
+    t2_f2_inner,
     t2_z4,
     upper_triangular,
 )
@@ -138,6 +140,101 @@ def test_quadruple_validation():
     zero_chi = AdditiveMap(row, row, [ring.zero() for _ in row.generators])
     with pytest.raises(InconsistentQuadruple):
         check_corner_quadruple(e, e, CornerQuadruple(q.rho, q.phibar, zero_chi, ring.zero()))
+
+
+def tensor(a: RingPresentation, b: RingPresentation) -> RingPresentation:
+    """a ⊗ b for two rings over the same Z_n, on the generators g_i ⊗ h_p
+    in row-major order."""
+    (n,) = set(a.orders + b.orders)
+    index = [(i, p) for i in range(a.rank) for p in range(b.rank)]
+    mul = [
+        [[a.mul[i][j][l] * b.mul[p][q][r] for l, r in index] for j, q in index]
+        for i, p in index
+    ]
+    one = [a.one[l] * b.one[r] for l, r in index]
+    return RingPresentation([n] * len(index), mul, one)
+
+
+def t2_f4() -> RingPresentation:
+    """T2(F4): two F4 corners, each acting on the row F4 by multiplication,
+    so the Frobenius twists either action."""
+    return tensor(t2_f2(), fixture("f4"))
+
+
+def _frobenius(corner: RingPresentation) -> RingIsomorphism:
+    (frob,) = [g for g in aut_group(corner).elements if g != identity_iso(corner)]
+    return frob
+
+
+def _corruptions(ring, row, rho, closing, closing_name, closing_what):
+    """(field, corrupt value, reason) for one level of identity data: rho is
+    its corner isomorphism, closing the map of the level below it, which the
+    checks call closing_what."""
+    zero_chi = AdditiveMap(row, row, [ring.zero() for _ in row.generators])
+    return [
+        ("m", ring.one_element(), "offset lies outside the target row"),
+        ("chi", zero_chi, "row map is not bijective"),
+        ("rho", _frobenius(rho.domain), "left action compatibility fails"),
+        (closing_name, _frobenius(closing.domain), "right action compatibility fails"),
+        ("rho", identity_iso(ring), "corner isomorphism has wrong endpoints"),
+        ("chi", AdditiveMap(row, ring, row.generators), "row map has wrong endpoints"),
+        (closing_name, identity_iso(ring), "%s has wrong endpoints" % closing_what),
+    ]
+
+
+def test_every_level_check_reason_reaches_iso_synthesize():
+    ring = t2_f4()
+    seq = complete_triangulating_set(ring)
+    assert seq.m == 2 and all(c.order == 4 for c in seq.corners)
+    d = iso_decompose(identity_iso(ring), seq, seq)
+    layer = d.layers[0]
+    closing = "closing corner isomorphism"
+    cases = _corruptions(ring, seq.rows[0], layer.rho, d.last_rho, "last_rho", closing)
+    for field, value, reason in cases:
+        if field == "last_rho":
+            bad = dataclasses.replace(d, last_rho=value)
+        else:
+            bad = dataclasses.replace(d, layers=(dataclasses.replace(layer, **{field: value}),))
+        # the closing map's endpoints are checked first, as level m - 1
+        level = 1 if reason.startswith(closing) else 0
+        with pytest.raises(InconsistentQuadruple) as info:
+            iso_synthesize(seq, seq, bad)
+        assert (info.value.reason, info.value.level) == (reason, level)
+        assert str(info.value) == "%s at level %d" % (reason, level)
+    with pytest.raises(InconsistentQuadruple) as info:
+        iso_synthesize(seq, seq, dataclasses.replace(d, last_rho=None))
+    assert str(info.value) == "closing corner isomorphism has wrong endpoints at level 1"
+
+
+def test_every_level_check_reason_reaches_check_corner_quadruple():
+    ring = t2_f4()
+    e = complete_triangulating_set(ring).idems[0]
+    q = corner_decompose(identity_iso(ring), e, e)
+    row = peirce_component(ring, e, ring.one_element() - e)
+    cases = _corruptions(ring, row, q.rho, q.phibar, "phibar", "complement isomorphism")
+    for field, value, reason in cases:
+        with pytest.raises(InconsistentQuadruple) as info:
+            check_corner_quadruple(e, e, dataclasses.replace(q, **{field: value}))
+        assert (info.value.reason, info.value.level) == (reason, None)
+        assert str(info.value) == reason
+
+
+def test_level_checks_name_the_level_below_the_top():
+    # T3(F2): a row map that drops the generator of the second row, and one
+    # that swaps E12 and E13 in the first (E12 * E23 = E13 is not preserved)
+    ring = fixture("t3_f2")
+    seq = complete_triangulating_set(ring)
+    d = iso_decompose(identity_iso(ring), seq, seq)
+    row0, row1 = seq.rows[0], seq.rows[1]
+    zero_chi = AdditiveMap(row1, row1, [ring.zero()])
+    swap = AdditiveMap(row0, row0, row0.generators[::-1])
+    for i, chi, reason in ((1, zero_chi, "row map is not bijective"),
+                           (0, swap, "right action compatibility fails")):
+        layers = list(d.layers)
+        layers[i] = dataclasses.replace(layers[i], chi=chi)
+        with pytest.raises(InconsistentQuadruple) as info:
+            iso_synthesize(seq, seq, dataclasses.replace(d, layers=tuple(layers)))
+        assert (info.value.reason, info.value.level) == (reason, i)
 
 
 def test_corner_data_is_the_first_layer_of_a_two_block_decomposition():
@@ -375,17 +472,32 @@ def test_searches_leave_no_cyclic_garbage():
     # the search keeps its state in flat lists, with no closure that reaches
     # itself, so nothing it allocates waits for the cyclic collector
     ring = matrix_ring(2, 2)
-    seq = complete_triangulating_set(fixture("t3_f2"))
+    t3 = fixture("t3_f2")
+    seq = complete_triangulating_set(t3)
     row = seq.rows[0]
     left = [(x, x) for x in seq.corners[0].subgroup.generators]
     right = [(a, a) for a in seq.tails[1].generators]
+    inner = t2_f2_inner()
+    seq_t2 = complete_triangulating_set(inner.domain)
     gc.collect()
     gc.disable()
     try:
         assert len(morphisms._enumerate_corner_isos(ring, ring)) == 6
         assert morphisms._enumerate_row_maps(row, row, left, right)
         assert gc.collect() == 0
+        # whole queries: the level maps are AdditiveMaps and the corner table
+        # and level walk are plain functions, so the only cycles left are
+        # each corner presentation's links to its generator Elements
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert aut_order(t3) == 8
+        assert len(list(enumerate_isomorphisms(t3, t3))) == 8
+        assert iso_decompose(inner, seq_t2, seq_t2).layers[0].m.coeffs == (0, 1, 0)
+        gc.collect()
+        kinds = {type(x).__name__ for x in gc.garbage}
+        assert kinds <= {"tuple", "Element", "RingPresentation"}, kinds
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
 
 
