@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 from .errors import StructureViolation
 from .maps import RingIsomorphism, compose_maps, identity_iso, invert_map
-from .morphisms import enumerate_isomorphisms, iso_count
+from .morphisms import _enumerate, iso_count
 from .presentation import RingPresentation
+from .sequences import TriangularSequence
+from .triangulate import complete_triangulating_set
 
 
 @dataclass(frozen=True)
@@ -34,13 +36,19 @@ def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGro
     checked from a greedy generating set T (see `_verify_group_law`):
     |G|·|T| compositions and |T| inversions.
     """
+    return _aut_group(complete_triangulating_set(ring, cap), cap)
+
+
+def _aut_group(seq: TriangularSequence, cap: int | None) -> AutomorphismGroup:
+    """aut_group of seq.ring over its canonical sequence seq, for a caller
+    that has built it already."""
     seen = {}
-    for _d, iso in enumerate_isomorphisms(ring, ring, cap):
+    for _d, iso in _enumerate(seq, seq):
         if iso.map in seen:
             raise StructureViolation("the enumeration yields an automorphism twice")
         seen[iso.map] = iso
     elements = tuple(sorted(seen.values(), key=lambda g: g.map.images))
-    group = AutomorphismGroup(ring, elements)
+    group = AutomorphismGroup(seq.ring, elements)
     _verify_group_law(group, cap)
     return group
 

@@ -25,7 +25,7 @@ import json
 import sys
 import time
 
-from .automorphisms import aut_group, aut_order
+from .automorphisms import _aut_group, aut_group, aut_order
 from .errors import CapExceeded, ShapeMismatch, StructureViolation, ToolkitError
 from .idempotents import enumerate_idempotents, is_semicentral
 from .jsonio import (
@@ -269,7 +269,7 @@ def cmd_report(args):
     seq = timed("triangulate", lambda: complete_triangulating_set(ring, args.cap))
     sigmas = timed("orders", lambda: admissible_orders(seq))
     splits = timed("split", lambda: detect_direct_sum(seq))
-    group = timed("aut", lambda: aut_group(ring, args.cap))
+    group = timed("aut", lambda: _aut_group(seq, args.cap))
     report = {
         "ring": {"name": ring.name, "hash": ring_hash(ring)},
         "order": ring.order,

@@ -589,7 +589,12 @@ def enumerate_isomorphisms(
     """
     if ring_a.order != ring_b.order:
         return
-    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
+    yield from _enumerate(*_canonical_sequences(ring_a, ring_b, cap))
+
+
+def _enumerate(seq_a: TriangularSequence, seq_b: TriangularSequence):
+    """enumerate_isomorphisms over the canonical sequences of two rings of
+    equal order, for a caller that has built them already."""
     for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements):
         yield IsoDecomposition(sigma, layers, last_rho), _assemble(phi)
 

@@ -1,10 +1,11 @@
 import json
+import sys
 import pathlib
 from functools import reduce
 
 import pytest
 
-from finring import cli, morphisms
+from finring import cli, morphisms, triangulate
 from finring.cli import main
 from finring.errors import CapExceeded
 from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, product
@@ -248,6 +249,27 @@ def test_report_deterministic(capsys):
         "triangular": "agree",
     }
     assert set(first["timings"]) == {"idempotents", "triangulate", "orders", "split", "aut"}
+
+
+def test_report_triangulates_its_ring_once(capsys, monkeypatch):
+    # the Aut(A) enumeration reuses the sequence report built; every module's
+    # copy of the name is counted, as the traced benchmark counts it
+    original = triangulate.complete_triangulating_set
+    rings = []
+
+    def counted(ring, cap=None):
+        rings.append(ring)
+        return original(ring, cap)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "complete_triangulating_set", None) is original:
+            monkeypatch.setattr(module, "complete_triangulating_set", counted)
+    for name in sorted(FIXTURE_BUILDERS):
+        rings.clear()
+        code, payload, _ = run(capsys, "report", "--oracle", fx(name))
+        assert code == 0
+        assert payload["report"]["aut_order"] >= 1
+        assert len(rings) == 1, name
 
 
 def test_stdout_is_canonical_and_stable(capsys):

@@ -18,7 +18,17 @@ from finring import (
     is_semicentral,
 )
 from finring import oracle
-from finring.fixtures import FIXTURE_BUILDERS, cyclic, f2, fixture, product, t2_f2, t3_f2
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    cyclic,
+    f2,
+    fixture,
+    matrix_ring,
+    product,
+    t2_f2,
+    t3_f2,
+    upper_triangular,
+)
 from finring.maps import AdditiveMap
 from finring.oracle import BrutePeirceTable
 from finring.presentation import RingPresentation
@@ -174,28 +184,8 @@ def test_brute_isos_matches_the_element_reference_in_order():
     assert len(brute_isos(Z8_ON_3, Z8_ON_3)) == 1
 
 
-def test_brute_isos_refuses_before_filling_tables(monkeypatch):
-    ring = t3_f2()
-    calls = []
-    for name in ("_add_coeffs", "_mul_coeffs"):
-        original = getattr(RingPresentation, name)
-
-        def counted(self, a, b, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self, a, b)
-
-        monkeypatch.setattr(RingPresentation, name, counted)
-    with pytest.raises(CapExceeded) as info:
-        brute_isos(ring, ring)
-    assert info.value.what == "oracle image tuples"
-    assert calls == []
-
-
-def test_brute_aut_count_work_on_t2_z4(monkeypatch):
-    # the cost model of the sweep: the addition table and one multiplication
-    # table (64^2 entries each), the 64 squares and 3 generator squares, and
-    # 120 visited tuples where the order-compatible product has 64^3
-    ring = fixture("t2_z4")
+def _count_element_ops(monkeypatch) -> dict:
+    """Count RingPresentation._add_coeffs and _mul_coeffs calls from now on."""
     calls = {"_add_coeffs": 0, "_mul_coeffs": 0}
     for name in calls:
         original = getattr(RingPresentation, name)
@@ -205,6 +195,37 @@ def test_brute_aut_count_work_on_t2_z4(monkeypatch):
             return _original(self, a, b)
 
         monkeypatch.setattr(RingPresentation, name, counted)
+    return calls
+
+
+def test_brute_isos_refuses_before_filling_tables(monkeypatch):
+    ring = t3_f2()
+    big = upper_triangular(2, 16)  # 4096 elements
+    calls = _count_element_ops(monkeypatch)
+    with pytest.raises(CapExceeded) as info:
+        brute_isos(ring, ring)
+    assert info.value.what == "oracle image tuples"
+    # above ORACLE_ELEMENT_CAP every sweep refuses before any table or row
+    for sweep in (
+        lambda: brute_isos(big, big),
+        lambda: brute_semicentral_list(big),
+        lambda: BrutePeirceTable(big),
+        lambda: brute_triangular_check(big, [big.one_element()]),
+    ):
+        with pytest.raises(CapExceeded) as info:
+            sweep()
+        assert info.value.what == "oracle element sweep"
+        assert info.value.size == 4096
+    assert calls == {"_add_coeffs": 0, "_mul_coeffs": 0}
+
+
+def test_brute_aut_count_work_on_t2_z4(monkeypatch):
+    # the cost model of the sweep: the addition table from its 3 generator
+    # rows (3*64 additions), the 64 squares and 3 generator squares, the one
+    # multiplication table from its 3 generator rows (3*64 products), and
+    # 120 visited tuples where the order-compatible product has 64^3
+    ring = fixture("t2_z4")
+    calls = _count_element_ops(monkeypatch)
     visited = []
     unit_tuples = oracle._unit_tuples
 
@@ -215,9 +236,81 @@ def test_brute_aut_count_work_on_t2_z4(monkeypatch):
 
     monkeypatch.setattr(oracle, "_unit_tuples", counted_tuples)
     assert brute_aut_count(ring) == 8
-    assert calls["_add_coeffs"] <= 4159
-    assert calls["_mul_coeffs"] <= 4163
+    assert calls == {"_add_coeffs": 192, "_mul_coeffs": 64 + 3 + 192}
     assert 8 <= len(visited) <= 120
+
+
+def test_brute_semicentral_list_work_on_t2_z4(monkeypatch):
+    # the 64 idempotence tests, then for each of the 10 idempotents e the
+    # difference 1 - e and the 3 + 3 generator products of the rows
+    # a -> (1-e)*a and y -> y*e; the rows' additions come from the 3
+    # generator rows of the addition table (3*64 additions)
+    ring = fixture("t2_z4")
+    calls = _count_element_ops(monkeypatch)
+    semis = brute_semicentral_list(ring)
+    assert len(semis) == 6
+    assert calls == {"_add_coeffs": 192 + 10, "_mul_coeffs": 64 + 10 * 6}
+
+
+# Test-local copies of the element sweeps that brute_semicentral_list and
+# BrutePeirceTable replaced with position rows: every product here is an
+# Element product.
+
+
+def _semicentral_by_elements(ring):
+    one = ring.one_element()
+    return [
+        e
+        for e in ring.elements()
+        if e.is_idempotent() and all(((one - e) * x * e).is_zero() for x in ring.elements())
+    ]
+
+
+def _vanishes_by_elements(ring, e, f):
+    return all((e * a * f).is_zero() for a in ring.elements())
+
+
+def _reduced_by_elements(ring, e):
+    corner = {e * a * e for a in ring.elements()}
+    semis = {
+        f
+        for f in corner
+        if f.is_idempotent() and all(((e - f) * x * f).is_zero() for x in corner)
+    }
+    return not e.is_zero() and semis == {ring.zero(), e}
+
+
+def _reference_rings():
+    rings = [fixture(name) for name in sorted(FIXTURE_BUILDERS)]
+    rings += [matrix_ring(2, 2), matrix_ring(2, 3), upper_triangular(2, 9)]
+    changed = [
+        basis_change(ring, random.Random(seed))[0]
+        for seed, ring in enumerate(r for r in rings if len(set(r.orders)) == 1)
+    ]
+    return rings + changed
+
+
+def test_semicentral_and_peirce_sweeps_match_the_element_reference_in_order():
+    rings = _reference_rings()
+    assert len(rings) == 23
+    for n, ring in enumerate(rings):
+        assert brute_semicentral_list(ring) == _semicentral_by_elements(ring), ring
+        # the idempotents, few enough for an element sweep per pair, and two
+        # seeded elements that are not idempotent in general
+        idems = [e for e in ring.elements() if e.is_idempotent()]
+        if ring.order > 100:
+            idems = idems[:6]
+        rng = random.Random(n)
+        probes = idems + [
+            ring.element([rng.randrange(d) for d in ring.orders]) for _ in range(2)
+        ]
+        table = BrutePeirceTable(ring)
+        assert [table.vanishes(e, f) for e in probes for f in probes] == [
+            _vanishes_by_elements(ring, e, f) for e in probes for f in probes
+        ], ring
+        assert [table.reduced(e) for e in probes] == [
+            _reduced_by_elements(ring, e) for e in probes
+        ], ring
 
 
 def test_one_peirce_table_decides_every_order():
