@@ -24,7 +24,7 @@ class AutomorphismGroup:
         return len(self.elements)
 
     def __contains__(self, iso: RingIsomorphism) -> bool:
-        return any(iso.map == g.map for g in self.elements)
+        return iso in self.elements
 
 
 def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGroup:
@@ -42,12 +42,12 @@ def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGro
 def _aut_group(seq: TriangularSequence, cap: int | None) -> AutomorphismGroup:
     """aut_group of seq.ring over its canonical sequence seq, for a caller
     that has built it already."""
-    seen = {}
+    seen = set()
     for _d, iso in _enumerate(seq, seq):
-        if iso.map in seen:
+        if iso in seen:
             raise StructureViolation("the enumeration yields an automorphism twice")
-        seen[iso.map] = iso
-    elements = tuple(sorted(seen.values(), key=lambda g: g.map.images))
+        seen.add(iso)
+    elements = tuple(sorted(seen, key=lambda g: g.images))
     group = AutomorphismGroup(seq.ring, elements)
     _verify_group_law(group, cap)
     return group
@@ -80,19 +80,19 @@ def _verify_group_law(group: AutomorphismGroup, cap: int | None) -> None:
     as a cross-check.  The elements are verified isomorphisms, so inverses
     and composites are compared by map and not verified again.
     """
-    maps = {g.map for g in group.elements}
-    ident = identity_iso(group.ring).map
+    maps = set(group.elements)
+    ident = identity_iso(group.ring)
     if ident not in maps:
         raise StructureViolation("automorphism set is missing the identity")
     applied = {ident: 0}  # reached element -> generators composed with it
     reached = [ident]
     gens = []
     for g in group.elements:
-        if g.map in applied:
+        if g in applied:
             continue
-        if invert_map(g.map, cap) not in maps:
+        if invert_map(g, cap) not in maps:
             raise StructureViolation("automorphism set is not closed under inversion")
-        gens.append(g.map)
+        gens.append(g)
         for f in reached:  # grows while it is walked: the search frontier
             for t in gens[applied[f]:]:
                 h = compose_maps(f, t)

@@ -61,7 +61,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputProblem("%s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputProblem("%s: not UTF-8 text (%s)" % (path, exc))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputProblem("%s: invalid JSON (%s)" % (path, exc))
 
 
@@ -174,7 +176,7 @@ def cmd_aut(args):
         group = aut_group(ring, args.cap)
         order = group.order
         payload["automorphisms"] = [
-            [list(row) for row in g.map.images] for g in group.elements
+            [list(row) for row in g.images] for g in group.elements
         ]
     else:
         order = aut_order(ring, args.cap)
@@ -234,7 +236,7 @@ def cmd_iso_search(args):
 
         def check():
             _require_agreement(
-                {i.map.images for i in isos} == {i.map.images for i in brute_isos(ring_a, ring_b)},
+                {i.images for i in isos} == {i.images for i in brute_isos(ring_a, ring_b)},
                 "isomorphism list",
             )
     else:

@@ -107,9 +107,7 @@ def check_ring_ref(ref: Any, ring: RingPresentation, what: str) -> None:
 # -- maps ------------------------------------------------------------------
 
 
-def map_to_obj(m: AdditiveMap | RingIsomorphism) -> dict:
-    if isinstance(m, RingIsomorphism):
-        m = m.map
+def map_to_obj(m: AdditiveMap) -> dict:
     return {
         "domain": ring_ref(m.domain),
         "codomain": ring_ref(m.codomain),
@@ -132,9 +130,7 @@ def map_from_obj(obj: Any, domain: RingPresentation, codomain: RingPresentation)
 # -- decompositions --------------------------------------------------------
 
 
-def _bare_map_obj(m: AdditiveMap | RingIsomorphism) -> dict:
-    if isinstance(m, RingIsomorphism):
-        m = m.map
+def _bare_map_obj(m: AdditiveMap) -> dict:
     return {"images": [list(row) for row in m.images]}
 
 

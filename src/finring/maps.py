@@ -1,11 +1,13 @@
-"""Additive maps between presented rings and their subgroups.
+"""Additive maps between additive sides: presented rings and their subgroups.
 
-A map is stored by its images on the canonical additive generators of the
-domain: the ring generators when the domain is a full presentation, or the
-independent cyclic generators when the domain is a Subgroup.  Images live in
-the codomain's ambient coordinates.  Construction enforces well definedness
-(each generator's order annihilates its image, and images land inside a
-subgroup codomain), so every AdditiveMap instance is an honest homomorphism.
+A side is a RingPresentation or a Subgroup.  Both carry `ring` (the ambient
+presentation; a presentation is its own), `generators`, `generator_orders`,
+`coords(x)` and `elements()`: the ring generators and their orders for a
+presentation, the independent cyclic generators for a Subgroup.  A map is
+stored by its images on its domain side's generators, in the codomain's
+ambient coordinates.  Construction enforces well definedness (each
+generator's order annihilates its image, and images land inside a subgroup
+codomain), so every AdditiveMap instance is an honest homomorphism.
 
 Evaluation works in coefficient space: apply() sums c * images[i] over the
 argument's domain coordinates c in plain integers, reduces once modulo the
@@ -14,6 +16,11 @@ codomain orders and allocates a single Element.
 Bijectivity is decided exactly, without element sweeps: the map is bijective
 iff domain and codomain have equal order and the span of the images fills the
 codomain.
+
+A RingIsomorphism is an AdditiveMap between two presentations that is a
+unital ring isomorphism.  RingIsomorphism.create checks a map;
+RingIsomorphism(f) adopts a map that its caller has already verified.  Equal
+endpoints and images make equal maps, whichever of the two classes they have.
 """
 from __future__ import annotations
 
@@ -29,47 +36,30 @@ from .errors import (
 from .presentation import Element, RingPresentation, require_cap
 from .subgroups import Subgroup
 
-Side = RingPresentation | Subgroup
-
-
-def _ambient(side: Side) -> RingPresentation:
-    return side if isinstance(side, RingPresentation) else side.ring
-
-
-def _side_generators(side: Side) -> tuple[Element, ...]:
-    if isinstance(side, RingPresentation):
-        return side.gens()
-    return side.generators
-
-
-def _side_generator_orders(side: Side) -> tuple[int, ...]:
-    if isinstance(side, RingPresentation):
-        return side.orders
-    return side.generator_orders
-
 
 class AdditiveMap:
     """A homomorphism of additive groups given by generator images."""
 
     __slots__ = ("domain", "codomain", "images", "_image_elems")
 
-    def __init__(self, domain: Side, codomain: Side, images):
-        amb = _ambient(codomain)
+    def __init__(self, domain, codomain, images):
+        amb = codomain.ring
         elems = tuple(images)
         for e in elems:
             if not isinstance(e, Element) or e.ring != amb:
                 raise AmbientMismatch("image is not an element of the codomain's ring")
-        orders = _side_generator_orders(domain)
+        orders = domain.generator_orders
         if len(elems) != len(orders):
             raise ShapeMismatch(
                 "expected %d generator images, got %d" % (len(orders), len(elems))
             )
+        subgroup = codomain is not amb
         for o, e in zip(orders, elems):
             if not (o * e).is_zero():
                 raise ShapeMismatch(
                     "image of a generator of order %d is not annihilated by it" % o
                 )
-            if isinstance(codomain, Subgroup) and not codomain.contains(e):
+            if subgroup and not codomain.contains(e):
                 raise ShapeMismatch("image falls outside the codomain subgroup")
         self.domain = domain
         self.codomain = codomain
@@ -78,18 +68,10 @@ class AdditiveMap:
 
     # -- evaluation ------------------------------------------------------
 
-    def _domain_coords(self, x: Element) -> tuple[int, ...]:
-        if isinstance(self.domain, RingPresentation):
-            if x.ring != self.domain:
-                raise AmbientMismatch("argument from the wrong ring")
-            return x.coeffs
-        return self.domain.coords(x)
-
     def apply(self, x: Element) -> Element:
-        coords = self._domain_coords(x)
-        amb = _ambient(self.codomain)
+        amb = self.codomain.ring
         acc = [0] * len(amb.orders)
-        for c, row in zip(coords, self.images):
+        for c, row in zip(self.domain.coords(x), self.images):
             if c:
                 acc = [s + c * v for s, v in zip(acc, row)]
         return Element(amb, tuple(map(operator.mod, acc, amb.orders)))
@@ -100,7 +82,7 @@ class AdditiveMap:
     # -- exact rank bookkeeping ------------------------------------------
 
     def image_span(self) -> Subgroup:
-        return Subgroup.span(_ambient(self.codomain), self._image_elems)
+        return Subgroup.span(self.codomain.ring, self._image_elems)
 
     def is_bijective(self) -> bool:
         n = self.domain.order
@@ -121,7 +103,7 @@ class AdditiveMap:
         return hash((self.domain, self.codomain, self.images))
 
     def __repr__(self):
-        return "AdditiveMap(%d gens -> %r)" % (len(self.images), _ambient(self.codomain))
+        return "AdditiveMap(%d gens -> %r)" % (len(self.images), self.codomain.ring)
 
 
 def identity_map(ring: RingPresentation) -> AdditiveMap:
@@ -129,11 +111,10 @@ def identity_map(ring: RingPresentation) -> AdditiveMap:
 
 
 def compose_maps(f: AdditiveMap, g: AdditiveMap) -> AdditiveMap:
-    """The map x -> g(f(x)); f is applied first."""
-    if f.codomain != g.domain:
-        if _ambient(f.codomain) != _ambient(g.domain):
-            raise ShapeMismatch("composition endpoints do not match")
-        # Allow subgroup/full mixtures over the same ambient when membership works out.
+    """The map x -> g(f(x)); f is applied first.  The endpoints need only
+    share their ambient ring: g reads f's images in its own domain side."""
+    if f.codomain.ring != g.domain.ring:
+        raise ShapeMismatch("composition endpoints do not match")
     return AdditiveMap(f.domain, g.codomain, [g.apply(img) for img in f._image_elems])
 
 
@@ -150,7 +131,7 @@ def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
             raise NotBijective("map is not injective")
         table[y] = x
     images = []
-    for g in _side_generators(f.codomain):
+    for g in f.codomain.generators:
         if g not in table:
             raise NotBijective("map is not surjective onto the codomain generators")
         images.append(table[g])
@@ -183,53 +164,35 @@ def verify_ring_iso(f: AdditiveMap, a: RingPresentation, b: RingPresentation) ->
     return ring_iso_failure(f, a, b) is None
 
 
-class RingIsomorphism:
-    """A verified ring isomorphism; construct through the create factory."""
+class RingIsomorphism(AdditiveMap):
+    """A verified ring isomorphism between two presentations.  create checks
+    a map; RingIsomorphism(f) adopts the map f that its caller has verified."""
 
-    __slots__ = ("map",)
+    __slots__ = ()
 
-    def __init__(self, map: AdditiveMap):
-        self.map = map
+    def __init__(self, f: AdditiveMap):
+        self.domain = f.domain
+        self.codomain = f.codomain
+        self.images = f.images
+        self._image_elems = f._image_elems
 
     @classmethod
-    def create(cls, map: AdditiveMap) -> "RingIsomorphism":
-        if not isinstance(map.domain, RingPresentation) or not isinstance(
-            map.codomain, RingPresentation
+    def create(cls, f: AdditiveMap) -> "RingIsomorphism":
+        if not isinstance(f.domain, RingPresentation) or not isinstance(
+            f.codomain, RingPresentation
         ):
             raise ShapeMismatch("ring isomorphisms connect full presentations")
-        reason = ring_iso_failure(map, map.domain, map.codomain)
+        reason = ring_iso_failure(f, f.domain, f.codomain)
         if reason is not None:
             raise NotIsomorphism(reason)
-        return cls(map)
-
-    @property
-    def domain(self) -> RingPresentation:
-        return self.map.domain
-
-    @property
-    def codomain(self) -> RingPresentation:
-        return self.map.codomain
-
-    def apply(self, x: Element) -> Element:
-        return self.map.apply(x)
-
-    def __call__(self, x: Element) -> Element:
-        return self.map.apply(x)
+        return cls(f)
 
     def compose(self, other: "RingIsomorphism") -> "RingIsomorphism":
         """self followed by other."""
-        return RingIsomorphism.create(compose_maps(self.map, other.map))
+        return RingIsomorphism.create(compose_maps(self, other))
 
     def inverse(self, cap: int | None = None) -> "RingIsomorphism":
-        return RingIsomorphism.create(invert_map(self.map, cap))
-
-    def __eq__(self, other):
-        if not isinstance(other, RingIsomorphism):
-            return NotImplemented
-        return self.map == other.map
-
-    def __hash__(self):
-        return hash(self.map)
+        return RingIsomorphism.create(invert_map(self, cap))
 
     def __repr__(self):
         return "RingIsomorphism(%r -> %r)" % (self.domain, self.codomain)
@@ -242,27 +205,30 @@ def identity_iso(ring: RingPresentation) -> RingIsomorphism:
 # -- units and inner automorphisms ----------------------------------------
 
 
+def _is_unit(u: Element) -> bool:
+    """Whether x -> u*x is bijective.  Then u*v = 1 for some v, and v*u = 1
+    follows because a finite ring is Dedekind-finite."""
+    ring = u.ring
+    return AdditiveMap(ring, ring, [u * g for g in ring.gens()]).is_bijective()
+
+
 def ring_units(ring: RingPresentation, cap: int | None = None) -> list[Element]:
-    """All two-sided units, by exhaustive sweep, in lexicographic order."""
+    """All two-sided units in lexicographic order, each decided by the rank of
+    x -> u*x."""
     require_cap(ring.order, cap, "unit sweep")
-    one = ring.one_element()
-    elems = list(ring.elements())
-    units = []
-    for u in elems:
-        for v in elems:
-            if u * v == one and v * u == one:
-                units.append(u)
-                break
-    return units
+    return [u for u in ring.elements() if _is_unit(u)]
 
 
 def unit_inverse(u: Element, cap: int | None = None) -> Element:
+    """u^(n-1) for n the multiplicative order of the unit u."""
     require_cap(u.ring.order, cap, "unit inversion sweep")
+    if not _is_unit(u):
+        raise StructureViolation("element is not a unit")
     one = u.ring.one_element()
-    for v in u.ring.elements():
-        if u * v == one and v * u == one:
-            return v
-    raise StructureViolation("element is not a unit")
+    inverse, power = one, u
+    while power != one:
+        inverse, power = power, power * u
+    return inverse
 
 
 def inner_automorphism(u: Element, cap: int | None = None) -> RingIsomorphism:

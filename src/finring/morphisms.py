@@ -90,7 +90,7 @@ class CornerQuadruple:
 
 def _in_ambient(corner_r: CornerRing, corner_s: CornerRing, rho: RingIsomorphism):
     """rho read in ambient coordinates: x -> rho(e*x*e), embedded at f."""
-    return compose_maps(compose_maps(corner_r.project_map, rho.map), corner_s.embed_map)
+    return compose_maps(compose_maps(corner_r.project_map, rho), corner_s.embed_map)
 
 
 def _action_pairs(sub: Subgroup, phi: AdditiveMap) -> list[tuple[Element, Element]]:
@@ -256,10 +256,10 @@ def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuad
     offset = phi.apply(e) - f
     if not row_m.contains(offset):
         raise LocationMismatch("phi(e) is not in the row coset of f")
-    rho = _restrict_corner(phi.map, corner_r, corner_s)
-    phibar = _restrict_corner(phi.map, corner_abar, corner_bbar)
-    q = CornerQuadruple(rho, phibar, _restrict_row(phi.map, row_l, row_m), offset)
-    if _assemble(_quadruple_level(ctx_a, ctx_b, q)).map != phi.map:
+    rho = _restrict_corner(phi, corner_r, corner_s)
+    phibar = _restrict_corner(phi, corner_abar, corner_bbar)
+    q = CornerQuadruple(rho, phibar, _restrict_row(phi, row_l, row_m), offset)
+    if _assemble(_quadruple_level(ctx_a, ctx_b, q)) != phi:
         raise StructureViolation("corner data does not resynthesize the map")
     return q
 
@@ -343,7 +343,7 @@ def iso_decompose(
     if seq_b.m != m:
         raise StructureViolation("isomorphic rings have sequences of equal length")
     active = list(range(m))
-    psi = phi.map
+    psi = phi
     sigma: list[int] = []
     layers: list[IsoLayer] = []
     last_rho = None
@@ -359,9 +359,9 @@ def iso_decompose(
         layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
         active.remove(k)
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
-        psi = AdditiveMap(ring_a, ring_b, [shrink * y * shrink for y in phi.map._image_elems])
+        psi = AdditiveMap(ring_a, ring_b, [shrink * y * shrink for y in phi._image_elems])
     d = IsoDecomposition(tuple(sigma), tuple(layers), last_rho)
-    if iso_synthesize(seq_a, seq_b, d).map != phi.map:
+    if iso_synthesize(seq_a, seq_b, d) != phi:
         raise StructureViolation("decomposition does not resynthesize the isomorphism")
     return d
 
@@ -461,10 +461,18 @@ def _backtrack(ring: RingPresentation, candidates, equations, what: str):
     return out
 
 
-def _order_candidates(orders, elems) -> list[list[tuple[int, ...]]]:
-    """Per generator order o, the coefficients of the elements that o
-    annihilates, in elems order."""
-    return [[y.coeffs for y in elems if (o * y).is_zero()] for o in orders]
+def _search(dom, cod, equations, what: str) -> list[AdditiveMap]:
+    """The additive maps dom -> cod between two sides whose generator images
+    satisfy every _backtrack equation, in lexicographic image order.  The
+    candidates for a generator of order o are the elements of cod that o
+    annihilates, in element order."""
+    ring = cod.ring
+    elems = list(cod.elements())
+    candidates = [[y.coeffs for y in elems if (o * y).is_zero()] for o in dom.generator_orders]
+    return [
+        AdditiveMap(dom, cod, [Element(ring, y) for y in images])
+        for images in _backtrack(ring, candidates, equations, what)
+    ]
 
 
 def _enumerate_corner_isos(
@@ -481,13 +489,8 @@ def _enumerate_corner_isos(
             equations.append(
                 (dom.mul[i][j], [i, j], lambda images, i=i, j=j: mul(images[i], images[j]))
             )
-    candidates = _order_candidates(dom.orders, list(cod.elements()))
-    out = []
-    for images in _backtrack(cod, candidates, equations, "corner isomorphism search"):
-        f = AdditiveMap(dom, cod, [Element(cod, y) for y in images])
-        if verify_ring_iso(f, dom, cod):
-            out.append(RingIsomorphism(f))
-    return out
+    found = _search(dom, cod, equations, "corner isomorphism search")
+    return [RingIsomorphism(f) for f in found if verify_ring_iso(f, dom, cod)]
 
 
 def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pairs):
@@ -496,14 +499,9 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     some chi(r*l_j) = rho(r)*chi(l_j) or chi(l_j*a) = chi(l_j)*phi(a) fails on
     the generators l_j of row_l, so every survivor twists both actions and
     only its bijectivity is left to check."""
-    ring = row_m.ring
     left, right = _row_equations(row_l, row_m, left_pairs, right_pairs)
-    candidates = _order_candidates(row_l.generator_orders, row_m.elements())
-    chis = (
-        AdditiveMap(row_l, row_m, [Element(ring, y) for y in images])
-        for images in _backtrack(ring, candidates, left + right, "row map search")
-    )
-    return [chi for chi in chis if chi.is_bijective()]
+    found = _search(row_l, row_m, left + right, "row map search")
+    return [chi for chi in found if chi.is_bijective()]
 
 
 def _canonical_sequences(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None):

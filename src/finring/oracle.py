@@ -4,8 +4,9 @@ Everything here decides by exhaustive element sweeps over the presentations
 alone; none of the subgroup, corner, or enumeration machinery is involved.
 The only shared code is element arithmetic and the dumb map wrappers, so the
 structured implementations and these sweeps fail independently.  Sweeps
-refuse outsized inputs with CapExceeded, before any element arithmetic,
-instead of degrading.
+refuse inputs above the module's fixed caps, ORACLE_ELEMENT_CAP and
+ORACLE_TUPLE_CAP, with CapExceeded, before any element arithmetic, instead
+of degrading.
 
 The sweeps read tables indexed by element position (the index in elements()
 order) instead of building Element objects.  Every nonzero x is x' + g_i,
@@ -74,11 +75,9 @@ def _require_small(size: int, cap: int, what: str) -> None:
         raise CapExceeded(size, cap, what)
 
 
-def brute_semicentral(
-    ring: RingPresentation, e: Element, cap: int = ORACLE_ELEMENT_CAP
-) -> bool:
+def brute_semicentral(ring: RingPresentation, e: Element) -> bool:
     """Definitional test: e idempotent and (1-e)*x*e == 0 for every x."""
-    _require_small(ring.order, cap, "oracle element sweep")
+    _require_small(ring.order, ORACLE_ELEMENT_CAP, "oracle element sweep")
     if not e.is_idempotent():
         return False
     c = ring.one_element() - e
@@ -176,13 +175,11 @@ def _vanish(left: list[int], right: list[int], among) -> bool:
     return not any(right[left[a]] for a in among)
 
 
-def brute_semicentral_list(
-    ring: RingPresentation, cap: int = ORACLE_ELEMENT_CAP
-) -> list[Element]:
+def brute_semicentral_list(ring: RingPresentation) -> list[Element]:
     """All semicentral idempotents in lexicographic order: each idempotent e
     with (1-e)*a*e == 0 for every a, read from the rows of a -> (1-e)*a and
     y -> y*e."""
-    _require_small(ring.order, cap, "oracle element sweep")
+    _require_small(ring.order, ORACLE_ELEMENT_CAP, "oracle element sweep")
     positions = _Positions(ring)
     everything = range(ring.order)
     one = ring.one_element()
@@ -207,8 +204,8 @@ class BrutePeirceTable:
     the idempotents, so one table decides every reordering of a sequence.
     """
 
-    def __init__(self, ring: RingPresentation, cap: int = ORACLE_ELEMENT_CAP):
-        _require_small(ring.order, cap, "oracle element sweep")
+    def __init__(self, ring: RingPresentation):
+        _require_small(ring.order, ORACLE_ELEMENT_CAP, "oracle element sweep")
         self.ring = ring
         self._positions = _Positions(ring)
         self._left: dict = {}
@@ -249,7 +246,6 @@ class BrutePeirceTable:
 def brute_triangular_check(
     ring: RingPresentation,
     idems,
-    cap: int = ORACLE_ELEMENT_CAP,
     table: BrutePeirceTable | None = None,
 ) -> bool:
     """Full-sweep test that idems is a complete left-triangulating sequence.
@@ -257,7 +253,7 @@ def brute_triangular_check(
     The sweeps of A go through table, a BrutePeirceTable of ring; pass one to
     reuse its answers across several orders of the same idempotents.
     """
-    _require_small(ring.order, cap, "oracle element sweep")
+    _require_small(ring.order, ORACLE_ELEMENT_CAP, "oracle element sweep")
     seq = list(idems)
     if ring.order == 1:
         return seq == []
@@ -273,7 +269,7 @@ def brute_triangular_check(
     if ring.sum(seq) != ring.one_element():
         return False
     if table is None:
-        table = BrutePeirceTable(ring, cap)
+        table = BrutePeirceTable(ring)
     return all(
         table.vanishes(seq[j], seq[i]) for j in range(len(seq)) for i in range(j)
     ) and all(table.reduced(e) for e in seq)

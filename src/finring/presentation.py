@@ -22,7 +22,10 @@ them mod the orders, with no product call.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
 elements of different presentations raises AmbientMismatch.  gens() returns
-one tuple of generator elements built with the presentation.
+one tuple of generator elements built with the presentation.  A presentation
+is also an additive side of maps (see maps.py), like a Subgroup: its ring is
+itself, its generators are gens(), and the coordinates of an element are its
+coefficients.
 """
 from __future__ import annotations
 
@@ -183,6 +186,26 @@ class RingPresentation:
     @property
     def rank(self) -> int:
         return len(self.orders)
+
+    # -- the additive side interface shared with Subgroup -----------------
+
+    @property
+    def ring(self) -> "RingPresentation":
+        return self
+
+    @property
+    def generators(self) -> tuple["Element", ...]:
+        return self._gens
+
+    @property
+    def generator_orders(self) -> tuple[int, ...]:
+        return self.orders
+
+    def coords(self, x: "Element") -> tuple[int, ...]:
+        """Coordinates of x over the generators: its coefficients."""
+        if x.ring != self:
+            raise AmbientMismatch("argument from the wrong ring")
+        return x.coeffs
 
     def zero(self) -> "Element":
         return Element(self, (0,) * len(self.orders))

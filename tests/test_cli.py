@@ -48,6 +48,24 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     assert run(capsys, "validate", str(booleans))[0] == 2
 
 
+def _undecodable_files(tmp_path):
+    """A file that is not UTF-8 (it starts with a UTF-16 byte order mark) and
+    one nested past the JSON decoder's recursion limit."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    return [(utf16, "not UTF-8 text"), (deep, "invalid JSON")]
+
+
+def test_undecodable_files_exit_2(tmp_path, capsys):
+    for path, reason in _undecodable_files(tmp_path):
+        code, _, cap = run(capsys, "validate", str(path))
+        assert code == 2 and cap.err.startswith("error: %s: %s" % (path, reason)), cap.err
+        code, _, cap = run(capsys, "iso-decompose", fx("z6"), fx("z6"), str(path))
+        assert code == 2 and cap.err.startswith("error: %s: %s" % (path, reason)), cap.err
+
+
 def test_idempotents(capsys):
     code, payload, _ = run(capsys, "idempotents", "--oracle", fx("t2_f2"))
     assert code == 0

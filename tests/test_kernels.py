@@ -51,7 +51,7 @@ def generator_scale(ring, n, a):
 def element_apply(f, x):
     codomain = f.codomain if isinstance(f.codomain, RingPresentation) else f.codomain.ring
     acc = codomain.zero()
-    for c, img in zip(f._domain_coords(x), f._image_elems):
+    for c, img in zip(f.domain.coords(x), f._image_elems):
         if c:
             acc = acc + c * img
     return acc

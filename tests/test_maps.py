@@ -18,7 +18,7 @@ from finring import (
     unit_inverse,
     verify_ring_iso,
 )
-from finring.fixtures import cyclic, fixture, t2_f2, t2_z4, z2xz3, z6
+from finring.fixtures import cyclic, f2, fixture, t2_f2, t2_z4, z2xz3, z6
 
 
 def _crt():
@@ -61,12 +61,18 @@ def test_identity_and_compose():
     g = invert_map(f)
     assert compose_maps(f, g) == identity_map(z6())
     assert compose_maps(g, f) == identity_map(z2xz3())
+    # f ends in Z2xZ3, and f cannot follow it from Z6
+    with pytest.raises(ShapeMismatch, match="composition endpoints do not match"):
+        compose_maps(f, f)
 
 
 def test_invert_requires_bijective():
     zero_map = AdditiveMap(cyclic(2), cyclic(2), [cyclic(2).zero()])
-    with pytest.raises(NotBijective):
+    with pytest.raises(NotBijective, match="not injective"):
         invert_map(zero_map)
+    f4 = fixture("f4")
+    with pytest.raises(NotBijective, match="domain and codomain orders differ"):
+        invert_map(AdditiveMap(f2(), f4, [f4.one_element()]))
 
 
 def test_verify_ring_iso():
@@ -76,6 +82,13 @@ def test_verify_ring_iso():
     bad = AdditiveMap(z6(), z2xz3(), [z2xz3().element((1, 0))])
     assert not verify_ring_iso(bad, z6(), z2xz3())
     assert "unit" in ring_iso_failure(bad, z6(), z2xz3())
+    f4 = fixture("f4")  # generators 1 and x, with x*x = 1 + x
+    kill_x = AdditiveMap(f4, f4, [f4.one_element(), f4.zero()])
+    assert ring_iso_failure(kill_x, f4, f4) == "multiplicativity fails on generator pair (1, 1)"
+    # F2 -> F4 is a unital ring homomorphism into a larger ring
+    inclusion = AdditiveMap(f2(), f4, [f4.one_element()])
+    assert ring_iso_failure(inclusion, f2(), f4) == "ring orders differ"
+    assert not verify_ring_iso(inclusion, f2(), f4)
 
 
 def test_ring_isomorphism_create_and_inverse():
@@ -84,7 +97,7 @@ def test_ring_isomorphism_create_and_inverse():
     inv = phi.inverse()
     assert inv.apply(z2xz3().element((1, 1))).coeffs == (1,)
     both = phi.compose(inv)
-    assert both.map == identity_iso(z6()).map
+    assert both == identity_iso(z6())
 
 
 def test_units_of_z6():

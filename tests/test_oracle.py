@@ -56,7 +56,7 @@ def test_brute_isos_golden():
     isos = brute_isos(z6, z6)
     assert len(isos) == 1
     assert isinstance(isos[0], RingIsomorphism)
-    assert isos[0].map.images == ((1,),)
+    assert isos[0].images == ((1,),)
 
     assert len(brute_isos(t2_f2(), t2_f2())) == 2
     assert brute_isos(cyclic(2), cyclic(3)) == []
@@ -96,23 +96,21 @@ def test_brute_iso_caps():
     assert info.value.size == 16777216
     with pytest.raises(CapExceeded):
         brute_semicentral(cyclic(2048), cyclic(2048).one_element())
-    # caps can be raised explicitly
-    assert brute_semicentral(cyclic(2048), cyclic(2048).one_element(), cap=4096)
 
 
 def test_oracle_agrees_with_enumeration():
     for name in ("z6", "f2", "f4", "z4", "t2_f2", "z2xz3"):
         ring = fixture(name)
-        brute = {iso.map.images for iso in brute_isos(ring, ring)}
-        engine = {iso.map.images for _d, iso in enumerate_isomorphisms(ring, ring)}
+        brute = {iso.images for iso in brute_isos(ring, ring)}
+        engine = {iso.images for _d, iso in enumerate_isomorphisms(ring, ring)}
         assert brute == engine, name
 
 
 def test_oracle_agrees_cross_ring():
     a = fixture("z6")
     b = fixture("z2xz3")
-    brute = {iso.map.images for iso in brute_isos(a, b)}
-    engine = {iso.map.images for _d, iso in enumerate_isomorphisms(a, b)}
+    brute = {iso.images for iso in brute_isos(a, b)}
+    engine = {iso.images for _d, iso in enumerate_isomorphisms(a, b)}
     assert brute == engine == {((1, 1),)}
 
 
@@ -176,10 +174,10 @@ def test_brute_isos_matches_the_element_reference_in_order():
         changed = basis_change(ring, random.Random(seed))[0]
         pairs.append((changed, changed))
     for dom, cod in pairs:
-        expected = [iso.map for iso in _isos_by_elements(dom, cod)]
-        assert [iso.map for iso in brute_isos(dom, cod)] == expected, (dom, cod)
+        expected = [iso for iso in _isos_by_elements(dom, cod)]
+        assert [iso for iso in brute_isos(dom, cod)] == expected, (dom, cod)
     assert len(pairs) == 25
-    assert [iso.map.images for iso in brute_isos(zero, zero)] == [()]
+    assert [iso.images for iso in brute_isos(zero, zero)] == [()]
     assert len(brute_isos(Z4XZ4_SKEW, Z4XZ4_SKEW)) == 2
     assert len(brute_isos(Z8_ON_3, Z8_ON_3)) == 1
 

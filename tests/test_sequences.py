@@ -22,6 +22,7 @@ from finring.fixtures import (
     upper_triangular,
     z6,
 )
+from finring import oracle
 
 
 def test_t2f2_sequence_accepted_and_reverse_rejected():
@@ -155,14 +156,16 @@ def _table_cases():
 
 
 @pytest.mark.parametrize("ring", _table_cases())
-def test_vanishing_table_admits_and_tails_match_the_components(ring):
+def test_vanishing_table_admits_and_tails_match_the_components(ring, monkeypatch):
+    # T3(Z4) has 4096 elements: let the oracle sweep the whole ring
+    monkeypatch.setattr(oracle, "ORACLE_ELEMENT_CAP", ring.order)
     seq = complete_triangulating_set(ring)
     for i, ei in enumerate(seq.idems):
         for j, ej in enumerate(seq.idems):
             assert seq.vanishing[i][j] == peirce_component(ring, ei, ej).is_trivial(), (i, j)
     for sigma in itertools.permutations(range(seq.m)):
         reordered = [seq.idems[j] for j in sigma]
-        assert seq.admits(sigma) == brute_triangular_check(ring, reordered, cap=ring.order)
+        assert seq.admits(sigma) == brute_triangular_check(ring, reordered)
     for i, tail in enumerate(seq.tails):
         t = seq.tail_idempotent(i)
         assert tail == peirce_component(ring, t, t), i
