@@ -19,7 +19,9 @@ codomain.
 
 A RingIsomorphism is an AdditiveMap between two presentations that is a
 unital ring isomorphism.  RingIsomorphism.create checks a map;
-RingIsomorphism(f) adopts a map that its caller has already verified.  Equal
+RingIsomorphism(f) adopts a map that its caller has verified: corner-search
+survivors, oracle-checked maps, and a decomposition's corner restrictions,
+which its resynthesis and comparison with the original map prove.  Equal
 endpoints and images make equal maps, whichever of the two classes they have.
 """
 from __future__ import annotations
@@ -130,12 +132,8 @@ def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
         if y in table:
             raise NotBijective("map is not injective")
         table[y] = x
-    images = []
-    for g in f.codomain.generators:
-        if g not in table:
-            raise NotBijective("map is not surjective onto the codomain generators")
-        images.append(table[g])
-    return AdditiveMap(f.codomain, f.domain, images)
+    # n distinct images in a codomain of n elements: every generator is one
+    return AdditiveMap(f.codomain, f.domain, [table[g] for g in f.codomain.generators])
 
 
 # -- ring isomorphisms ----------------------------------------------------

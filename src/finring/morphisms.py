@@ -189,8 +189,9 @@ def _assemble(phi: AdditiveMap) -> RingIsomorphism:
 
 
 def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRing):
-    """The corner isomorphism x -> f*psi(x)*f from the corner at e to that at f."""
-    return RingIsomorphism.create(
+    """The corner isomorphism x -> f*psi(x)*f from the corner at e to that at f,
+    adopted unchecked: the callers' resynthesis and comparison with phi prove it."""
+    return RingIsomorphism(
         compose_maps(compose_maps(corner_r.embed_map, psi), corner_s.project_map)
     )
 
@@ -468,7 +469,9 @@ def _search(dom, cod, equations, what: str) -> list[AdditiveMap]:
     annihilates, in element order."""
     ring = cod.ring
     elems = list(cod.elements())
-    candidates = [[y.coeffs for y in elems if (o * y).is_zero()] for o in dom.generator_orders]
+    orders = dom.generator_orders
+    by_order = {o: [y.coeffs for y in elems if (o * y).is_zero()] for o in set(orders)}
+    candidates = [by_order[o] for o in orders]
     return [
         AdditiveMap(dom, cod, [Element(ring, y) for y in images])
         for images in _backtrack(ring, candidates, equations, what)

@@ -13,6 +13,11 @@ cyclic of order 4, while its Hermite pivots alone would suggest Z_2 x Z_2.  A
 Smith normal form pass over the quotient lattice supplies honest independent
 cyclic generators, which is what corner presentations and additive map domains
 require.
+
+With W writing diag(orders) in the Hermite rows H and U * W * V = diag(s),
+a member x = c * H has coordinate (U * c)_i mod s_i on the generator at each
+index i with s_i != 1 (it would be 0 mod 1 elsewhere), so a coordinate is one
+dot product with a kept row of U; a non-member has no integer c.
 """
 from __future__ import annotations
 
@@ -31,9 +36,8 @@ def hermite_form(rows, orders) -> tuple[tuple[int, ...], ...]:
     piv = 0
     for col in range(k):
         while True:
+            # never empty: the row orders[col] * e_col is still among them
             nz = [r for r in range(piv, len(mat)) if mat[r][col]]
-            if not nz:
-                raise StructureViolation("lattice lost full rank; invalid input")
             r_best = min(nz, key=lambda r: (abs(mat[r][col]), r))
             if r_best != piv:
                 mat[piv], mat[r_best] = mat[r_best], mat[piv]
@@ -188,41 +192,31 @@ class Subgroup:
             for i in range(k):
                 w[i][j] = col[i]
         s, u, uinv = smith_form_left(w)
-        gens = []
-        gen_orders = []
-        for i in range(k):
-            if s[i] == 1:
-                continue
-            lift = [sum(self.hnf[t][r] * uinv[t][i] for t in range(k)) for r in range(k)]
-            gens.append(self.ring.element(lift))
-            gen_orders.append(s[i])
+        hnf = self.hnf
         idx = [i for i in range(k) if s[i] != 1]
-        self._dec = (u, tuple(s), tuple(gens), tuple(gen_orders), tuple(idx))
+        lifts = [[sum(hnf[t][r] * uinv[t][i] for t in range(k)) for r in range(k)] for i in idx]
+        gens = tuple(map(self.ring.element, lifts))
+        self._dec = (gens, tuple(s[i] for i in idx), tuple(u[i] for i in idx))
         return self._dec
 
     @property
     def generators(self) -> tuple[Element, ...]:
-        return self._decomposition()[2]
+        return self._decomposition()[0]
 
     @property
     def generator_orders(self) -> tuple[int, ...]:
-        return self._decomposition()[3]
+        return self._decomposition()[1]
 
     def coords(self, x: Element) -> tuple[int, ...]:
         """Coordinates of x over the cyclic generators; raises if x is not a
         member.  The coordinate map is additive."""
         if x.ring != self.ring:
             raise AmbientMismatch("element from a different ring")
-        u, s, _gens, _go, idx = self._decomposition()
-        c = _solve_rows(self.hnf, list(x.coeffs), strict=False)
+        _gens, orders, rows = self._decomposition()
+        c = _solve_rows(self.hnf, x.coeffs)
         if c is None:
             raise StructureViolation("element is not in the subgroup")
-        k = len(s)
-        y = [sum(map(operator.mul, row, c)) for row in u]
-        for i in range(k):
-            if i not in idx and y[i] % s[i]:
-                raise StructureViolation("inconsistent coordinates; invalid state")
-        return tuple(y[i] % s[i] for i in idx)
+        return tuple(sum(map(operator.mul, row, c)) % o for row, o in zip(rows, orders))
 
     def element_from_coords(self, coords) -> Element:
         gens = self.generators
@@ -236,7 +230,7 @@ class Subgroup:
     def contains(self, x: Element) -> bool:
         if x.ring != self.ring:
             raise AmbientMismatch("element from a different ring")
-        return _solve_rows(self.hnf, list(x.coeffs), strict=False) is not None
+        return _solve_rows(self.hnf, x.coeffs) is not None
 
     def __contains__(self, x: Element) -> bool:
         return self.contains(x)
@@ -265,26 +259,19 @@ class Subgroup:
         return "Subgroup(order=%d of %r)" % (self.order, self.ring)
 
 
-def _solve_rows(hnf, target, strict: bool = True):
+def _solve_rows(hnf, target):
     """Solve sum_i c[i] * hnf[i] = target exactly in integers, for the
-    upper-triangular rows hnf of a Hermite form.  Returns None (or raises
-    when strict) if no integer solution exists."""
+    upper-triangular rows hnf of a Hermite form.  Returns None if no integer
+    solution exists."""
     k = len(hnf)
     c = [0] * k
     rem = list(target)
     for i in range(k):
-        v = rem[i]
-        q, r = divmod(v, hnf[i][i])
+        q, r = divmod(rem[i], hnf[i][i])
         if r:
-            if strict:
-                raise StructureViolation("no exact solution in triangular solve")
             return None
         c[i] = q
         if q:
             for r2 in range(i, k):
                 rem[r2] -= q * hnf[i][r2]
-    if any(rem):
-        if strict:
-            raise StructureViolation("triangular solve left a nonzero tail")
-        return None
     return c

@@ -28,7 +28,7 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from .corners import _peirce_span, _require_idempotent, _vanishes, corner_ring
+from .corners import _peirce_span, _vanishes, corner_ring
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
 from .idempotents import has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
@@ -114,7 +114,6 @@ def locate_reduced(
     Returns (j, m) with 0-based j such that f = e_j + m, m in the row of e_j,
     and all components above block j vanish.
     """
-    _require_idempotent(f)
     ring = seq.ring
     if not is_semicentral(ring, f):
         raise NotSemicentralReduced("idempotent is not semicentral")
@@ -128,7 +127,6 @@ def extend_semicentral(
 ) -> tuple[TriangularSequence, int]:
     """Complete a semicentral idempotent to a triangulating sequence whose
     first l members sum to e.  Returns (sequence, l)."""
-    _require_idempotent(e)
     if not is_semicentral(ring, e):
         raise NotSemicentral("idempotent is not semicentral")
     head_corner = corner_ring(ring, e)

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from finring import cli, morphisms, triangulate
+from finring import cli, morphisms, oracle, triangulate
 from finring.cli import main
 from finring.errors import CapExceeded
 from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, product
@@ -84,11 +84,21 @@ def test_triangulate_golden(capsys):
     assert payload["oracle"] == "agree"
 
 
-def test_orders_and_split(capsys):
+def test_orders_and_split(capsys, monkeypatch):
+    # the order-free facts are decided once for all 6 orders
+    calls = []
+    brute = cli.brute_triangular_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_triangular_check", counted)
     code, payload, _ = run(capsys, "orders", "--oracle", fx("three_block"))
     assert code == 0
     assert payload["admissible"] == [[1, 2, 3], [1, 3, 2], [3, 1, 2]]
     assert payload["oracle"] == "agree"
+    assert len(calls) == 1
 
     for name in FIXTURE_BUILDERS:
         code, payload, _ = run(capsys, "split", fx(name))
@@ -409,6 +419,25 @@ def test_oracle_disagreement_exits_1_with_nothing_on_stdout(
     assert code == 1
     assert out == ""
     assert err == "error: StructureViolation: oracle disagrees with engine on %s\n" % what
+
+
+def test_orders_oracle_tests_each_lower_component_of_each_order(capsys, monkeypatch):
+    # e_1*A*e_2 (0-based) is a lower component of (0, 2, 1), the first
+    # admissible order in lexicographic order that has it
+    ring = cli._load_ring(fx("three_block"))
+    idems = triangulate.complete_triangulating_set(ring).idems
+    vanishes = oracle.BrutePeirceTable.vanishes
+
+    def planted(table, e, f):
+        return (e, f) != (idems[1], idems[2]) and vanishes(table, e, f)
+
+    monkeypatch.setattr(oracle.BrutePeirceTable, "vanishes", planted)
+    code, out, err = _outcome(capsys, ["orders", "--oracle", fx("three_block")])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: StructureViolation: oracle disagrees with engine on admissibility of (0, 2, 1)\n"
+    )
 
 
 @pytest.mark.parametrize("argv, brute, wrong, what", ORACLE_CASES, ids=ORACLE_IDS)

@@ -6,6 +6,8 @@ import pytest
 import finring.corners
 from finring import (
     InadmissiblePermutation,
+    IsoDecomposition,
+    RingPresentation,
     ShapeMismatch,
     check_ring_ref,
     complete_triangulating_set,
@@ -113,6 +115,12 @@ def test_decomposition_from_obj_rejections():
     obj = decomposition_to_obj(iso_decompose(identity_iso(ring), seq, seq))
     with pytest.raises(ShapeMismatch):
         decomposition_from_obj({**obj, "sigma": [3, 1, 2]}, seq, seq)
+    # the one-element ring has the empty decomposition and nothing else
+    seq = complete_triangulating_set(RingPresentation((), (), ()))
+    empty = {"sigma": [], "layers": [], "last_rho": None}
+    assert decomposition_from_obj(empty, seq, seq) == IsoDecomposition((), (), None)
+    with pytest.raises(ShapeMismatch, match="cannot carry a closing isomorphism"):
+        decomposition_from_obj({**empty, "last_rho": {"images": []}}, seq, seq)
 
 
 def test_sigma_checks_read_the_sequence_table(monkeypatch):

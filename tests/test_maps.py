@@ -98,6 +98,12 @@ def test_ring_isomorphism_create_and_inverse():
     assert inv.apply(z2xz3().element((1, 1))).coeffs == (1,)
     both = phi.compose(inv)
     assert both == identity_iso(z6())
+    # a map on a Peirce row is additive only
+    ring = t2_f2()
+    e = ring.element((1, 0, 0))
+    row = peirce_component(ring, e, ring.one_element() - e)
+    with pytest.raises(ShapeMismatch, match="ring isomorphisms connect full presentations"):
+        RingIsomorphism.create(AdditiveMap(row, row, list(row.generators)))
 
 
 def test_units_of_z6():

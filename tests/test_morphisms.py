@@ -8,6 +8,7 @@ import pytest
 
 from finring import (
     AdditiveMap,
+    AmbientMismatch,
     CapExceeded,
     CornerQuadruple,
     InadmissiblePermutation,
@@ -16,6 +17,7 @@ from finring import (
     LocationMismatch,
     NotSemicentral,
     RingIsomorphism,
+    ShapeMismatch,
     aut_group,
     aut_order,
     check_corner_quadruple,
@@ -122,6 +124,10 @@ def test_corner_decompose_location_mismatch():
     phi = identity_iso(ring)
     with pytest.raises(LocationMismatch):
         corner_decompose(phi, ring.element((3,)), ring.element((4,)))
+    # idempotents of another ring do not locate at all
+    other = fixture("z2xz3")
+    with pytest.raises(AmbientMismatch, match="idempotents do not match"):
+        corner_decompose(phi, other.element((1, 0)), ring.element((3,)))
 
 
 def test_quadruple_validation():
@@ -263,6 +269,16 @@ def test_iso_synthesize_rejects_inadmissible_sigma():
     swapped = IsoDecomposition((1, 0), good.layers, good.last_rho)
     with pytest.raises(InadmissiblePermutation):
         iso_synthesize(seq, seq, swapped)
+    # a sigma that is not a permutation of the blocks
+    repeated = IsoDecomposition((0, 0), good.layers, good.last_rho)
+    with pytest.raises(InadmissiblePermutation):
+        iso_synthesize(seq, seq, repeated)
+    # the shape checks that come before sigma's: F2 has one block, and a
+    # two-block decomposition has one layer
+    with pytest.raises(ShapeMismatch, match="sequences have different lengths"):
+        iso_synthesize(complete_triangulating_set(f2()), seq, good)
+    with pytest.raises(ShapeMismatch, match="expected 1 layers, got 0"):
+        iso_synthesize(seq, seq, IsoDecomposition(good.sigma, (), good.last_rho))
 
 
 def test_iso_synthesize_does_not_relabel_internal_errors(monkeypatch):
@@ -312,6 +328,10 @@ def test_iso_decompose_identity_z6():
     assert len(d.layers) == 1
     assert d.layers[0].m.is_zero()
     assert d.last_rho is not None
+    # phi must run between the sequences' rings
+    seq_t2f2 = complete_triangulating_set(t2_f2())
+    with pytest.raises(ShapeMismatch, match="map endpoints do not match the sequences"):
+        iso_decompose(identity_iso(ring), seq_t2f2, seq_t2f2)
 
 
 def test_iso_decompose_inner_t2f2():
@@ -405,6 +425,11 @@ def test_zero_ring_isomorphism():
     assert iso.images == ()
     assert iso_search(za, zb) == iso
     assert iso_count(za, zb) == 1
+    seq = complete_triangulating_set(za)
+    assert iso_synthesize(seq, seq, d) == iso
+    with_rho = IsoDecomposition((), (), identity_iso(za))
+    with pytest.raises(ShapeMismatch, match="cannot carry a closing isomorphism"):
+        iso_synthesize(seq, seq, with_rho)
 
 
 def test_corner_search_matches_the_oracle_in_order():

@@ -55,6 +55,14 @@ def test_rejects_wrong_shapes():
         RingPresentation((2, 2), (((1, 0), (0, 0)),), (1, 0))
     with pytest.raises(ShapeMismatch):
         RingPresentation((2,), (((1, 0),),), (1,))
+    with pytest.raises(ShapeMismatch, match="orders must be a sequence of integers"):
+        RingPresentation(("two",), (((1,),),), (1,))
+    with pytest.raises(ShapeMismatch, match="mul row 1 must have 2 entries"):
+        RingPresentation((2, 2), (((1, 0), (0, 1)), ((0, 1),)), (1, 0))
+    with pytest.raises(ShapeMismatch, match="unit vector must have 2 coefficients"):
+        RingPresentation((2, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1,))
+    with pytest.raises(ShapeMismatch, match="element needs 1 coefficients"):
+        cyclic(6).element((1, 2))
 
 
 def test_order_compatibility_check():

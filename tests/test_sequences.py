@@ -57,6 +57,9 @@ def test_failure_reasons_in_order():
     assert "orthogonal" in triangularity_failure(ring, [e11, ring.one_element()])
     assert "sum" in triangularity_failure(ring, [e11])
     assert "component" in triangularity_failure(ring, [e22, e11])
+    assert triangularity_failure(ring, [e11, z6().one_element()]) == (
+        "element 1 lives in a different ring"
+    )
     assert triangularity_failure(ring, [e11, e22]) is None
 
 

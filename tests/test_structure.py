@@ -9,6 +9,7 @@ from finring import (
     InadmissiblePermutation,
     IsoDecomposition,
     PreconditionViolated,
+    StructureViolation,
     ToolkitError,
     admissible_orders,
     complete_triangulating_set,
@@ -156,6 +157,9 @@ def test_reorder_front_blocked_by_nonzero_component():
     with pytest.raises(PreconditionViolated) as exc:
         reorder_front(seq, 1)
     assert exc.value.index == 0
+    for j in (-1, 2):
+        with pytest.raises(StructureViolation, match="block index out of range"):
+            reorder_front(seq, j)
 
 
 def test_permutation_guard():

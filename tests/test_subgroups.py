@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finring.errors import AmbientMismatch
 from finring.fixtures import cyclic, product
 from finring.subgroups import Subgroup
 
@@ -61,6 +63,14 @@ def test_membership():
     assert ring.element((0, 2)) in sub
     assert ring.element((0, 1)) not in sub
     assert ring.element((1, 2)) not in sub
+    # elements of another ring are refused, not tested
+    stranger = product(cyclic(4), cyclic(2)).element((2, 0))
+    with pytest.raises(AmbientMismatch):
+        Subgroup.span(ring, [stranger])
+    with pytest.raises(AmbientMismatch):
+        sub.coords(stranger)
+    with pytest.raises(AmbientMismatch):
+        sub.contains(stranger)
 
 
 def test_elements_sorted_and_complete():

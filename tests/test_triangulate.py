@@ -74,7 +74,7 @@ def test_locate_on_t2f2():
 def test_locate_preconditions():
     ring = fixture("t2_f2")
     seq = complete_triangulating_set(ring)
-    with pytest.raises(NotIdempotent):
+    with pytest.raises(NotIdempotent, match="not idempotent"):
         locate_reduced(seq, ring.element((0, 1, 0)))
     with pytest.raises(NotSemicentralReduced):
         locate_reduced(seq, ring.one_element())
@@ -132,6 +132,8 @@ def test_extend_semicentral_rejects_non_semicentral():
     ring = fixture("t2_f2")
     with pytest.raises(NotSemicentral):
         extend_semicentral(ring, ring.element((0, 0, 1)))
+    with pytest.raises(NotIdempotent, match="not idempotent"):
+        extend_semicentral(ring, ring.element((0, 1, 0)))
 
 
 def test_extend_semicentral_sweep():
