@@ -26,7 +26,9 @@ def peirce_component(ring: RingPresentation, e: Element, f: Element) -> Subgroup
     """The additive subgroup e*A*f, spanned by e*g*f over the generators."""
     _require_idempotent(e)
     _require_idempotent(f)
-    return Subgroup.span(ring, [e * g * f for g in ring.gens()])
+    one = ring.one_element()
+    left = ring.gens() if e == one else [e * g for g in ring.gens()]
+    return Subgroup.span(ring, left if f == one else [x * f for x in left])
 
 
 def _peirce_span(ring: RingPresentation, e: Element, f: Element, spans) -> Subgroup:
@@ -34,8 +36,11 @@ def _peirce_span(ring: RingPresentation, e: Element, f: Element, spans) -> Subgr
 
     spans maps idempotent pairs (e, f) to their components.  A sequence
     construction creates one for a single call and hands it down, so the
-    sweep, the reducedness checks and the kept corners share their spans;
-    nothing is cached on the ring.  spans=None spans afresh."""
+    construction, the reducedness checks and the kept corners share their
+    spans; nothing is cached on the ring.  spans=None spans afresh.  Every
+    corner entry (e, e) is spanned here, from e*g*e over the generators,
+    which corner_ring reads back; the triangulation files each head's row
+    under (f, 1 - f) itself (see triangulate.py)."""
     if spans is None:
         return peirce_component(ring, e, f)
     sub = spans.get((e, f))
@@ -59,7 +64,7 @@ def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
 def _vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
     """vanishes for idempotents the caller has already checked or built as
     such (t - e for e idempotent in the corner of t), without checking again."""
-    return all((e * g * f).is_zero() for g in ring.gens())
+    return all((x * f).is_zero() for x in (e * g for g in ring.gens()) if not x.is_zero())
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,5 +114,6 @@ def corner_ring(ring: RingPresentation, e: Element, *, _spans=None) -> CornerRin
     )
     pres = RingPresentation(orders, mul, sub.coords(e))
     embed = AdditiveMap(pres, sub, gens)
-    project = AdditiveMap(ring, pres, [pres.element(sub.coords(e * g * e)) for g in ring.gens()])
+    # sub was spanned from e*g*e over the generators: their images
+    project = AdditiveMap(ring, pres, [pres.element(sub.coords(x)) for x in sub.spanning])
     return CornerRing(ring, e, pres, sub, embed, project)

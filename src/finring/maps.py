@@ -42,7 +42,7 @@ from .subgroups import Subgroup
 class AdditiveMap:
     """A homomorphism of additive groups given by generator images."""
 
-    __slots__ = ("domain", "codomain", "images", "_image_elems")
+    __slots__ = ("domain", "codomain", "images", "_image_elems", "_span")
 
     def __init__(self, domain, codomain, images):
         amb = codomain.ring
@@ -67,6 +67,7 @@ class AdditiveMap:
         self.codomain = codomain
         self.images = tuple(e.coeffs for e in elems)
         self._image_elems = elems
+        self._span = None
 
     # -- evaluation ------------------------------------------------------
 
@@ -84,7 +85,11 @@ class AdditiveMap:
     # -- exact rank bookkeeping ------------------------------------------
 
     def image_span(self) -> Subgroup:
-        return Subgroup.span(self.codomain.ring, self._image_elems)
+        """The span of the images, made once per map: verify_ring_iso's rank
+        test and ring_iso_failure's read the same one."""
+        if self._span is None:
+            self._span = Subgroup.span(self.codomain.ring, self._image_elems)
+        return self._span
 
     def is_bijective(self) -> bool:
         n = self.domain.order
@@ -158,7 +163,11 @@ def ring_iso_failure(f: AdditiveMap, a: RingPresentation, b: RingPresentation) -
 
 
 def verify_ring_iso(f: AdditiveMap, a: RingPresentation, b: RingPresentation) -> bool:
-    """Exact check that f is a bijective unital ring homomorphism a -> b."""
+    """Exact check that f is a bijective unital ring homomorphism a -> b.
+    Only the verdict is needed, so the rank test, one span, runs before
+    ring_iso_failure's k^2 generator products."""
+    if f.domain == a and f.codomain == b and not f.is_bijective():
+        return False
     return ring_iso_failure(f, a, b) is None
 
 
@@ -173,6 +182,7 @@ class RingIsomorphism(AdditiveMap):
         self.codomain = f.codomain
         self.images = f.images
         self._image_elems = f._image_elems
+        self._span = None  # kept isomorphisms, e.g. of a group, hold no span
 
     @classmethod
     def create(cls, f: AdditiveMap) -> "RingIsomorphism":

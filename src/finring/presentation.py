@@ -17,8 +17,9 @@ nonzero coefficients of both factors and the terms of their generator
 products, accumulates in plain integers and reduces once.  Matrix-unit rings
 such as T_n and M_n have at most one term per generator product.  The unit
 law runs through that product kernel; associativity is checked on _terms
-directly, expanding both bracketings of each generator triple and comparing
-them mod the orders, with no product call.
+directly, with no product call: both bracketings of the triples (i, j, l)
+for one pair (i, j) and every l are packed into one integer each and
+compared.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
 elements of different presentations raises AmbientMismatch.  gens() returns
@@ -127,22 +128,57 @@ class RingPresentation:
     def _check_associativity(self):
         # (g_i g_j) g_l = sum over (m, c) in terms[i][j] of c * (g_m g_l), and
         # g_i (g_j g_l) = sum over (m, c) in terms[j][l] of c * (g_i g_m).
+        # Both are packed, for all l at once, into one integer per (i, j):
+        # slot (l, n) holds the unreduced coefficient of g_n, at most k * top^2,
+        # and is wide enough for that plus an offset `half` that keeps the
+        # slot of left - right + offset nonnegative.  Equal integers are equal
+        # bracketings; otherwise the difference is read mod the orders, with
+        # one mask when every order is a power of two.
         terms = self._terms
         orders = self.orders
         k = len(orders)
-        for i, j, l in itertools.product(range(k), repeat=3):
-            left = [0] * k
-            for m, c in terms[i][j]:
-                for n, d in terms[m][l]:
-                    left[n] += c * d
-            right = [0] * k
-            for m, c in terms[j][l]:
-                for n, d in terms[i][m]:
-                    right[n] += c * d
-            if left != right and (
-                list(map(operator.mod, left, orders)) != list(map(operator.mod, right, orders))
-            ):
-                raise NonAssociative(i, j, l)
+        top = max(orders, default=1)
+        width = (k * top * top).bit_length() + 1
+        half = 1 << (width - 1)
+        slot = (1 << width) - 1
+        group = k * width
+        # products[m][l] = g_m g_l with slot n at n * width
+        products = [[sum(c << (n * width) for n, c in vec) for vec in row] for row in terms]
+        # rows[m]: g_m g_l in group l; cols[j][m]: the coefficient of g_m in
+        # g_j g_l, in group l, so products[i][m] * cols[j][m] adds
+        # c * (g_i g_m) to every group l
+        rows = [sum(p << (l * group) for l, p in enumerate(row)) for row in products]
+        cols = [[0] * k for _ in range(k)]
+        for j in range(k):
+            for l in range(k):
+                for m, c in terms[j][l]:
+                    cols[j][m] += c << (l * group)
+        spread = sum(1 << l * group for l in range(k))  # a 1 in each group
+        offset = half * sum(1 << n * width for n in range(k)) * spread
+        low = None
+        if all(d & (d - 1) == 0 for d in orders):
+            # half is a multiple of each order: a slot is 0 mod d when its
+            # low bits are
+            low = sum((d - 1) << n * width for n, d in enumerate(orders)) * spread
+        for i in range(k):
+            row_i = [(p, m) for m, p in enumerate(products[i]) if p]
+            for j in range(k):
+                left = 0
+                for m, c in terms[i][j]:
+                    left += c * rows[m]
+                cols_j = cols[j]
+                right = 0
+                for p, m in row_i:
+                    right += p * cols_j[m]
+                if left == right:
+                    continue
+                diff = left - right + offset
+                if low is not None and not diff & low:
+                    continue
+                for l in range(k):
+                    for n, d in enumerate(orders):
+                        if ((diff >> (l * k + n) * width & slot) - half) % d:
+                            raise NonAssociative(i, j, l)
 
     # -- coefficient arithmetic ------------------------------------------
 

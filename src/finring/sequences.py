@@ -7,22 +7,25 @@ empty sequence is valid exactly for the one-element ring.
 
 TriangularSequence.build revalidates through triangularity_failure, so
 sequences constructed anywhere in the package carry their invariants.  That
-check decides corner reducedness in A (has_reduced_corner); build then makes
-each corner ring once.  It also records which components e_i*A*e_j vanish,
-the one table every block-order question reads, and keeps each tail
-t_i*A*t_i only as a subgroup of A, which is all the engine reads of it.
+check tests the lower components once per prefix sum s = e_1 + ... + e_i,
+since (1 - s)*A*s is their direct sum, and decides corner reducedness in A
+(has_reduced_corner); build then makes each corner ring once.  It also
+records which components e_i*A*e_j vanish, the one table every block-order
+question reads, and keeps each tail t_i*A*t_i only as a subgroup of A, which
+is all the engine reads of it.
 
-build spans each corner e_i*A*e_i and each tail once: the reducedness check,
-the corner ring and the tails read one dict of spans that lives for the one
-call.  complete_triangulating_set passes in its own dict, so the tails it
-listed and the head corners it checked are not spanned again; the dict is
-dropped when build returns, and only the subgroups the sequence keeps live on.
+build spans each corner, tail and row once: the reducedness check, the
+corner rings, the tails and the rows read one dict of spans that lives for
+the one call.  complete_triangulating_set passes in its own dict, which
+already holds the corners of its primitive idempotents and the row of each
+head, so those are not spanned again; the dict is dropped when build
+returns, and only the subgroups the sequence keeps live on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corners import CornerRing, _peirce_span, _vanishes, corner_ring, peirce_component
+from .corners import CornerRing, _peirce_span, _vanishes, corner_ring
 from .errors import InvalidSequence
 from .idempotents import has_reduced_corner
 from .presentation import Element, RingPresentation
@@ -48,10 +51,18 @@ def triangularity_failure(
                 return "elements %d and %d are not orthogonal" % (i, j)
     if ring.sum(idems) != ring.one_element():
         return "sequence does not sum to the unit"
-    for j in range(len(idems)):
-        for i in range(j):
-            if not _vanishes(ring, idems[j], idems[i]):
-                return "lower component (%d, %d) is nonzero" % (j, i)
+    # (1 - s)*A*s at the prefix sum s = e_0 + ... + e_i is the direct sum of
+    # the lower components (j, l) with l <= i < j, so one test per prefix
+    # decides them all; a failure is then named pair by pair.
+    one = ring.one_element()
+    s = ring.zero()
+    for e in idems[:-1]:
+        s = s + e
+        if not _vanishes(ring, one - s, s):
+            for j in range(len(idems)):
+                for i in range(j):
+                    if not _vanishes(ring, idems[j], idems[i]):
+                        return "lower component (%d, %d) is nonzero" % (j, i)
     for i, e in enumerate(idems):
         if not has_reduced_corner(ring, e, cap, _spans=_spans):
             return "corner %d is not semicentral reduced" % i
@@ -99,10 +110,11 @@ class TriangularSequence:
             for t in (ring.sum(idems[i:]) for i in range(len(idems)))
         )
         one = ring.one_element()
-        rows = tuple(peirce_component(ring, e, one - e) for e in idems)
-        # the lower triangle was just checked to vanish
+        rows = tuple(_peirce_span(ring, e, one - e, spans) for e in idems)
+        # the lower triangle was just checked to vanish, and e_i*A*e_i holds
+        # the nonzero e_i
         vanishing = tuple(
-            tuple(i > j or _vanishes(ring, ei, ej) for j, ej in enumerate(idems))
+            tuple(i > j or (i < j and _vanishes(ring, ei, ej)) for j, ej in enumerate(idems))
             for i, ei in enumerate(idems)
         )
         return cls(ring, idems, corners, tails, rows, vanishing)

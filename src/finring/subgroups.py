@@ -143,22 +143,23 @@ def smith_form_left(w):
 
 
 class Subgroup:
-    """An additive subgroup in canonical form, with decomposition on demand."""
+    """An additive subgroup in canonical form, with decomposition on demand.
+    spanning holds the elements a span was made from, in their given order."""
 
-    def __init__(self, ring: RingPresentation, hnf: tuple[tuple[int, ...], ...]):
+    def __init__(self, ring: RingPresentation, hnf: tuple[tuple[int, ...], ...], spanning=()):
         self.ring = ring
         self.hnf = hnf
+        self.spanning = spanning
         self._dec = None
         self._elements = None
 
     @classmethod
     def span(cls, ring: RingPresentation, elements) -> "Subgroup":
-        rows = []
+        elements = tuple(elements)
         for e in elements:
             if e.ring != ring:
                 raise AmbientMismatch("span of elements from a different ring")
-            rows.append(e.coeffs)
-        return cls(ring, hermite_form(rows, ring.orders))
+        return cls(ring, hermite_form([e.coeffs for e in elements], ring.orders), elements)
 
     @classmethod
     def zero(cls, ring: RingPresentation) -> "Subgroup":
@@ -234,6 +235,20 @@ class Subgroup:
 
     def __contains__(self, x: Element) -> bool:
         return self.contains(x)
+
+    def least_in_coset(self, x: Element) -> Element:
+        """The lexicographically least element of x + self.  Hermite row i
+        is zero before column i, so subtracting multiples of the rows in turn
+        leaves each coordinate at its least residue mod the row's pivot
+        without moving the coordinates already cleared."""
+        if x.ring != self.ring:
+            raise AmbientMismatch("element from a different ring")
+        v = list(x.coeffs)
+        for i, row in enumerate(self.hnf):
+            q = v[i] // row[i]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return self.ring.element(v)
 
     def elements(self) -> list[Element]:
         """All members, sorted lexicographically by coefficients."""

@@ -91,6 +91,23 @@ def test_verify_ring_iso():
     assert not verify_ring_iso(inclusion, f2(), f4)
 
 
+def test_verify_ring_iso_tests_the_rank_first_with_the_same_verdict():
+    # on (E11, E12, E22), dropping the radical E12 is a unital ring
+    # endomorphism of T2(F2) that is not bijective
+    ring = t2_f2()
+    e11, _e12, e22 = ring.gens()
+    diagonal = AdditiveMap(ring, ring, [e11, ring.zero(), e22])
+    assert ring_iso_failure(diagonal, ring, ring) == "map is not bijective"
+    assert not verify_ring_iso(diagonal, ring, ring)
+    swap = AdditiveMap(ring, ring, [e22, _e12, e11])  # bijective, not multiplicative
+    assert ring_iso_failure(swap, ring, ring).startswith("multiplicativity fails")
+    assert not verify_ring_iso(swap, ring, ring)
+    assert verify_ring_iso(identity_map(ring), ring, ring)
+    # endpoints are checked before the rank, as ring_iso_failure checks them
+    with pytest.raises(ShapeMismatch, match="endpoints"):
+        verify_ring_iso(diagonal, ring, t2_z4())
+
+
 def test_ring_isomorphism_create_and_inverse():
     phi = RingIsomorphism.create(_crt())
     assert phi.domain == z6()

@@ -1,4 +1,5 @@
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from finring import (
 )
 from finring.fixtures import FIXTURE_BUILDERS, cyclic, fixture, matrix_ring, t2_f2, upper_triangular
 from finring.presentation import require_cap
+from test_kernels import basis_change
 
 
 def test_cyclic_basics():
@@ -163,6 +165,33 @@ def test_sparse_associativity_check_reports_the_first_triple():
     with pytest.raises(NonAssociative) as exc:
         RingPresentation(ring.orders, mul, ring.one)
     assert exc.value.triple == (1, 0, 1)
+
+
+DENSE_BASES = {
+    "T3(F2)": upper_triangular(3, 2),
+    "T3(Z4)": upper_triangular(3, 4),
+    "T2(Z9)": upper_triangular(2, 9),
+    "M2(F3)": matrix_ring(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_BASES))
+def test_packed_associativity_check_matches_the_triple_loop_on_dense_tensors(name):
+    # after a basis change most bracketings differ before reduction, so the
+    # packed comparison reads residues on almost every pair (i, j)
+    ring = basis_change(DENSE_BASES[name], random.Random(0))[0]
+    k, n = ring.rank, ring.orders[0]
+    assert _associativity_verdicts(ring.orders, ring.mul, ring.one) == [None, None]
+    rng = random.Random(1)
+    failing = 0
+    for _ in range(90):
+        i, j, l = (rng.randrange(k) for _ in range(3))
+        mul = [[list(vec) for vec in row] for row in ring.mul]
+        mul[i][j][l] = (mul[i][j][l] + rng.randrange(1, n)) % n
+        packed, reference = _associativity_verdicts(ring.orders, mul, ring.one)
+        assert packed == reference, (i, j, l)
+        failing += reference is not None
+    assert failing > 45
 
 
 def test_element_arithmetic():

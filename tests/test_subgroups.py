@@ -122,3 +122,18 @@ def test_sum_of_components_tile():
         for x, y in itertools.product(a.elements(), b.elements())
     }
     assert len(combos) == ring.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 7)), max_size=3),
+    x=st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 7)),
+)
+def test_least_in_coset_is_the_minimum_of_the_coset(rows, x):
+    # Z6 x Z4 x Z8: pivots need not divide each other across columns
+    ring = product(product(cyclic(6), cyclic(4)), cyclic(8), name="Z6xZ4xZ8")
+    sub = Subgroup.span(ring, [ring.element(r) for r in rows])
+    x = ring.element(x)
+    assert sub.least_in_coset(x) == min(x + s for s in sub.elements())
+    with pytest.raises(AmbientMismatch):
+        sub.least_in_coset(cyclic(2).one_element())

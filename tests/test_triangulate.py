@@ -239,9 +239,11 @@ def test_sweep_lists_no_full_ring_and_spans_little(monkeypatch):
     monkeypatch.setattr(Subgroup, "span", classmethod(counted_span))
     monkeypatch.setattr(Subgroup, "elements", counted_elements)
     complete_triangulating_set(upper_triangular(4, 2))
-    # The sweep spans 3 head corners e*A*e and 3 later tails t*A*t (the last
-    # tail is the last head's corner); build reuses them and adds the first
-    # tail A and 4 rows.  Spanning each corner again for the reducedness check
+    # Splitting 1 into E11, ..., E44 spans the corner of each idempotent it
+    # meets: A, the tails E22 + E33 + E44 and E33 + E44, and the four E_ii,
+    # which are the head corners and the last tail.  The four stages span
+    # the rows E_ii*A*(t - E_ii), which are the rows build keeps, so build
+    # spans nothing.  Spanning each corner again for the reducedness check
     # and for the corner presentation, and each tail again, made 22; a span
     # per semicentral test and a sorted listing of A would make 139 spans and
     # 1 full-ring list.
@@ -288,3 +290,89 @@ def test_one_triangulation_spans_each_peirce_component_once(monkeypatch, ring):
     assert [c.subgroup for c in seq.corners] == [original(ring, e, e) for e in seq.idems]
     tails = [seq.tail_idempotent(i) for i in range(seq.m)]
     assert list(seq.tails) == [original(ring, t, t) for t in tails]
+
+
+def _lexicographic_sweep(ring, cap=None):
+    """The construction this package used before primitive idempotents: walk
+    A (later tails: t*A*t, listed sorted) in lexicographic order and take the
+    first admissible head of each tail."""
+    from finring.corners import _peirce_span, _vanishes
+    from finring.idempotents import has_reduced_corner
+
+    tail = ring.one_element()
+    idems = []
+    spans = {}
+    while not tail.is_zero():
+        sweep = _peirce_span(ring, tail, tail, spans).elements() if idems else ring.elements()
+        for e in sweep:
+            if e.is_zero() or not e.is_idempotent():
+                continue
+            if not _vanishes(ring, tail - e, e):
+                continue
+            if has_reduced_corner(ring, e, cap, _spans=spans):
+                break
+        else:
+            raise AssertionError("no admissible head")
+        idems.append(e)
+        tail = tail - e
+    return tuple(idems)
+
+
+def _corpus():
+    from test_morphisms import dual_square, poly_quotient
+    from finring.fixtures import product
+
+    t2_f2, m2_f2 = upper_triangular(2, 2), matrix_ring(2, 2)
+    rings = {
+        **{"T%d(Z%d)" % nm: upper_triangular(*nm) for nm in
+           [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 8), (2, 9)]},
+        **{"M%d(Z%d)" % nm: matrix_ring(*nm) for nm in [(2, 2), (2, 3), (2, 4), (3, 2)]},
+        "T2(F2)xM2(F2)": product(t2_f2, m2_f2),
+        "M2(F2)xM2(F2)": product(m2_f2, m2_f2),
+        "F4xT2(F2)": product(fixture("f4"), t2_f2),
+        "F2[x,y]/(x^2,y^2)": dual_square(),
+        "F16": poly_quotient([1, 1, 0, 0]),
+        "F2[x]/(x^4)": poly_quotient([0, 0, 0, 0]),
+    }
+    cases = [pytest.param(fixture(name), id=name) for name in FIXTURE_BUILDERS]
+    for name, ring in rings.items():
+        cases.append(pytest.param(ring, id=name))
+        cases += [
+            pytest.param(basis_change(ring, random.Random(seed))[0], id="%s-basis%d" % (name, seed))
+            for seed in range(4)
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("ring", _corpus())
+def test_construction_matches_the_lexicographic_sweep(ring):
+    assert complete_triangulating_set(ring).idems == _lexicographic_sweep(ring)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [pytest.param(upper_triangular(5, 2), id="T5(F2)"), pytest.param(upper_triangular(4, 3), id="T4(Z3)")],
+)
+def test_construction_matches_the_sweep_above_the_default_cap(ring):
+    cap = ring.order
+    assert complete_triangulating_set(ring, cap).idems == _lexicographic_sweep(ring, cap)
+
+
+def test_construction_never_lists_the_ring(monkeypatch):
+    from test_morphisms import dual_square, poly_quotient
+
+    def refuse(self):
+        raise AssertionError("RingPresentation.elements called")
+
+    monkeypatch.setattr(RingPresentation, "elements", refuse)
+    rings = [fixture(name) for name in FIXTURE_BUILDERS] + [
+        upper_triangular(4, 2),
+        matrix_ring(3, 2),
+        dual_square(),
+        poly_quotient([1, 1, 0, 0]),
+        basis_change(matrix_ring(2, 3), random.Random(0))[0],
+    ]
+    for ring in rings:
+        assert is_strongly_triangular(ring, complete_triangulating_set(ring).idems)
+    # above the default cap, where the sweep was refused
+    assert complete_triangulating_set(upper_triangular(5, 2), 1 << 15).m == 5
