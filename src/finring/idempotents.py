@@ -5,14 +5,21 @@ component vanishes.  A ring is semicentral reduced when 0 and 1 are its only
 semicentral idempotents; the one-element ring is not considered semicentral
 reduced, which keeps triangulating idempotents nonzero.
 
-Reducedness of a corner e*A*e is decided in A, with no corner presentation:
-for f idempotent in the corner, (e-f)*x*f = (e-f)*(e*x*e)*f for every x in
-A, so f is semicentral in the corner exactly when vanishes(A, e-f, f).
-Spanning e*A*e checked e, and e-f is then idempotent too, so that test does
-not re-prove idempotence.  0 and e are semicentral in every corner, so the
-test stops at the first other semicentral idempotent it meets.
+A corner e*A*e is semicentral reduced exactly when the orthogonal primitive
+idempotents p_i that split e form one block: one strongly connected
+component of the Peirce graph, with an edge i -> j when p_i*A*p_j != 0
+(e = 0 gives none).  A component that no outside edge enters gives the
+semicentral idempotent e_S, the sum of its p_i (Birkenmeier, Heatherly, Kim
+and Park, J. Algebra 230 (2000)).  A semicentral f other than 0 and e splits,
+with e - f, into primitives with no edge from e - f's side into f's; complete
+sets of primitive idempotents of a finite ring are conjugate up to order
+(Krull-Schmidt; Lam, A First Course in Noncommutative Rings, ch. 8), and
+conjugation keeps p_i*A*p_j != 0, so the p_i do not form one block either.
+complete_triangulating_set takes its blocks from the same graph.
 """
 from __future__ import annotations
+
+from math import gcd, isqrt, lcm
 
 from .corners import _peirce_span, _require_idempotent, _vanishes
 from .presentation import Element, RingPresentation, require_cap
@@ -35,18 +42,104 @@ def has_reduced_corner(
     """True when the corner e*A*e is semicentral reduced: its semicentral
     idempotents are exactly 0 and e, two of them (the zero corner has one).
     _spans is the caller's dict of Peirce spans (see corners._peirce_span)."""
-    corner = _peirce_span(ring, e, e, _spans)
+    spans = {} if _spans is None else _spans
+    corner = _peirce_span(ring, e, e, spans)
     require_cap(corner.order, cap, "idempotent sweep")
-    if e.is_zero():
-        return False
-    for f in corner.elements():
-        if f.is_zero() or f == e:
-            continue
-        if f.is_idempotent() and _vanishes(ring, e - f, f):
-            return False
-    return True
+    return len(_blocks(ring, _primitive_idempotents(ring, e, spans))[0]) == 1
 
 
 def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bool:
     """True when the only semicentral idempotents are 0 and 1 (and 0 != 1)."""
     return has_reduced_corner(ring, ring.one_element(), cap)
+
+
+def _primitive_idempotents(ring: RingPresentation, e: Element, spans) -> list[Element]:
+    """Orthogonal primitive idempotents summing to e; none when e = 0."""
+    todo = [] if e.is_zero() else [e]
+    prims = []
+    while todo:
+        p = todo.pop()
+        q = _splitting_idempotent(ring, p, spans)
+        if q is None:
+            prims.append(p)
+        else:
+            todo += [q, p - q]
+    return prims
+
+
+def _splitting_idempotent(ring: RingPresentation, p: Element, spans):
+    """An idempotent of p*A*p other than 0 and p, or None when p is
+    primitive.  A corner that p generates additively is Z_n, whose only
+    idempotents are 0 and p when n is a prime power.  Otherwise the
+    idempotent powers of the p*g*p that span the corner are tried, then its
+    elements."""
+    corner = _peirce_span(ring, p, p, spans)
+    n = corner.order
+    if _additive_order(p) == n and _is_prime_power(n):
+        return None
+    for x in corner.spanning:
+        q = _idempotent_power(x)
+        if not q.is_zero() and q != p:
+            return q
+    for q in corner.elements():
+        if not q.is_zero() and q != p and q.is_idempotent():
+            return q
+    return None
+
+
+def _additive_order(x: Element) -> int:
+    return lcm(*(d // gcd(c, d) for c, d in zip(x.coeffs, x.ring.orders)))
+
+
+def _is_prime_power(n: int) -> bool:
+    q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    while n % q == 0:
+        n //= q
+    return n == 1
+
+
+def _idempotent_power(x: Element) -> Element:
+    """The idempotent among the powers of x: x^n for the multiple n of their
+    period that is at least their preperiod."""
+    seen: dict = {}
+    powers = []  # powers[i] = x^(i + 1)
+    y = x
+    while y.coeffs not in seen:
+        seen[y.coeffs] = len(powers)
+        powers.append(y)
+        y = y * x
+    start = seen[y.coeffs] + 1  # x^start is the first power that recurs
+    period = len(powers) + 1 - start
+    return powers[-(-start // period) * period - 1]
+
+
+def _blocks(ring: RingPresentation, prims: list[Element]):
+    """The blocks of prims (the strongly connected components of their Peirce
+    graph) in a topological order, with into[j], the other blocks i whose
+    component e_i*A*e_j is nonzero."""
+    n = len(prims)
+    if n == 1:  # one primitive is one block, with no edges to find
+        return prims, [set()]
+    left = [[x for x in (p * g for g in ring.gens()) if not x.is_zero()] for p in prims]
+    edge = [
+        [i != j and any(not (x * q).is_zero() for x in left[i]) for j, q in enumerate(prims)]
+        for i in range(n)
+    ]
+    reach = [[i == j or edge[i][j] for j in range(n)] for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            if reach[i][m]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[m])]
+    comps = []
+    for i in range(n):
+        comp = tuple(j for j in range(n) if reach[i][j] and reach[j][i])
+        if comp[0] == i:
+            comps.append(comp)
+    # a block reached from another is reached from strictly more blocks
+    comps.sort(key=lambda c: sum(reach[i][c[0]] for i in range(n)))
+    blocks = [ring.sum(prims[i] for i in c) for c in comps]
+    into = [
+        {a for a, src in enumerate(comps) if a != b and any(edge[i][j] for i in src for j in dst)}
+        for b, dst in enumerate(comps)
+    ]
+    return blocks, into

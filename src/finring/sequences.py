@@ -9,10 +9,10 @@ TriangularSequence.build revalidates through triangularity_failure, so
 sequences constructed anywhere in the package carry their invariants.  That
 check tests the lower components once per prefix sum s = e_1 + ... + e_i,
 since (1 - s)*A*s is their direct sum, and decides corner reducedness in A
-(has_reduced_corner); build then makes each corner ring once.  It also
-records which components e_i*A*e_j vanish, the one table every block-order
-question reads, and keeps each tail t_i*A*t_i only as a subgroup of A, which
-is all the engine reads of it.
+by the Peirce-graph block test (has_reduced_corner); build then makes each
+corner ring once.  It also records which components e_i*A*e_j vanish, the
+one table every block-order question reads, and keeps each tail t_i*A*t_i
+only as a subgroup of A, which is all the engine reads of it.
 
 build spans each corner, tail and row once: the reducedness check, the
 corner rings, the tails and the rows read one dict of spans that lives for

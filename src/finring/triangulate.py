@@ -14,14 +14,12 @@ tail, the admissible heads are exactly the cosets e_j + e_j*A*(t - e_j) of
 its source blocks, those e_j with e_i*A*e_j = 0 for every other block e_i.
 It works in three steps.
 
-1. Split 1 into orthogonal primitive idempotents.  An idempotent p whose
-   corner p*A*p is Z_n on p, for n a prime power, is primitive.  Otherwise
-   p is split by the idempotent power of p*g*p for a generator g when that
-   power is neither 0 nor p, and a p that no generator splits is certified
-   primitive by the idempotents of p*A*p.
-2. The blocks are the strongly connected components of the graph with an
-   edge i -> j when p_i*A*p_j != 0, in a topological order; each block's
-   corner is semicentral reduced, so they triangulate A.
+1. Split 1 into orthogonal primitive idempotents p_i
+   (idempotents._primitive_idempotents).
+2. Take the blocks: the strongly connected components of the Peirce graph
+   of the p_i, in a topological order (idempotents._blocks).  Each block's
+   corner is semicentral reduced by the test has_reduced_corner makes, so
+   the blocks triangulate A.
 3. Each stage reduces every source e_j by the Hermite rows of its row
    e_j*A*(t - e_j), which gives the least element of its coset, and takes
    the smallest of these, f = e_j + r.  Conjugating by the unit 1 + r
@@ -32,7 +30,8 @@ Each Peirce component is spanned once per call: the primitive corners and
 the stage rows sit in one dict, keyed by idempotent pair, that goes to
 TriangularSequence.build.  The chosen head's row f*A*(1 - f) is the row it
 was reduced against, conjugated by 1 + r, which fixes that row; build reads
-it, and the head corners and tails, from the dict.  The dict lives for that
+it, and the head corners and tails, from the dict, and its reducedness
+check splits each head again through the same dict.  The dict lives for that
 one call; the ring keeps no cache.
 
 locate_reduced realizes the structure theorem for a semicentral reduced
@@ -42,11 +41,9 @@ above f_j vanishes.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
-
 from .corners import _peirce_span, corner_ring
 from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
-from .idempotents import has_reduced_corner, is_semicentral
+from .idempotents import _blocks, _primitive_idempotents, has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
 from .sequences import TriangularSequence
 
@@ -58,8 +55,8 @@ def complete_triangulating_set(
     docstring), validated by TriangularSequence.build."""
     require_cap(ring.order, cap, "triangulating sweep")
     spans: dict = {}
-    blocks, into = _blocks(ring, _primitive_idempotents(ring, spans))
     one = ring.one_element()
+    blocks, into = _blocks(ring, _primitive_idempotents(ring, one, spans))
     tail = one
     active = list(range(len(blocks)))
     idems: list[Element] = []
@@ -81,97 +78,6 @@ def complete_triangulating_set(
         idems.append(f)
         tail = tail - f
     return TriangularSequence.build(ring, tuple(idems), cap, _spans=spans)
-
-
-def _primitive_idempotents(ring: RingPresentation, spans) -> list[Element]:
-    """Orthogonal primitive idempotents summing to 1; none in the one-element
-    ring, where 1 = 0."""
-    one = ring.one_element()
-    todo = [] if one.is_zero() else [one]
-    prims = []
-    while todo:
-        p = todo.pop()
-        q = _splitting_idempotent(ring, p, spans)
-        if q is None:
-            prims.append(p)
-        else:
-            todo += [q, p - q]
-    return prims
-
-
-def _splitting_idempotent(ring: RingPresentation, p: Element, spans):
-    """An idempotent of p*A*p other than 0 and p, or None when p is
-    primitive.  A corner that p generates additively is Z_n, whose only
-    idempotents are 0 and p when n is a prime power.  Otherwise the
-    idempotent powers of the p*g*p that span the corner are tried, then its
-    elements."""
-    corner = _peirce_span(ring, p, p, spans)
-    n = corner.order
-    if _additive_order(p) == n and _is_prime_power(n):
-        return None
-    for x in corner.spanning:
-        q = _idempotent_power(x)
-        if not q.is_zero() and q != p:
-            return q
-    for q in corner.elements():
-        if not q.is_zero() and q != p and q.is_idempotent():
-            return q
-    return None
-
-
-def _additive_order(x: Element) -> int:
-    return lcm(*(d // gcd(c, d) for c, d in zip(x.coeffs, x.ring.orders)))
-
-
-def _is_prime_power(n: int) -> bool:
-    q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-    while n % q == 0:
-        n //= q
-    return n == 1
-
-
-def _idempotent_power(x: Element) -> Element:
-    """The idempotent among the powers of x: x^n for the multiple n of their
-    period that is at least their preperiod."""
-    seen: dict = {}
-    powers = []  # powers[i] = x^(i + 1)
-    y = x
-    while y.coeffs not in seen:
-        seen[y.coeffs] = len(powers)
-        powers.append(y)
-        y = y * x
-    start = seen[y.coeffs] + 1  # x^start is the first power that recurs
-    period = len(powers) + 1 - start
-    return powers[-(-start // period) * period - 1]
-
-
-def _blocks(ring: RingPresentation, prims: list[Element]):
-    """The block idempotents in a topological order, with into[j], the other
-    blocks i whose component e_i*A*e_j is nonzero."""
-    n = len(prims)
-    left = [[x for x in (p * g for g in ring.gens()) if not x.is_zero()] for p in prims]
-    edge = [
-        [i != j and any(not (x * q).is_zero() for x in left[i]) for j, q in enumerate(prims)]
-        for i in range(n)
-    ]
-    reach = [[i == j or edge[i][j] for j in range(n)] for i in range(n)]
-    for m in range(n):
-        for i in range(n):
-            if reach[i][m]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[m])]
-    comps = []
-    for i in range(n):
-        comp = tuple(j for j in range(n) if reach[i][j] and reach[j][i])
-        if comp[0] == i:
-            comps.append(comp)
-    # a block reached from another is reached from strictly more blocks
-    comps.sort(key=lambda c: sum(reach[i][c[0]] for i in range(n)))
-    blocks = [ring.sum(prims[i] for i in c) for c in comps]
-    into = [
-        {a for a, src in enumerate(comps) if a != b and any(edge[i][j] for i in src for j in dst)}
-        for b, dst in enumerate(comps)
-    ]
-    return blocks, into
 
 
 def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:

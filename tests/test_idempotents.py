@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,12 +19,14 @@ from finring.fixtures import (
     field_f4,
     fixture,
     matrix_ring,
+    product,
     t2_f2,
     upper_triangular,
     z6,
 )
 from finring.idempotents import has_reduced_corner
 from test_kernels import basis_change
+from test_morphisms import dual_square, poly_quotient
 
 
 def test_z6_idempotents():
@@ -91,6 +94,53 @@ def _reference_has_reduced_corner(ring, e):
     return len(semis) == 2 and set(semis) == {corner.zero(), corner.one_element()}
 
 
+def _rebased(ring, basis):
+    """ring presented on the elements of basis, which must be a Z_n-basis of
+    it, n the one order of ring's generators."""
+    n = ring.orders[0]
+    coords = {
+        ring.sum(c * h for c, h in zip(cs, basis)): cs
+        for cs in itertools.product(range(n), repeat=len(basis))
+    }
+    mul = [[coords[a * b] for b in basis] for a in basis]
+    return RingPresentation(ring.orders, mul, coords[ring.one_element()])
+
+
+def _fallback_rings():
+    """Bases on which every generator is a unit or nilpotent, so no
+    idempotent power splits 1 and listing A finds the split: M2(F2) on 1,
+    E12, E21 and E12 + E21 + E22, and F4 x F4 on four units, where only that
+    listing shows that 1 is not reduced."""
+    m2 = matrix_ring(2, 2)
+    _e11, e12, e21, e22 = m2.gens()
+    f4_f4 = product(field_f4(), field_f4())
+    a, w, b, v = f4_f4.gens()  # 1 and w in each factor, w*w = w + 1
+    return [
+        pytest.param(
+            _rebased(m2, [m2.one_element(), e12, e21, e12 + e21 + e22]), id="M2(F2)-units-nilpotents"
+        ),
+        pytest.param(_rebased(f4_f4, [a + b, w + b, a + v, a + w + b]), id="F4xF4-units"),
+    ]
+
+
+WIDER_RINGS = [
+    pytest.param(matrix_ring(2, 3), id="M2(F3)"),
+    pytest.param(matrix_ring(2, 4), id="M2(Z4)"),
+    pytest.param(poly_quotient([1, 1, 0, 0]), id="F16"),
+    pytest.param(dual_square(), id="F2[x,y]/(x^2,y^2)"),
+    pytest.param(product(t2_f2(), matrix_ring(2, 2)), id="T2(F2)xM2(F2)"),
+] + _fallback_rings() + [
+    pytest.param(basis_change(ring, random.Random(seed))[0], id="%s-basis%d" % (name, seed))
+    for seed, (name, ring) in enumerate(
+        [
+            ("M2(F2)", matrix_ring(2, 2)),
+            ("T2(F2)xM2(F2)", product(t2_f2(), matrix_ring(2, 2))),
+            ("M2(F3)", matrix_ring(2, 3)),
+        ]
+    )
+]
+
+
 REDUCEDNESS_RINGS = [
     pytest.param(fixture(name), id=name)
     for name in FIXTURE_BUILDERS
@@ -99,7 +149,7 @@ REDUCEDNESS_RINGS = [
     pytest.param(matrix_ring(2, 2), id="M2(F2)"),
     pytest.param(upper_triangular(3, 2), id="T3(F2)"),
     pytest.param(upper_triangular(2, 9), id="T2(Z9)"),
-]
+] + WIDER_RINGS
 
 
 @pytest.mark.parametrize("ring", REDUCEDNESS_RINGS)
@@ -123,10 +173,12 @@ def _counted_has_reduced_corner(ring, e):
     + [
         pytest.param(upper_triangular(2, 8), id="T2(Z8)"),
         pytest.param(basis_change(upper_triangular(3, 4), random.Random(3))[0], id="T3(Z4)-basis"),
-    ],
+    ]
+    + WIDER_RINGS,
 )
 def test_short_circuit_reducedness_matches_the_count(ring):
-    # the test stops at the first semicentral idempotent other than 0 and e
+    # the Peirce-graph block test against the definition: the listed corner's
+    # semicentral idempotents, every one counted
     for e in enumerate_idempotents(ring):
         assert has_reduced_corner(ring, e) == _counted_has_reduced_corner(ring, e), e.coeffs
 

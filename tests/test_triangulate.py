@@ -292,12 +292,21 @@ def test_one_triangulation_spans_each_peirce_component_once(monkeypatch, ring):
     assert list(seq.tails) == [original(ring, t, t) for t in tails]
 
 
-def _lexicographic_sweep(ring, cap=None):
+def _swept_reduced_corner(ring, e, spans):
+    """The definition in the ring: list e*A*e and count its semicentral
+    idempotents, which must be exactly 0 and e."""
+    from finring.corners import _peirce_span, _vanishes
+
+    corner = _peirce_span(ring, e, e, spans)
+    semis = [f for f in corner.elements() if f.is_idempotent() and _vanishes(ring, e - f, f)]
+    return len(semis) == 2 and set(semis) == {ring.zero(), e}
+
+
+def _lexicographic_sweep(ring):
     """The construction this package used before primitive idempotents: walk
     A (later tails: t*A*t, listed sorted) in lexicographic order and take the
-    first admissible head of each tail."""
+    first admissible head of each tail, each corner swept for reducedness."""
     from finring.corners import _peirce_span, _vanishes
-    from finring.idempotents import has_reduced_corner
 
     tail = ring.one_element()
     idems = []
@@ -309,7 +318,7 @@ def _lexicographic_sweep(ring, cap=None):
                 continue
             if not _vanishes(ring, tail - e, e):
                 continue
-            if has_reduced_corner(ring, e, cap, _spans=spans):
+            if _swept_reduced_corner(ring, e, spans):
                 break
         else:
             raise AssertionError("no admissible head")
@@ -354,8 +363,7 @@ def test_construction_matches_the_lexicographic_sweep(ring):
     [pytest.param(upper_triangular(5, 2), id="T5(F2)"), pytest.param(upper_triangular(4, 3), id="T4(Z3)")],
 )
 def test_construction_matches_the_sweep_above_the_default_cap(ring):
-    cap = ring.order
-    assert complete_triangulating_set(ring, cap).idems == _lexicographic_sweep(ring, cap)
+    assert complete_triangulating_set(ring, ring.order).idems == _lexicographic_sweep(ring)
 
 
 def test_construction_never_lists_the_ring(monkeypatch):
@@ -376,3 +384,18 @@ def test_construction_never_lists_the_ring(monkeypatch):
         assert is_strongly_triangular(ring, complete_triangulating_set(ring).idems)
     # above the default cap, where the sweep was refused
     assert complete_triangulating_set(upper_triangular(5, 2), 1 << 15).m == 5
+
+
+@pytest.mark.parametrize(
+    "ring", [pytest.param(matrix_ring(2, 9), id="M2(Z9)"), pytest.param(matrix_ring(3, 2), id="M3(F2)")]
+)
+def test_one_block_rings_list_nothing(monkeypatch, ring):
+    # A is one block, the head's corner: its reducedness check in build
+    # splits 1 again on the construction's spans and lists neither A nor any
+    # subgroup, as sweeping the corner for semicentral idempotents did.
+    def refuse(self):
+        raise AssertionError("%s.elements called" % type(self).__name__)
+
+    monkeypatch.setattr(RingPresentation, "elements", refuse)
+    monkeypatch.setattr(Subgroup, "elements", refuse)
+    assert complete_triangulating_set(ring, ring.order).m == 1
