@@ -40,7 +40,10 @@ def _peirce_span(ring: RingPresentation, e: Element, f: Element, spans) -> Subgr
     spans; nothing is cached on the ring.  spans=None spans afresh.  Every
     corner entry (e, e) is spanned here, from e*g*e over the generators,
     which corner_ring reads back; the triangulation files each head's row
-    under (f, 1 - f) itself (see triangulate.py)."""
+    under (f, 1 - f) itself (see triangulate.py).  The same dict keeps,
+    under ("split", p), the idempotent that splits p, or None for a
+    primitive p (see idempotents._primitive_idempotents), so each
+    idempotent is split once per call."""
     if spans is None:
         return peirce_component(ring, e, f)
     sub = spans.get((e, f))

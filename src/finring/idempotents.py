@@ -41,11 +41,10 @@ def has_reduced_corner(
 ) -> bool:
     """True when the corner e*A*e is semicentral reduced: its semicentral
     idempotents are exactly 0 and e, two of them (the zero corner has one).
-    _spans is the caller's dict of Peirce spans (see corners._peirce_span)."""
+    cap bounds the corners listed while splitting e.  _spans is the caller's
+    dict of Peirce spans and splits (see corners._peirce_span)."""
     spans = {} if _spans is None else _spans
-    corner = _peirce_span(ring, e, e, spans)
-    require_cap(corner.order, cap, "idempotent sweep")
-    return len(_blocks(ring, _primitive_idempotents(ring, e, spans))[0]) == 1
+    return len(_blocks(ring, _primitive_idempotents(ring, e, cap, spans))[0]) == 1
 
 
 def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bool:
@@ -53,13 +52,20 @@ def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bo
     return has_reduced_corner(ring, ring.one_element(), cap)
 
 
-def _primitive_idempotents(ring: RingPresentation, e: Element, spans) -> list[Element]:
-    """Orthogonal primitive idempotents summing to e; none when e = 0."""
+def _primitive_idempotents(
+    ring: RingPresentation, e: Element, cap: int | None, spans
+) -> list[Element]:
+    """Orthogonal primitive idempotents summing to e; none when e = 0.  Each
+    idempotent is split once per spans dict, which keeps the answer under
+    ("split", p)."""
     todo = [] if e.is_zero() else [e]
     prims = []
     while todo:
         p = todo.pop()
-        q = _splitting_idempotent(ring, p, spans)
+        key = ("split", p)
+        if key not in spans:
+            spans[key] = _splitting_idempotent(ring, p, cap, spans)
+        q = spans[key]
         if q is None:
             prims.append(p)
         else:
@@ -67,12 +73,12 @@ def _primitive_idempotents(ring: RingPresentation, e: Element, spans) -> list[El
     return prims
 
 
-def _splitting_idempotent(ring: RingPresentation, p: Element, spans):
+def _splitting_idempotent(ring: RingPresentation, p: Element, cap: int | None, spans):
     """An idempotent of p*A*p other than 0 and p, or None when p is
     primitive.  A corner that p generates additively is Z_n, whose only
     idempotents are 0 and p when n is a prime power.  Otherwise the
     idempotent powers of the p*g*p that span the corner are tried, then its
-    elements."""
+    elements, which cap bounds."""
     corner = _peirce_span(ring, p, p, spans)
     n = corner.order
     if _additive_order(p) == n and _is_prime_power(n):
@@ -81,6 +87,7 @@ def _splitting_idempotent(ring: RingPresentation, p: Element, spans):
         q = _idempotent_power(x)
         if not q.is_zero() and q != p:
             return q
+    require_cap(n, cap, "idempotent sweep")
     for q in corner.elements():
         if not q.is_zero() and q != p and q.is_idempotent():
             return q

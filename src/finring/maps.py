@@ -17,6 +17,15 @@ Bijectivity is decided exactly, without element sweeps: the map is bijective
 iff domain and codomain have equal order and the span of the images fills the
 codomain.
 
+ring_iso_failure decides whether a map between two presentations is a unital
+ring isomorphism: it checks the unit, then multiplicativity on every pair of
+generators, then the orders and the rank.  Multiplicativity makes no element
+product.  For each generator g_i of the domain, f(g_i g_j) and
+f(g_i) f(g_j) for every j are packed, unreduced, into one integer each
+(presentation.SlotPacking, the format the associativity check uses), read
+from the two structure-constant tables and the images, and compared; only
+an unequal row is read slot by slot, to name the first failing pair.
+
 A RingIsomorphism is an AdditiveMap between two presentations that is a
 unital ring isomorphism.  RingIsomorphism.create checks a map;
 RingIsomorphism(f) adopts a map that its caller has verified: corner-search
@@ -35,7 +44,7 @@ from .errors import (
     ShapeMismatch,
     StructureViolation,
 )
-from .presentation import Element, RingPresentation, require_cap
+from .presentation import Element, RingPresentation, SlotPacking, require_cap
 from .subgroups import Subgroup
 
 
@@ -145,16 +154,16 @@ def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
 
 
 def ring_iso_failure(f: AdditiveMap, a: RingPresentation, b: RingPresentation) -> str | None:
-    """First reason f fails to be a unital ring isomorphism a -> b, else None."""
+    """First reason f fails to be a unital ring isomorphism a -> b, else None:
+    the unit, multiplicativity on the generator pairs (i, j) in row-major
+    order, the ring orders, then bijectivity."""
     if f.domain != a or f.codomain != b:
         raise ShapeMismatch("map endpoints do not match the given rings")
     if f.apply(a.one_element()) != b.one_element():
         return "unit is not preserved"
-    gens = a.gens()
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            if f.apply(gi * gj) != f._image_elems[i] * f._image_elems[j]:
-                return "multiplicativity fails on generator pair (%d, %d)" % (i, j)
+    pair = _multiplicativity_failure(f.images, a, b)
+    if pair is not None:
+        return "multiplicativity fails on generator pair (%d, %d)" % pair
     if a.order != b.order:
         return "ring orders differ"
     if f.image_span().order != b.order:
@@ -162,10 +171,46 @@ def ring_iso_failure(f: AdditiveMap, a: RingPresentation, b: RingPresentation) -
     return None
 
 
+def _multiplicativity_failure(images, a: RingPresentation, b: RingPresentation):
+    """The first pair (i, j) with f(g_i g_j) != f(g_i) f(g_j), for the
+    additive map f: a -> b with images[l] = f(g_l); None when there is none.
+
+    One comparison per row i, in the packed format of presentation.SlotPacking:
+    group j, slot n holds the unreduced coefficient of b's generator n.  The
+    left side f(g_i g_j) = sum of c * F_l over a's terms (l, c) of g_i g_j,
+    each slot at most k_a (t_a - 1)(t_b - 1).  The right side
+    f(g_i) f(g_j) = sum of F_i[p] * (h_p F_j) over b's generators h_p; the
+    integers s[p], h_p F_j in every group j, are made once from b's terms and
+    the images' columns, and each slot is at most k_b^2 (t_b - 1)^3.  t is
+    the largest generator order."""
+    ka, kb = a.rank, b.rank
+    ta, tb = max(a.orders, default=1), max(b.orders, default=1)
+    packing = SlotPacking(b.orders, ka, max(ka * (ta - 1) * (tb - 1), kb * kb * (tb - 1) ** 3))
+    group = packing.group
+    packed = [packing.pack(enumerate(v)) for v in images]  # F_l in one group
+    # cols[q]: coefficient q of each image F_j, in group j
+    cols = [sum(v[q] << j * group for j, v in enumerate(images)) for q in range(kb)]
+    s = [
+        sum(packing.pack(terms) * cols[q] for q, terms in enumerate(row) if terms)
+        for row in b._terms
+    ]
+    for i, row in enumerate(a._terms):
+        left = 0
+        for j, terms in enumerate(row):
+            if terms:
+                left += sum(c * packed[l] for l, c in terms) << j * group
+        right = sum(c * s[p] for p, c in enumerate(images[i]) if c)
+        j = packing.first_unequal_group(left, right)
+        if j is not None:
+            return i, j
+    return None
+
+
 def verify_ring_iso(f: AdditiveMap, a: RingPresentation, b: RingPresentation) -> bool:
     """Exact check that f is a bijective unital ring homomorphism a -> b.
-    Only the verdict is needed, so the rank test, one span, runs before
-    ring_iso_failure's k^2 generator products."""
+    Only the verdict is needed, so the rank test, one span, runs first and
+    rejects a map that is not bijective before ring_iso_failure checks the
+    unit and multiplicativity."""
     if f.domain == a and f.codomain == b and not f.is_bijective():
         return False
     return ring_iso_failure(f, a, b) is None

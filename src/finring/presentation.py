@@ -19,7 +19,9 @@ such as T_n and M_n have at most one term per generator product.  The unit
 law runs through that product kernel; associativity is checked on _terms
 directly, with no product call: both bracketings of the triples (i, j, l)
 for one pair (i, j) and every l are packed into one integer each and
-compared.
+compared.  SlotPacking owns that format and reads an unequal pair of
+integers slot by slot; maps.ring_iso_failure decides multiplicativity in
+the same format.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
 elements of different presentations raises AmbientMismatch.  gens() returns
@@ -53,6 +55,58 @@ def _as_int_tuple(seq, what: str) -> tuple[int, ...]:
     except (TypeError, ValueError):
         raise ShapeMismatch("%s must be a sequence of integers" % what)
     return out
+
+
+class SlotPacking:
+    """The packed format of the bilinear checks: a grid of unreduced
+    coefficients in one integer.
+
+    Slot (x, n), coefficient n of group x, sits at bit
+    (x * len(orders) + n) * width.  Both integers compared hold a value in
+    [0, bound] in every slot, and width leaves one bit more, so adding the
+    offset 2^(width - 1) to each slot of left - right keeps every slot
+    nonnegative: no slot borrows from the next.  Slot (x, n) of the two
+    sides agrees when that difference is 0 mod orders[n].  bound is at
+    least max(orders) - 1.
+    """
+
+    __slots__ = ("group", "_orders", "_width", "_groups", "_half", "_slot", "_offset", "_low")
+
+    def __init__(self, orders: tuple[int, ...], groups: int, bound: int):
+        k = len(orders)
+        self._orders = orders
+        self._width = width = bound.bit_length() + 1
+        self.group = k * width  # bits per group
+        self._groups = groups
+        self._half = half = 1 << (width - 1)
+        self._slot = (1 << width) - 1
+        spread = sum(1 << x * self.group for x in range(groups))  # a 1 in each group
+        self._offset = half * sum(1 << n * width for n in range(k)) * spread
+        self._low = None
+        if all(d & (d - 1) == 0 for d in orders):
+            # half > bound >= d - 1 is a multiple of each order: a slot is
+            # 0 mod d when its low bits are
+            self._low = sum((d - 1) << n * width for n, d in enumerate(orders)) * spread
+
+    def pack(self, terms) -> int:
+        """One group's slots from the (n, c) pairs of a coefficient vector."""
+        width = self._width
+        return sum(c << n * width for n, c in terms)
+
+    def first_unequal_group(self, left: int, right: int) -> int | None:
+        """The first group x with a slot (x, n) where left - right is not
+        0 mod orders[n]; None when there is none."""
+        if left == right:
+            return None
+        diff = left - right + self._offset
+        if self._low is not None and not diff & self._low:
+            return None
+        k, width, slot, half = len(self._orders), self._width, self._slot, self._half
+        for x in range(self._groups):
+            for n, d in enumerate(self._orders):
+                if ((diff >> (x * k + n) * width & slot) - half) % d:
+                    return x
+        return None
 
 
 class RingPresentation:
@@ -113,11 +167,13 @@ class RingPresentation:
     # -- validation ------------------------------------------------------
 
     def _check_order_compat(self):
-        for i, j in itertools.product(range(len(self.orders)), repeat=2):
-            vec = self.mul[i][j]
-            for l, c in enumerate(vec):
-                if (self.orders[i] * c) % self.orders[l] or (self.orders[j] * c) % self.orders[l]:
-                    raise OrderViolation(i, j)
+        # a zero constant cannot fail, so the sparse table is walked, row-major
+        orders = self.orders
+        for i, row in enumerate(self._terms):
+            for j, terms in enumerate(row):
+                for l, c in terms:
+                    if (orders[i] * c) % orders[l] or (orders[j] * c) % orders[l]:
+                        raise OrderViolation(i, j)
 
     def _check_unit(self):
         for i, gen in enumerate(self._gens):
@@ -129,21 +185,16 @@ class RingPresentation:
         # (g_i g_j) g_l = sum over (m, c) in terms[i][j] of c * (g_m g_l), and
         # g_i (g_j g_l) = sum over (m, c) in terms[j][l] of c * (g_i g_m).
         # Both are packed, for all l at once, into one integer per (i, j):
-        # slot (l, n) holds the unreduced coefficient of g_n, at most k * top^2,
-        # and is wide enough for that plus an offset `half` that keeps the
-        # slot of left - right + offset nonnegative.  Equal integers are equal
-        # bracketings; otherwise the difference is read mod the orders, with
-        # one mask when every order is a power of two.
+        # group l holds the unreduced coefficients of the bracketing at l,
+        # each at most k * top^2.
         terms = self._terms
         orders = self.orders
         k = len(orders)
         top = max(orders, default=1)
-        width = (k * top * top).bit_length() + 1
-        half = 1 << (width - 1)
-        slot = (1 << width) - 1
-        group = k * width
-        # products[m][l] = g_m g_l with slot n at n * width
-        products = [[sum(c << (n * width) for n, c in vec) for vec in row] for row in terms]
+        packing = SlotPacking(orders, k, k * top * top)
+        group = packing.group
+        # products[m][l] = g_m g_l in one group
+        products = [[packing.pack(vec) for vec in row] for row in terms]
         # rows[m]: g_m g_l in group l; cols[j][m]: the coefficient of g_m in
         # g_j g_l, in group l, so products[i][m] * cols[j][m] adds
         # c * (g_i g_m) to every group l
@@ -153,13 +204,6 @@ class RingPresentation:
             for l in range(k):
                 for m, c in terms[j][l]:
                     cols[j][m] += c << (l * group)
-        spread = sum(1 << l * group for l in range(k))  # a 1 in each group
-        offset = half * sum(1 << n * width for n in range(k)) * spread
-        low = None
-        if all(d & (d - 1) == 0 for d in orders):
-            # half is a multiple of each order: a slot is 0 mod d when its
-            # low bits are
-            low = sum((d - 1) << n * width for n, d in enumerate(orders)) * spread
         for i in range(k):
             row_i = [(p, m) for m, p in enumerate(products[i]) if p]
             for j in range(k):
@@ -170,15 +214,9 @@ class RingPresentation:
                 right = 0
                 for p, m in row_i:
                     right += p * cols_j[m]
-                if left == right:
-                    continue
-                diff = left - right + offset
-                if low is not None and not diff & low:
-                    continue
-                for l in range(k):
-                    for n, d in enumerate(orders):
-                        if ((diff >> (l * k + n) * width & slot) - half) % d:
-                            raise NonAssociative(i, j, l)
+                l = packing.first_unequal_group(left, right)
+                if l is not None:
+                    raise NonAssociative(i, j, l)
 
     # -- coefficient arithmetic ------------------------------------------
 

@@ -16,10 +16,15 @@ only as a subgroup of A, which is all the engine reads of it.
 
 build spans each corner, tail and row once: the reducedness check, the
 corner rings, the tails and the rows read one dict of spans that lives for
-the one call.  complete_triangulating_set passes in its own dict, which
-already holds the corners of its primitive idempotents and the row of each
-head, so those are not spanned again; the dict is dropped when build
-returns, and only the subgroups the sequence keeps live on.
+the one call.  The dict also keeps the answer of each idempotent split (the
+splitting idempotent, or None for a primitive), so the reducedness check
+splits each idempotent once.  complete_triangulating_set passes in its own
+dict, which already holds the corners and splits of the idempotents it
+split 1 into, and the row of each head, so those are not spanned or split
+again: a head that is one of them, such as the head 1 of a one-block ring,
+is split by reading the dict, and only its block test runs.  The dict is
+dropped when build returns, and only the subgroups the sequence keeps live
+on.
 """
 from __future__ import annotations
 

@@ -30,9 +30,10 @@ Each Peirce component is spanned once per call: the primitive corners and
 the stage rows sit in one dict, keyed by idempotent pair, that goes to
 TriangularSequence.build.  The chosen head's row f*A*(1 - f) is the row it
 was reduced against, conjugated by 1 + r, which fixes that row; build reads
-it, and the head corners and tails, from the dict, and its reducedness
-check splits each head again through the same dict.  The dict lives for that
-one call; the ring keeps no cache.
+it, and the head corners and tails, from the dict.  The dict also keeps the
+split of every idempotent that step 1 met, so build's reducedness check
+splits again only a head that step 3 moved (r != 0).  The dict lives for
+that one call; the ring keeps no cache.
 
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
@@ -56,7 +57,7 @@ def complete_triangulating_set(
     require_cap(ring.order, cap, "triangulating sweep")
     spans: dict = {}
     one = ring.one_element()
-    blocks, into = _blocks(ring, _primitive_idempotents(ring, one, spans))
+    blocks, into = _blocks(ring, _primitive_idempotents(ring, one, cap, spans))
     tail = one
     active = list(range(len(blocks)))
     idems: list[Element] = []

@@ -187,7 +187,19 @@ def test_reduced_corner_keeps_its_checks():
     ring = upper_triangular(2, 9)
     with pytest.raises(NotIdempotent):
         has_reduced_corner(ring, ring.element((0, 1, 0)))
-    e = ring.element((1, 0, 0))  # e*A*e is Z9
-    assert has_reduced_corner(ring, e, cap=9)
-    with pytest.raises(CapExceeded, match="idempotent sweep"):
-        has_reduced_corner(ring, e, cap=8)
+    # Z6 is generated by 1, whose idempotent power is 1: only listing the
+    # six elements finds the idempotent 3 that splits it
+    ring = z6()
+    one = ring.one_element()
+    assert not has_reduced_corner(ring, one, cap=6)
+    with pytest.raises(CapExceeded, match="idempotent sweep size 6 exceeds cap 5"):
+        has_reduced_corner(ring, one, cap=5)
+
+
+def test_reducedness_refuses_only_what_it_lists():
+    # M2(Z9) splits into E11 and E22, whose corners are Z9: nothing is
+    # listed, so the default cap, below |A| = 6561, does not refuse
+    assert is_semicentral_reduced(matrix_ring(2, 9))
+    # T2(Z9)'s corner at E11 is Z9, generated by E11 itself
+    ring = upper_triangular(2, 9)
+    assert has_reduced_corner(ring, ring.element((1, 0, 0)), cap=1)

@@ -263,11 +263,13 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # speed with more products, or saves products, must update this figure.
     # Each level map is an AdditiveMap whose images are computed once, so the
     # action pairs and the levels above read it without multiplying out the
-    # level formula again.
+    # level formula again.  Every map the enumeration and the group-law
+    # check prove is proved multiplicative on packed integers, with no
+    # product, where two products per generator pair made 13008 more.
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_group(ring).order == 64
-    assert calls[0] == 17355
+    assert calls[0] == 4347
 
 
 def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
@@ -275,20 +277,23 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # right action pairs read each lower level map from its images, without
     # multiplying out its formula.  The triangulation splits 1 into primitive
     # idempotents instead of walking A up to its first admissible head, which
-    # cost 1180 of the 2084 products this count made before.
+    # cost 1180 of the 2084 products this count made before.  Multiplicativity
+    # is decided on packed integers, with no product (208 fewer).
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_order(ring) == 64
-    assert calls[0] == 904
+    assert calls[0] == 696
 
 
 def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
     # One corner search: the unit equation fixes the image of the last
     # generator, so the search looks it up instead of scanning 81 candidates.
-    # The reducedness check of the one head, 1, splits it into primitives on
-    # the spans the triangulation made and finds one block: 14 products,
-    # where testing the 81 elements of A for idempotence made 117.
+    # The reducedness check of the one head, 1, reads the split of 1 that
+    # the triangulation made and runs only the block test: 11 products,
+    # where testing the 81 elements of A for idempotence made 117.  The 48
+    # multiplicativity checks (24 corner-search survivors and the 24
+    # assembled maps) run on packed integers, with no product.
     ring = matrix_ring(2, 3)
     calls = _count_products(monkeypatch)
     assert aut_order(ring) == 24
-    assert calls[0] == 2748
+    assert calls[0] == 1211

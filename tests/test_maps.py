@@ -1,3 +1,8 @@
+import collections
+import itertools
+import math
+import random
+
 import pytest
 
 from finring import (
@@ -8,6 +13,7 @@ from finring import (
     ShapeMismatch,
     StructureViolation,
     compose_maps,
+    enumerate_isomorphisms,
     identity_iso,
     identity_map,
     inner_automorphism,
@@ -18,7 +24,21 @@ from finring import (
     unit_inverse,
     verify_ring_iso,
 )
-from finring.fixtures import cyclic, f2, fixture, t2_f2, t2_z4, z2xz3, z6
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    cyclic,
+    f2,
+    fixture,
+    matrix_ring,
+    product,
+    t2_f2,
+    t2_z4,
+    upper_triangular,
+    z2xz3,
+    z6,
+)
+from test_kernels import basis_change
+from test_morphisms import poly_quotient
 
 
 def _crt():
@@ -89,6 +109,147 @@ def test_verify_ring_iso():
     inclusion = AdditiveMap(f2(), f4, [f4.one_element()])
     assert ring_iso_failure(inclusion, f2(), f4) == "ring orders differ"
     assert not verify_ring_iso(inclusion, f2(), f4)
+
+
+def loop_iso_failure(f, a, b):
+    """ring_iso_failure with multiplicativity decided the textbook way: two
+    products per generator pair (i, j), in row-major order."""
+    if f.domain != a or f.codomain != b:
+        raise ShapeMismatch("map endpoints do not match the given rings")
+    if f.apply(a.one_element()) != b.one_element():
+        return "unit is not preserved"
+    gens = a.gens()
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            if f.apply(gi * gj) != f._image_elems[i] * f._image_elems[j]:
+                return "multiplicativity fails on generator pair (%d, %d)" % (i, j)
+    if a.order != b.order:
+        return "ring orders differ"
+    if f.image_span().order != b.order:
+        return "map is not bijective"
+    return None
+
+
+def _perturbed(f):
+    """f with one coefficient of one image moved by s, 2s or -s, for every
+    image and coefficient; s is the least step that keeps the image
+    annihilated by its generator's order."""
+    cod = f.codomain
+    out = []
+    for l, (o, img) in enumerate(zip(f.domain.orders, f.images)):
+        for n, d in enumerate(cod.orders):
+            step = d // math.gcd(d, o)
+            for delta in sorted({m * step % d for m in (1, 2, -1)} - {0}):
+                moved = list(img)
+                moved[n] = (moved[n] + delta) % d
+                images = list(f._image_elems)
+                images[l] = cod.element(moved)
+                out.append(AdditiveMap(f.domain, cod, images))
+    return out
+
+
+def _swapped(f):
+    """f with the images of two generators of equal order exchanged."""
+    orders = f.domain.orders
+    out = []
+    for l, m in itertools.combinations(range(len(orders)), 2):
+        if orders[l] == orders[m]:
+            images = list(f._image_elems)
+            images[l], images[m] = images[m], images[l]
+            out.append(AdditiveMap(f.domain, f.codomain, images))
+    return out
+
+
+def _map_family(isos, a, b):
+    """The zero map a -> b and, for each isomorphism, itself, every
+    single-coefficient perturbation of its images and its swapped images."""
+    out = [AdditiveMap(a, b, [b.zero()] * a.rank)]
+    for f in isos:
+        out += [f] + _perturbed(f) + _swapped(f)
+    return out
+
+
+def _first_isos(a, b, n):
+    return [phi for _d, phi in itertools.islice(enumerate_isomorphisms(a, b, a.order), n)]
+
+
+def _transported(family, ring, changed, to_new):
+    """Each map g of family (ring -> ring) moved onto every pair of endpoints
+    from ring and its basis-changed copy: g, then phi, psi or both around it,
+    phi: ring -> changed the basis change and psi its inverse."""
+    phi = AdditiveMap(ring, changed, [changed.element(to_new(g.coeffs)) for g in ring.gens()])
+    psi = invert_map(phi, ring.order)
+    out = []
+    for g in family:
+        out += [g, compose_maps(g, phi), compose_maps(psi, g)]
+        out.append(compose_maps(compose_maps(psi, g), phi))
+    return out
+
+
+def _conjugation(ring, c):
+    """x -> (1 - c*E12) x (1 + c*E12) on T2(Z_n), where E12 is gen(1)."""
+    u = ring.one_element() + c * ring.gen(1)
+    v = ring.one_element() - c * ring.gen(1)
+    return AdditiveMap(ring, ring, [v * g * u for g in ring.gens()])
+
+
+def _iso_check_cases():
+    cases = [
+        pytest.param(_map_family(_first_isos(ring, ring, 3), ring, ring), id=name)
+        for name, ring in ((name, fixture(name)) for name in sorted(FIXTURE_BUILDERS))
+    ]
+    cases.append(pytest.param(_map_family(_first_isos(z6(), z2xz3(), 3), z6(), z2xz3()), id="z6-z2xz3"))
+    f4 = fixture("f4")
+    cases.append(pytest.param(_map_family([AdditiveMap(f2(), f4, [f4.one_element()])], f2(), f4), id="f2-f4"))
+    # dense structure constants in the domain, the codomain or both
+    for seed, (name, ring) in enumerate(
+        [
+            ("T4(F2)", upper_triangular(4, 2)),
+            ("T3(Z4)", upper_triangular(3, 4)),
+            ("T2(Z9)", upper_triangular(2, 9)),
+            ("M2(F3)", matrix_ring(2, 3)),
+            ("F16", poly_quotient([1, 1, 0, 0])),
+        ]
+    ):
+        changed, to_new = basis_change(ring, random.Random(seed))
+        family = _map_family(_first_isos(ring, ring, 3), ring, ring)
+        cases.append(pytest.param(_transported(family, ring, changed, to_new), id=name + "-basis"))
+    mixed = product(t2_z4(), matrix_ring(2, 3))
+    cases.append(pytest.param(_map_family(_first_isos(mixed, mixed, 3), mixed, mixed), id="T2(Z4)xM2(F3)"))
+    # slots of k^2 (t - 1)^3, about 2^96, wider than a machine word; the
+    # conjugation's images carry a coefficient near 2^30
+    wide = upper_triangular(2, 2**31)
+    isos = [identity_map(wide), _conjugation(wide, 2**30 + 12345)]
+    cases.append(pytest.param(_map_family(isos, wide, wide), id="T2(Z_2^31)"))
+    return cases
+
+
+ISO_CHECK_CASES = _iso_check_cases()
+
+
+@pytest.mark.parametrize("maps", ISO_CHECK_CASES)
+def test_packed_multiplicativity_matches_the_pair_loop(maps):
+    for f in maps:
+        assert ring_iso_failure(f, f.domain, f.codomain) == loop_iso_failure(f, f.domain, f.codomain)
+
+
+def test_iso_check_corpus_reaches_every_verdict():
+    verdicts = collections.Counter()
+    for case in ISO_CHECK_CASES:
+        kinds = collections.Counter(
+            (loop_iso_failure(f, f.domain, f.codomain) or "isomorphism").split(" on ")[0]
+            for f in case.values[0]
+        )
+        if case.id.endswith("-basis") or case.id.startswith("T2("):
+            assert kinds["isomorphism"] and kinds["multiplicativity fails"], case.id
+        verdicts += kinds
+    assert set(verdicts) == {
+        "isomorphism",
+        "unit is not preserved",
+        "multiplicativity fails",
+        "ring orders differ",
+        "map is not bijective",
+    }
 
 
 def test_verify_ring_iso_tests_the_rank_first_with_the_same_verdict():

@@ -73,6 +73,12 @@ def test_order_compatibility_check():
     with pytest.raises(OrderViolation) as exc:
         RingPresentation((2, 4), mul, (0, 0))
     assert exc.value.pair == (0, 0)
+    # e0*e1 = e1*e0 = e1 are both killed by 4 but not by 2: the first pair
+    # in row-major order is named
+    mul = (((0, 0), (0, 1)), ((0, 1), (0, 0)))
+    with pytest.raises(OrderViolation) as exc:
+        RingPresentation((2, 4), mul, (0, 0))
+    assert exc.value.pair == (0, 1)
 
 
 def test_unit_law_check():

@@ -20,6 +20,7 @@ from finring.corners import corner_ring
 from finring.fixtures import FIXTURE_BUILDERS, fixture, matrix_ring, upper_triangular
 from finring.subgroups import Subgroup
 from test_kernels import basis_change
+from test_morphisms import poly_quotient
 
 CANONICAL_SEQUENCES = {
     "z6": [(3,), (4,)],
@@ -391,7 +392,7 @@ def test_construction_never_lists_the_ring(monkeypatch):
 )
 def test_one_block_rings_list_nothing(monkeypatch, ring):
     # A is one block, the head's corner: its reducedness check in build
-    # splits 1 again on the construction's spans and lists neither A nor any
+    # reads the construction's split of 1 and lists neither A nor any
     # subgroup, as sweeping the corner for semicentral idempotents did.
     def refuse(self):
         raise AssertionError("%s.elements called" % type(self).__name__)
@@ -399,3 +400,19 @@ def test_one_block_rings_list_nothing(monkeypatch, ring):
     monkeypatch.setattr(RingPresentation, "elements", refuse)
     monkeypatch.setattr(Subgroup, "elements", refuse)
     assert complete_triangulating_set(ring, ring.order).m == 1
+
+
+def test_each_idempotent_is_split_once(monkeypatch):
+    # Every generator of F16 is a unit, whose idempotent power is 1, so only
+    # listing F16 shows that 1 is primitive.  build's reducedness check of
+    # the head 1 reads that answer from the construction's dict.
+    listed = []
+    original = Subgroup.elements
+
+    def counted(self):
+        listed.append(self.order)
+        return original(self)
+
+    monkeypatch.setattr(Subgroup, "elements", counted)
+    assert complete_triangulating_set(poly_quotient([1, 1, 0, 0])).m == 1
+    assert listed == [16]
