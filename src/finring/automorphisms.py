@@ -43,7 +43,7 @@ def _aut_group(seq: TriangularSequence, cap: int | None) -> AutomorphismGroup:
     """aut_group of seq.ring over its canonical sequence seq, for a caller
     that has built it already."""
     seen = set()
-    for _d, iso in _enumerate(seq, seq):
+    for _d, iso in _enumerate(seq, seq, cap):
         if iso in seen:
             raise StructureViolation("the enumeration yields an automorphism twice")
         seen.add(iso)

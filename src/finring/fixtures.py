@@ -1,5 +1,14 @@
-"""Bundled example rings and maps used by tests, docs, and the CLI corpus."""
+"""Bundled example rings and maps used by tests, docs, and the CLI corpus.
+
+Besides the fixture corpus, this module builds the ring families the tests
+check against closed forms: T_n(Z_m), M_n(Z_m), M_n(D) over a presented ring
+D, truncated and irreducible polynomial quotients over F_p, and copies of a
+ring on a random basis of GL_k(Z_n) (random_gl, basis_change), whose
+structure constants are dense.
+"""
 from __future__ import annotations
+
+import math
 
 from .maps import RingIsomorphism, inner_automorphism
 from .presentation import RingPresentation
@@ -35,6 +44,97 @@ def matrix_ring(n: int, modulus: int, name: str | None = None) -> RingPresentati
     """n-by-n matrices over Z_modulus, on E_ab in row-major order."""
     pairs = [(a, b) for a in range(n) for b in range(n)]
     return _matrix_units(pairs, modulus, name or "M%d(Z%d)" % (n, modulus))
+
+
+def matrices_over(n: int, d: RingPresentation, name: str | None = None) -> RingPresentation:
+    """n-by-n matrices over the presented ring d, on E_ab * g_l for a, b in
+    range(n) and the generators g_l of d, in row-major order of (a, b) and
+    then l: (E_ab x)(E_cd y) = [b == c] E_ad (x y)."""
+    k = d.rank
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    index = {p: t for t, p in enumerate(pairs)}
+    size = len(pairs) * k
+
+    def embed(a, b, vec):
+        out = [0] * size
+        out[index[a, b] * k:index[a, b] * k + k] = vec
+        return tuple(out)
+
+    zero = (0,) * size
+    mul = tuple(
+        tuple(
+            embed(a, bb, d.mul[x][y]) if b == c else zero
+            for c, bb in pairs for y in range(k)
+        )
+        for a, b in pairs for x in range(k)
+    )
+    one = [0] * size
+    for a in range(n):
+        one[index[a, a] * k:index[a, a] * k + k] = d.one
+    return RingPresentation(
+        d.orders * len(pairs), mul, tuple(one), name=name or "M%d(%s)" % (n, d.name)
+    )
+
+
+def poly_quotient(f, p: int = 2, name: str | None = None) -> RingPresentation:
+    """F_p[x]/(g) on 1, x, ..., x^(d-1), for the monic g of degree d = len(f)
+    whose low coefficients f lists: g = x^d + f[d-1] x^(d-1) + ... + f[0]."""
+    d = len(f)
+    powers = [[int(i == t) for i in range(d)] for t in range(d)]
+    for _ in range(d, 2 * d - 1):
+        top = powers[-1][d - 1]
+        shifted = [0] + powers[-1][: d - 1]
+        powers.append([(x - top * c) % p for x, c in zip(shifted, f)])
+    mul = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return RingPresentation([p] * d, mul, powers[0], name=name)
+
+
+def dual_square() -> RingPresentation:
+    """F2[x,y]/(x^2, y^2) on 1, x, y, xy."""
+    monos = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    mul = [
+        [[int((a[0] + b[0], a[1] + b[1]) == c) for c in monos] for b in monos]
+        for a in monos
+    ]
+    return RingPresentation([2] * 4, mul, [1, 0, 0, 0])
+
+
+def random_gl(k: int, n: int, rng):
+    """P in GL_k(Z_n) and its inverse Q, from 3k^2 random steps, each a
+    transvection or a unit scaling of the rows of P (with the matching
+    column operation on Q).  rng is a random.Random."""
+    p = [[int(i == j) for j in range(k)] for i in range(k)]
+    q = [[int(i == j) for j in range(k)] for i in range(k)]
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    for _ in range(3 * k * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            c = rng.randrange(n)
+            p[i] = [(x + c * y) % n for x, y in zip(p[i], p[j])]
+            for row in q:
+                row[j] = (row[j] - c * row[i]) % n
+        else:
+            u = rng.choice(units)
+            p[i] = [(u * x) % n for x in p[i]]
+            for row in q:
+                row[i] = (row[i] * pow(u, -1, n)) % n
+    return p, q
+
+
+def basis_change(ring: RingPresentation, rng):
+    """The ring on the basis h_a = sum_i P[a][i] g_i for P from random_gl,
+    with the coordinate change from old to new coordinates.  Needs equal
+    generator orders n."""
+    n, k = ring.orders[0], ring.rank
+    if set(ring.orders) != {n}:
+        raise ValueError("basis_change needs one generator order")
+    p, q = random_gl(k, n, rng)
+
+    def to_new(v):
+        return tuple(sum(v[t] * q[t][l] for t in range(k)) % n for l in range(k))
+
+    mul = [[to_new(ring._mul_coeffs(tuple(p[a]), tuple(p[b]))) for b in range(k)] for a in range(k)]
+    return RingPresentation(ring.orders, mul, to_new(ring.one), name=ring.name), to_new
 
 
 def product(a: RingPresentation, b: RingPresentation, name: str | None = None) -> RingPresentation:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from math import gcd, isqrt, lcm
 
 from .corners import _peirce_span, _require_idempotent, _vanishes
+from .maps import _power_inverse
 from .presentation import Element, RingPresentation, require_cap
 
 
@@ -98,8 +99,12 @@ def _additive_order(x: Element) -> int:
     return lcm(*(d // gcd(c, d) for c, d in zip(x.coeffs, x.ring.orders)))
 
 
+def _least_prime(n: int) -> int:
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def _is_prime_power(n: int) -> bool:
-    q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    q = _least_prime(n)
     while n % q == 0:
         n //= q
     return n == 1
@@ -150,3 +155,68 @@ def _blocks(ring: RingPresentation, prims: list[Element]):
         for b, dst in enumerate(comps)
     ]
     return blocks, into
+
+
+def _matrix_unit_system(ring: RingPresentation, prims: list[Element]):
+    """(row, col) with row[j] = E_1j and col[j] = E_j1, matrix units over
+    D = p_1*A*p_1 for the primitives p_1, ..., p_n (row[0] = col[0] = p_1),
+    when every p_j is equivalent to p_1; None otherwise.
+
+    The products x*y of x = p_1*g*p_j and y = p_j*h*p_1 over the generators
+    g, h span p_1*A*p_j*A*p_1, an ideal of the local ring D.  It is D when
+    p_j is equivalent to p_1 (the product E_1j*E_j1 = p_1 lies in it) and
+    lies in J(D), the non-units, otherwise; J(D) is additive, so p_j is
+    equivalent to p_1 exactly when some x*y is a unit u of D.  Then
+    x*(y*u^-1) = p_1, and y*u^-1*x is a nonzero idempotent of the local
+    corner p_j*A*p_j, which is p_j (Lam, A First Course in Noncommutative
+    Rings, sections 21-23)."""
+    p = prims[0]
+    gens = ring.gens()
+    row, col = [p], [p]
+    for r in prims[1:]:
+        xs = [x for x in (p * g * r for g in gens) if not x.is_zero()]
+        ys = [y for y in (r * g * p for g in gens) if not y.is_zero()]
+        pair = next(
+            ((x, y * v) for x in xs for y in ys for v in [_power_inverse(x * y, p)]
+             if v is not None),
+            None,
+        )
+        if pair is None:
+            return None
+        row.append(pair[0])
+        col.append(pair[1])
+    return tuple(row), tuple(col)
+
+
+def _residue_order(d: RingPresentation) -> int:
+    """q = |D/J(D)| for a local ring D, without listing D.  D/J(D) is the
+    field F_q, q = p^f for the one prime p dividing |D|, where x -> x^p is
+    additive; so f is the least exponent at which g^(p^f) - g lies in J(D)
+    for every generator g of D.  J(D) is the set of nilpotents, and its
+    nilpotency index is at most the composition length of D, which is less
+    than the bit length b of |D|: x lies in J(D) when x^(2^r) = 0 for
+    2^r >= b."""
+    n = d.order
+    p = _least_prime(n)
+    bits = n.bit_length()
+
+    def nilpotent(x: Element) -> bool:
+        e = 1
+        while e < bits:
+            x, e = x * x, 2 * e
+        return x.is_zero()
+
+    def power(x: Element, k: int) -> Element:
+        acc = d.one_element()
+        while k:
+            if k & 1:
+                acc = acc * x
+            x, k = x * x, k >> 1
+        return acc
+
+    gens = d.gens()
+    images, q = gens, 1
+    while True:
+        images, q = [power(y, p) for y in images], q * p
+        if all(nilpotent(y - g) for y, g in zip(images, gens)):
+            return q

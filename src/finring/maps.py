@@ -29,9 +29,12 @@ an unequal row is read slot by slot, to name the first failing pair.
 A RingIsomorphism is an AdditiveMap between two presentations that is a
 unital ring isomorphism.  RingIsomorphism.create checks a map;
 RingIsomorphism(f) adopts a map that its caller has verified: corner-search
-survivors, oracle-checked maps, and a decomposition's corner restrictions,
-which its resynthesis and comparison with the original map prove.  Equal
-endpoints and images make equal maps, whichever of the two classes they have.
+survivors, oracle-checked maps, a decomposition's corner restrictions,
+which its resynthesis and comparison with the original map prove, and the
+matrix-unit isomorphisms of a block of type M_n(D), which are isomorphisms
+by construction and are verified as part of each whole map assembled from
+them.  Equal endpoints and images make equal maps, whichever of the two
+classes they have.
 """
 from __future__ import annotations
 
@@ -275,11 +278,23 @@ def ring_units(ring: RingPresentation, cap: int | None = None) -> list[Element]:
 def unit_inverse(u: Element, cap: int | None = None) -> Element:
     """u^(n-1) for n the multiplicative order of the unit u."""
     require_cap(u.ring.order, cap, "unit inversion sweep")
-    if not _is_unit(u):
+    inverse = _power_inverse(u, u.ring.one_element())
+    if inverse is None:
         raise StructureViolation("element is not a unit")
-    one = u.ring.one_element()
+    return inverse
+
+
+def _power_inverse(u: Element, one: Element) -> Element | None:
+    """The inverse of u in the finite ring (or corner) whose unit is one,
+    read from the powers of u: u^(n-1) for the multiplicative order n of u.
+    None when u is not a unit: its powers then never meet one, and they
+    recur.  The walk makes at most as many products as u has powers."""
+    seen = set()
     inverse, power = one, u
     while power != one:
+        if power.coeffs in seen:
+            return None
+        seen.add(power.coeffs)
         inverse, power = power, power * u
     return inverse
 

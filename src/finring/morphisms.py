@@ -25,15 +25,37 @@ iso_count counts the same maps without listing them.  A level with offset m
 is its offset-0 map followed by conjugation by the unit 1 - m (m*m = 0), so
 the choices at a level do not depend on the offsets chosen below it.  The
 count walks the enumeration's level recursion with every offset fixed at 0
-and multiplies, per sigma, by the orders of the target rows.
+and multiplies, per sigma, by the orders of the target rows.  A ring of one
+block is its own corner, so its count is its corner count, and no map is
+assembled.
 
-Corner isomorphisms and row maps are found by one backtracking search over
-generator images.  It assigns the images in generator order, trying the
-candidates of each in element order, so complete tuples come out in the
-lexicographic order of the full product.  Each defining equation (the unit
-and the generator products for a corner, the two twisted actions for a row)
-is decided as soon as every image it reads is assigned, and a failing
-partial assignment is dropped with all its extensions.  So every complete
+Each block carries its type (sequences.BlockType), and sigma pairs only
+blocks of equal type, so a ring of type M2(F3) meets a local ring of 81
+elements with no search.  A block whose n >= 2 primitive idempotents are
+equivalent is M_n(D) over the local corner D = p_1*A*p_1, with matrix units
+E_ij (Lam, A First Course in Noncommutative Rings, sections 21-23).  A ring
+isomorphism M_n(D) -> B is fixed by the image system F_ij of the matrix
+units and its restriction alpha: D -> F_11*B*F_11, and it is
+a -> sum F_i1*alpha(E_1i*a*E_j1)*F_1j.  The systems of B are one orbit
+under its units, and the stabilizer of one is its scalars D'^x, so
+
+    |Iso(M_n(D), M_n(D'))| = |GL_n(D')| / |D'^x| * |Iso(D, D')|.
+
+The count takes this formula and searches only Iso(D, D').  The enumeration
+builds every map from the systems u^-1*E'*u, one unit u per system, and
+sorts the maps by image tuple; that is the order in which the search lists
+them, so the canonical order, the first hit and every listing are those of
+the search.  A block whose primitives are not all equivalent, and a
+one-primitive (local) block, keeps the search.
+
+Corner isomorphisms of the other blocks, Iso(D, D') and row maps are found
+by one backtracking search over generator images.  It assigns the images
+in generator order, trying the candidates of each in element order, so
+complete tuples come out in the lexicographic order of the full product.
+Each defining equation (the unit and the generator products for a corner,
+the two twisted actions for a row) is decided as soon as every image it
+reads is assigned, and a failing partial assignment is dropped with all its
+extensions.  So every complete
 survivor satisfies every equation.  The search runs on coefficient tuples:
 an equation that reads only the image being placed filters that image's
 candidates once per search, one that the earlier images solve for it picks
@@ -61,9 +83,9 @@ from .errors import (
     ToolkitError,
 )
 from .idempotents import is_semicentral
-from .maps import AdditiveMap, RingIsomorphism, compose_maps, verify_ring_iso
-from .presentation import Element, RingPresentation
-from .sequences import TriangularSequence
+from .maps import AdditiveMap, RingIsomorphism, _power_inverse, compose_maps, verify_ring_iso
+from .presentation import Element, RingPresentation, require_cap
+from .sequences import BlockType, TriangularSequence
 from .structure import admissible_orders
 from .subgroups import Subgroup
 from .triangulate import _locate_over, complete_triangulating_set
@@ -519,23 +541,109 @@ def _zero_offset(row_m: Subgroup) -> tuple[Element, ...]:
     return (row_m.ring.zero(),)
 
 
-def _corner_isos(table: dict, seq_a: TriangularSequence, seq_b: TriangularSequence, i, j):
+def _matrix_unit_isos(
+    corner_r: CornerRing, corner_s: CornerRing, type_r: BlockType, type_s: BlockType,
+    cap: int | None,
+) -> list[RingIsomorphism]:
+    """All ring isomorphisms between two blocks of type M_n(D) and M_n(D'),
+    built from matrix units and sorted by image tuple.
+
+    With E the matrix units of the domain block, an element a is the matrix
+    of the entries E_1i*a*E_j1 of D.  Each isomorphism is
+    a -> sum F_i1*alpha(E_1i*a*E_j1)*F_1j for one system F of matrix units
+    of the target block and one alpha in Iso(D, D') (the corner search on
+    D).  The systems are the conjugates u^-1*E'*u of the target's own
+    system E' over the units u of the target block, each reached from
+    |D'^x| units, so conjugating the maps built on E' by one unit per
+    system gives every isomorphism once.  The units are found by listing
+    the target block, which cap bounds."""
+    alphas = _enumerate_corner_isos(type_r.local.presentation, type_s.local.presentation)
+    if not alphas:
+        return []
+    pres_r, pres_s = corner_r.presentation, corner_s.presentation
+    n = len(type_r.prims)
+    row_r, col_r, row_s, col_s = type_r.row, type_r.col, type_s.row, type_s.col
+    # entries[g][i][j] = E_1i*a*E_j1 for the generator a = g of the domain block
+    entries = [
+        [[row_r[i] * a * col_r[j] for j in range(n)] for i in range(n)]
+        for a in corner_r.embed_map._image_elems
+    ]
+    ring_b = corner_s.parent
+    bases = []  # the images of the generators under the maps built on E'
+    for alpha in alphas:
+        alpha_amb = _in_ambient(type_r.local, type_s.local, alpha)
+        bases.append([
+            corner_s.project(ring_b.sum(
+                col_s[i] * alpha_amb.apply(d[i][j]) * row_s[j]
+                for i in range(n) for j in range(n)
+            ))
+            for d in entries
+        ])
+    system = [corner_s.project(x) for x in row_s[1:] + col_s[1:]]
+    require_cap(pres_s.order, cap, "matrix unit systems")
+    one = pres_s.one_element()
+    conjugations = {}
+    for u in pres_s.elements():
+        v = _power_inverse(u, one)
+        if v is not None:
+            conjugations.setdefault(tuple((v * x * u).coeffs for x in system), (v, u))
+    isos = [
+        RingIsomorphism(AdditiveMap(pres_r, pres_s, [v * b * u for b in base]))
+        for v, u in conjugations.values()
+        for base in bases
+    ]
+    isos.sort(key=lambda f: f.images)
+    return isos
+
+
+def _corner_isos(
+    table: dict, seq_a: TriangularSequence, seq_b: TriangularSequence, i, j, cap: int | None
+):
     """(rho, rho_amb, left_pairs) over the corner isomorphisms rho from block
     i of seq_a to block j of seq_b, read in ambient coordinates and with
     their left action pairs; found on first use and kept in table, which
-    lives for one query."""
+    lives for one query.  Blocks of type M_n(D), n >= 2, are built from
+    matrix units (_matrix_unit_isos); the others are searched.  Either way
+    the list is in lexicographic image order."""
     entry = table.get((i, j))
     if entry is None:
         corner_r = seq_a.corners[i]
         corner_s = seq_b.corners[j]
+        type_r, type_s = seq_a.types[i], seq_b.types[j]
+        if type_r.local is None:
+            isos = _enumerate_corner_isos(corner_r.presentation, corner_s.presentation)
+        else:
+            isos = _matrix_unit_isos(corner_r, corner_s, type_r, type_s, cap)
         entry = table[i, j] = []
-        for rho in _enumerate_corner_isos(corner_r.presentation, corner_s.presentation):
+        for rho in isos:
             rho_amb = _in_ambient(corner_r, corner_s, rho)
             entry.append((rho, rho_amb, _action_pairs(corner_r.subgroup, rho_amb)))
     return entry
 
 
-def _levels(seq_a: TriangularSequence, seq_b: TriangularSequence, sigma, offsets, table, i):
+def _corner_count(seq_a: TriangularSequence, seq_b: TriangularSequence) -> int:
+    """The number of isomorphisms between the one-block rings of seq_a and
+    seq_b, blocks of equal type.  For M_n(D) -> M_n(D'), n >= 2, it is
+    |GL_n(D')| / |D'^x| * |Iso(D, D')|: the systems of matrix units of the
+    target are one orbit under its units, with stabilizer the scalars D'^x.
+    |GL_n(D')| = |J|^(n^2) * |GL_n(F_q)| for J = J(D') and D'/J = F_q (that
+    is |D'|^(n^2) * prod_{i=1..n} (1 - q^-i)), and |D'^x| = |J| * (q - 1).
+    The other blocks are counted by the corner search, which verifies each
+    map it finds."""
+    (type_r,), (type_s,) = seq_a.types, seq_b.types
+    if type_r.local is None:
+        return len(_enumerate_corner_isos(seq_a.ring, seq_b.ring))
+    n, q = len(type_s.prims), type_s.q
+    radical = type_s.local.order // q
+    gl_residue = prod(q ** n - q ** k for k in range(n))
+    alphas = _enumerate_corner_isos(type_r.local.presentation, type_s.local.presentation)
+    return radical ** (n * n - 1) * gl_residue // (q - 1) * len(alphas)
+
+
+def _levels(
+    seq_a: TriangularSequence, seq_b: TriangularSequence, sigma, offsets, table, i,
+    cap: int | None,
+):
     """Yield (layers, last_rho, phi) for the levels i, ..., m-1 of the block
     order sigma in canonical order, deeper levels varying slowest; phi is the
     level map at i.  A level with target row row_m tries the offsets in
@@ -543,7 +651,7 @@ def _levels(seq_a: TriangularSequence, seq_b: TriangularSequence, sigma, offsets
     m = seq_a.m
     j = sigma[i]
     if i == m - 1:
-        for rho, rho_amb, _left_pairs in _corner_isos(table, seq_a, seq_b, i, j):
+        for rho, rho_amb, _left_pairs in _corner_isos(table, seq_a, seq_b, i, j, cap):
             yield (), rho, rho_amb
         return
     corner_r = seq_a.corners[i]
@@ -551,19 +659,36 @@ def _levels(seq_a: TriangularSequence, seq_b: TriangularSequence, sigma, offsets
     row_m = seq_b.rows[j]
     tail = seq_a.tail_idempotent(i + 1)
     level_offsets = offsets(row_m)
-    for sub_layers, last_rho, phi_next in _levels(seq_a, seq_b, sigma, offsets, table, i + 1):
+    for sub_layers, last_rho, phi_next in _levels(
+        seq_a, seq_b, sigma, offsets, table, i + 1, cap
+    ):
         right_pairs = _action_pairs(seq_a.tails[i + 1], phi_next)
-        for rho, rho_amb, left_pairs in _corner_isos(table, seq_a, seq_b, i, j):
+        for rho, rho_amb, left_pairs in _corner_isos(table, seq_a, seq_b, i, j, cap):
             for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
                 for offset in level_offsets:
                     phi = _level_map(corner_r.idem, tail, rho_amb, chi, offset, phi_next)
                     yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi
 
 
-def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offsets):
+def _matched(seq_a: TriangularSequence, seq_b: TriangularSequence, sigma) -> bool:
+    """Whether sigma pairs each block of seq_a with a block of seq_b of the
+    same corner order, row order and type (BlockType.key), as every
+    isomorphism over sigma must."""
+    return all(
+        seq_a.corners[i].order == seq_b.corners[j].order
+        and seq_a.rows[i].order == seq_b.rows[j].order
+        and seq_a.types[i].key == seq_b.types[j].key
+        for i, j in enumerate(sigma)
+    )
+
+
+def _parametrizations(
+    seq_a: TriangularSequence, seq_b: TriangularSequence, offsets, cap: int | None
+):
     """Yield (sigma, layers, last_rho, phi) in canonical order, phi being the
     level map of the parametrization; a level with target row row_m tries
-    the offsets in offsets(row_m)."""
+    the offsets in offsets(row_m).  cap bounds the target units that a
+    matrix-unit construction lists."""
     m = seq_a.m
     if seq_b.m != m:
         return
@@ -572,11 +697,9 @@ def _parametrizations(seq_a: TriangularSequence, seq_b: TriangularSequence, offs
         return
     table: dict = {}
     for sigma in admissible_orders(seq_b):
-        if any(seq_a.corners[i].order != seq_b.corners[sigma[i]].order for i in range(m)):
+        if not _matched(seq_a, seq_b, sigma):
             continue
-        if any(seq_a.rows[i].order != seq_b.rows[sigma[i]].order for i in range(m)):
-            continue
-        for layers, last_rho, phi in _levels(seq_a, seq_b, sigma, offsets, table, 0):
+        for layers, last_rho, phi in _levels(seq_a, seq_b, sigma, offsets, table, 0, cap):
             yield sigma, layers, last_rho, phi
 
 
@@ -590,13 +713,13 @@ def enumerate_isomorphisms(
     """
     if ring_a.order != ring_b.order:
         return
-    yield from _enumerate(*_canonical_sequences(ring_a, ring_b, cap))
+    yield from _enumerate(*_canonical_sequences(ring_a, ring_b, cap), cap)
 
 
-def _enumerate(seq_a: TriangularSequence, seq_b: TriangularSequence):
+def _enumerate(seq_a: TriangularSequence, seq_b: TriangularSequence, cap: int | None):
     """enumerate_isomorphisms over the canonical sequences of two rings of
     equal order, for a caller that has built them already."""
-    for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements):
+    for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements, cap):
         yield IsoDecomposition(sigma, layers, last_rho), _assemble(phi)
 
 
@@ -608,13 +731,17 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     chosen below it.  Hence the count is, summed over sigma, the number of
     offset-free parametrizations times the orders of the target rows of
     the levels above the last.  Each offset-free map is still assembled and
-    verified.
+    verified.  A ring of one block is its own corner, with identity embed
+    and project maps, so its isomorphisms are its corner isomorphisms,
+    counted by _corner_count with no map assembled.
     """
     if ring_a.order != ring_b.order:
         return 0
     seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
+    if seq_a.m == seq_b.m == 1:
+        return _corner_count(seq_a, seq_b) if _matched(seq_a, seq_b, (0,)) else 0
     total = 0
-    for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset):
+    for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset, cap):
         _assemble(phi)
         total += prod(seq_b.rows[j].order for j in sigma[:-1])
     return total

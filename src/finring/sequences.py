@@ -14,6 +14,18 @@ corner ring once.  It also records which components e_i*A*e_j vanish, the
 one table every block-order question reads, and keeps each tail t_i*A*t_i
 only as a subgroup of A, which is all the engine reads of it.
 
+build also records the type of each block (BlockType): its primitive
+idempotents, read from the split the reducedness check made, and, when
+there are n >= 2 of them and all are equivalent to the first, p_1, the
+matrix units E_1j, E_j1 that make the block M_n(D) over the local corner
+D = p_1*A*p_1, with q = |D/J(D)|.  Equivalence is decided on products of
+spanning generators of p_1*A*p_j and p_j*A*p_1 (idempotents._matrix_unit_system)
+and q by the Frobenius of D's residue field (idempotents._residue_order),
+so nothing is listed; a one-primitive block costs no product.  Isomorphic
+blocks have equal types, since complete sets of primitive idempotents are
+conjugate (Krull-Schmidt), and the isomorphism engine reads the types to
+pair blocks and to build or count the isomorphisms of matrix blocks.
+
 build spans each corner, tail and row once: the reducedness check, the
 corner rings, the tails and the rows read one dict of spans that lives for
 the one call.  The dict also keeps the answer of each idempotent split (the
@@ -32,7 +44,12 @@ from dataclasses import dataclass
 
 from .corners import CornerRing, _peirce_span, _vanishes, corner_ring
 from .errors import InvalidSequence
-from .idempotents import has_reduced_corner
+from .idempotents import (
+    _matrix_unit_system,
+    _primitive_idempotents,
+    _residue_order,
+    has_reduced_corner,
+)
 from .presentation import Element, RingPresentation
 from .subgroups import Subgroup
 
@@ -79,14 +96,48 @@ def is_strongly_triangular(ring: RingPresentation, idems, cap: int | None = None
 
 
 @dataclass(frozen=True)
+class BlockType:
+    """The type of one block e*A*e: its primitive idempotents prims and,
+    when there are n >= 2 of them and all are equivalent, the block as
+    M_n(D).  Then row[j] = E_1j and col[j] = E_j1 are matrix units
+    (row[0] = col[0] = prims[0]), local is the corner ring D at prims[0],
+    and q is the order of D's residue field D/J(D).  Otherwise row, col,
+    local and q are None."""
+
+    prims: tuple[Element, ...]
+    row: tuple[Element, ...] | None = None
+    col: tuple[Element, ...] | None = None
+    local: CornerRing | None = None
+    q: int | None = None
+
+    @property
+    def key(self) -> tuple:
+        """(n, |D|, q), equal for isomorphic blocks; |D| and q are None
+        unless the block is M_n(D) with n >= 2."""
+        return len(self.prims), None if self.local is None else self.local.order, self.q
+
+
+def _block_type(ring: RingPresentation, e: Element, cap: int | None, spans) -> BlockType:
+    """The type of the block at e, from the split of e that the reducedness
+    check left in spans; a one-primitive block makes no product."""
+    prims = tuple(_primitive_idempotents(ring, e, cap, spans))
+    units = _matrix_unit_system(ring, prims) if len(prims) > 1 else None
+    if units is None:
+        return BlockType(prims)
+    local = corner_ring(ring, prims[0], _spans=spans)
+    return BlockType(prims, *units, local, _residue_order(local.presentation))
+
+
+@dataclass(frozen=True)
 class TriangularSequence:
-    """A strongly triangulating sequence with its corners, tails, rows and
-    vanishing table.
+    """A strongly triangulating sequence with its corners, tails, rows,
+    vanishing table and block types.
 
     tails[i] is the subgroup t_i*A*t_i at t_i = e_i + ... + e_m, so tails[0]
     is all of A and tails[-1] is the last corner's subgroup.  rows[i] is the
     Peirce row e_i*A*(1-e_i); the lower components vanish, so it equals
     e_i*A*(e_{i+1} + ... + e_m).  vanishing[i][j] is whether e_i*A*e_j = 0.
+    types[i] is the BlockType of the corner e_i*A*e_i.
     """
 
     ring: RingPresentation
@@ -95,6 +146,7 @@ class TriangularSequence:
     tails: tuple[Subgroup, ...]
     rows: tuple[Subgroup, ...]
     vanishing: tuple[tuple[bool, ...], ...]
+    types: tuple[BlockType, ...]
 
     @classmethod
     def build(
@@ -122,7 +174,8 @@ class TriangularSequence:
             tuple(i > j or (i < j and _vanishes(ring, ei, ej)) for j, ej in enumerate(idems))
             for i, ei in enumerate(idems)
         )
-        return cls(ring, idems, corners, tails, rows, vanishing)
+        types = tuple(_block_type(ring, e, cap, spans) for e in idems)
+        return cls(ring, idems, corners, tails, rows, vanishing, types)
 
     @property
     def m(self) -> int:

@@ -17,14 +17,15 @@ from finring.automorphisms import _verify_group_law
 from finring.errors import CapExceeded
 from finring.fixtures import (
     FIXTURE_BUILDERS,
+    basis_change,
     f2,
     fixture,
     matrix_ring,
+    poly_quotient,
     product,
     upper_triangular,
 )
 from finring.maps import compose_maps, invert_map
-from test_kernels import basis_change
 
 # computed once by exhaustive search and frozen
 AUT_ORDERS = {
@@ -66,8 +67,8 @@ def test_aut_group_refuses_an_automorphism_enumerated_twice(monkeypatch):
     # aut --all disagree
     original = automorphisms._enumerate
 
-    def first_twice(seq_a, seq_b):
-        pairs = list(original(seq_a, seq_b))
+    def first_twice(seq_a, seq_b, cap=None):
+        pairs = list(original(seq_a, seq_b, cap))
         return pairs[:1] + pairs
 
     monkeypatch.setattr(automorphisms, "_enumerate", first_twice)
@@ -238,24 +239,26 @@ def test_aut_of_matrix_rings_is_pgl2(p):
 
 
 def test_corner_search_cap_counts_candidate_images(monkeypatch):
+    # F16 is one local block, so its corner search runs over all of it
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 8)
     with pytest.raises(CapExceeded) as info:
-        aut_group(matrix_ring(2, 2))
+        aut_group(poly_quotient([1, 1, 0, 0]))
     assert info.value.what == "corner isomorphism search"
     assert (info.value.size, info.value.cap) == (9, 8)
 
 
-def test_corner_search_cap_is_met_exactly_by_m2_f3(monkeypatch):
-    # M2(F3)'s one corner search charges 830 candidates in all: 4 * 81 for
-    # filtering each generator's candidates once and 506 taken up by partial
-    # assignments.  A cap of 830 answers and one less refuses
-    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 830)
-    assert aut_order(matrix_ring(2, 3)) == 24
-    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 829)
+def test_corner_search_cap_is_met_exactly_by_f16(monkeypatch):
+    # F16's one corner search charges 101 candidates in all: 4 * 16 for
+    # filtering each generator's candidates once and 37 taken up by partial
+    # assignments.  A cap of 101 answers and one less refuses
+    ring = poly_quotient([1, 1, 0, 0])
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 101)
+    assert aut_order(ring) == 4
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 100)
     with pytest.raises(CapExceeded) as info:
-        aut_order(matrix_ring(2, 3))
+        aut_order(ring)
     assert info.value.what == "corner isomorphism search"
-    assert (info.value.size, info.value.cap) == (830, 829)
+    assert (info.value.size, info.value.cap) == (101, 100)
 
 
 @pytest.mark.parametrize(
@@ -265,9 +268,11 @@ def test_corner_search_cap_is_met_exactly_by_m2_f3(monkeypatch):
     ids=["M2(F5)", "M3(F2)", "M2(F3) on a random basis"],
 )
 def test_corner_search_charges_the_candidates_it_takes_up(ring, order):
-    # Charged per placement of every candidate, these searches exceeded the
-    # default cap of 65536; charged per candidate filtered or taken up, they
-    # cost 7252, 39095 and 1580 (PGL2(F5), PGL3(F2) and PGL2(F3))
+    # Charged per placement of every candidate, the searches over these
+    # whole blocks exceeded the default cap of 65536; charged per candidate
+    # filtered or taken up, they cost 7252, 39095 and 1580 (PGL2(F5),
+    # PGL3(F2) and PGL2(F3)).  Each block is now M_n(F_p), so only
+    # Iso(F_p, F_p) is searched, and the rest comes from matrix units
     assert aut_order(ring) == order
 
 

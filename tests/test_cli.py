@@ -8,7 +8,7 @@ import pytest
 from finring import cli, morphisms, oracle, triangulate
 from finring.cli import main
 from finring.errors import CapExceeded
-from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, product
+from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, poly_quotient, product
 from finring.jsonio import ring_to_obj
 from test_structure import SPLITS
 
@@ -255,7 +255,7 @@ def test_permutation_guard_exits_3_and_names_the_stage(tmp_path, capsys):
 
 def test_search_caps_exit_3_and_name_the_stage(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 8)
-    code, _, cap = run(capsys, "aut", _ring_file(tmp_path, matrix_ring(2, 2)))
+    code, _, cap = run(capsys, "aut", _ring_file(tmp_path, poly_quotient([1, 1, 0, 0])))
     assert code == 3
     assert "corner isomorphism search" in cap.err
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 3)

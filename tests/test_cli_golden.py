@@ -33,11 +33,17 @@ import re
 import tempfile
 
 from finring.cli import main
-from finring.fixtures import FIXTURE_BUILDERS, cyclic, matrix_ring, product, upper_triangular
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    basis_change,
+    cyclic,
+    matrix_ring,
+    poly_quotient,
+    product,
+    upper_triangular,
+)
 from finring.jsonio import ring_to_obj
 from finring.presentation import RingPresentation
-from test_kernels import basis_change
-from test_morphisms import poly_quotient
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "cli_golden.json"

@@ -14,19 +14,20 @@ from finring import (
 from finring.corners import corner_ring, peirce_component, vanishes
 from finring.fixtures import (
     FIXTURE_BUILDERS,
+    basis_change,
     cyclic,
+    dual_square,
     f2,
     field_f4,
     fixture,
     matrix_ring,
+    poly_quotient,
     product,
     t2_f2,
     upper_triangular,
     z6,
 )
 from finring.idempotents import has_reduced_corner
-from test_kernels import basis_change
-from test_morphisms import dual_square, poly_quotient
 
 
 def test_z6_idempotents():

@@ -26,10 +26,12 @@ from finring import (
 )
 from finring.fixtures import (
     FIXTURE_BUILDERS,
+    basis_change,
     cyclic,
     f2,
     fixture,
     matrix_ring,
+    poly_quotient,
     product,
     t2_f2,
     t2_z4,
@@ -37,8 +39,6 @@ from finring.fixtures import (
     z2xz3,
     z6,
 )
-from test_kernels import basis_change
-from test_morphisms import poly_quotient
 
 
 def _crt():

@@ -42,10 +42,13 @@ from finring import (
 from finring import morphisms
 from finring.fixtures import (
     FIXTURE_BUILDERS,
+    basis_change,
     cyclic,
+    dual_square,
     f2,
     fixture,
     matrix_ring,
+    poly_quotient,
     product,
     t2_f2,
     t2_f2_inner,
@@ -54,7 +57,6 @@ from finring.fixtures import (
 )
 from finring.oracle import brute_isos
 from finring.presentation import RingPresentation
-from test_kernels import basis_change
 
 
 def _identity_quadruple(ring, e, m):
@@ -534,29 +536,6 @@ def test_corner_search_of_m2f2_tries_under_one_percent(monkeypatch):
 
 
 # -- counting without listing ---------------------------------------------
-
-
-def poly_quotient(f: list[int]) -> RingPresentation:
-    """F2[x]/(f) on 1, x, ..., x^(d-1); f lists the low coefficients of a
-    monic polynomial of degree d = len(f)."""
-    d = len(f)
-    powers = [[int(i == t) for i in range(d)] for t in range(d)]
-    for _ in range(d, 2 * d - 1):
-        top = powers[-1][d - 1]
-        shifted = [0] + powers[-1][: d - 1]
-        powers.append([(x - top * c) % 2 for x, c in zip(shifted, f)])
-    mul = [[powers[i + j] for j in range(d)] for i in range(d)]
-    return RingPresentation([2] * d, mul, powers[0])
-
-
-def dual_square() -> RingPresentation:
-    """F2[x,y]/(x^2, y^2) on 1, x, y, xy."""
-    monos = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    mul = [
-        [[int((a[0] + b[0], a[1] + b[1]) == c) for c in monos] for b in monos]
-        for a in monos
-    ]
-    return RingPresentation([2] * 4, mul, [1, 0, 0, 0])
 
 
 COUNTED_RINGS = [fixture(name) for name in sorted(FIXTURE_BUILDERS)] + [

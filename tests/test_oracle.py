@@ -17,9 +17,10 @@ from finring import (
     enumerate_isomorphisms,
     is_semicentral,
 )
-from finring import oracle
+from finring import morphisms, oracle
 from finring.fixtures import (
     FIXTURE_BUILDERS,
+    basis_change,
     cyclic,
     f2,
     fixture,
@@ -32,7 +33,6 @@ from finring.fixtures import (
 from finring.maps import AdditiveMap
 from finring.oracle import BrutePeirceTable
 from finring.presentation import RingPresentation
-from test_kernels import basis_change
 
 
 def test_brute_semicentral_t2f2():
@@ -158,13 +158,18 @@ Z4XZ4_SKEW = RingPresentation(
 Z8_ON_3 = RingPresentation([8], [[[3]]], [3], name="Z8 on 3")
 
 
-def test_brute_isos_matches_the_element_reference_in_order():
+ZERO = RingPresentation([], [], [])
+
+
+def _oracle_pairs():
+    """The oracle pairs: the fixtures of at most 16 elements paired by
+    order, two small skew presentations, the zero ring and seeded basis
+    changes."""
     rings = [fixture(name) for name in sorted(FIXTURE_BUILDERS)]
     rings = [r for r in rings if r.order <= 16]
     pairs = [(a, b) for a in rings for b in rings if a.order == b.order]
     pairs.append((cyclic(2), cyclic(3)))
-    zero = RingPresentation([], [], [])
-    pairs.append((zero, zero))
+    pairs.append((ZERO, ZERO))
     for ring, standard in ((Z4XZ4_SKEW, product(cyclic(4), cyclic(4))), (Z8_ON_3, cyclic(8))):
         pairs += [(ring, ring), (ring, standard), (standard, ring)]
     # seeded basis changes of the fixtures with at most 16 elements on one
@@ -173,11 +178,16 @@ def test_brute_isos_matches_the_element_reference_in_order():
     for seed, ring in enumerate(r for r in rings if len(set(r.orders)) == 1):
         changed = basis_change(ring, random.Random(seed))[0]
         pairs.append((changed, changed))
+    return pairs
+
+
+def test_brute_isos_matches_the_element_reference_in_order():
+    pairs = _oracle_pairs()
     for dom, cod in pairs:
         expected = [iso for iso in _isos_by_elements(dom, cod)]
         assert [iso for iso in brute_isos(dom, cod)] == expected, (dom, cod)
     assert len(pairs) == 25
-    assert [iso.images for iso in brute_isos(zero, zero)] == [()]
+    assert [iso.images for iso in brute_isos(ZERO, ZERO)] == [()]
     assert len(brute_isos(Z4XZ4_SKEW, Z4XZ4_SKEW)) == 2
     assert len(brute_isos(Z8_ON_3, Z8_ON_3)) == 1
 
@@ -331,3 +341,20 @@ def test_one_peirce_table_decides_every_order():
     assert brute_triangular_check(t2, [e11, e22], table=table) is True
     assert brute_triangular_check(t2, [e22, e11], table=table) is False
     assert table.vanishes(e22, e11) and not table.vanishes(e11, e22)
+
+
+def test_corner_search_matches_the_oracle_in_order():
+    # the corner search on whole rings of equal order, and the matrix-unit
+    # construction on M2(F2) and its basis-changed copies, where the
+    # enumeration of a one-block ring is its list of corner isomorphisms
+    for dom, cod in _oracle_pairs():
+        if dom.order == cod.order:
+            assert morphisms._enumerate_corner_isos(dom, cod) == brute_isos(dom, cod), (dom, cod)
+    m2 = [matrix_ring(2, 2)] + [
+        basis_change(matrix_ring(2, 2), random.Random(seed))[0] for seed in range(3)
+    ]
+    for dom in m2:
+        for cod in m2:
+            engine = [iso for _d, iso in enumerate_isomorphisms(dom, cod)]
+            assert engine == brute_isos(dom, cod)
+            assert len(engine) == 6

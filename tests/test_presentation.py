@@ -16,9 +16,16 @@ from finring import (
     UnitFailure,
     validate_presentation,
 )
-from finring.fixtures import FIXTURE_BUILDERS, cyclic, fixture, matrix_ring, t2_f2, upper_triangular
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    basis_change,
+    cyclic,
+    fixture,
+    matrix_ring,
+    t2_f2,
+    upper_triangular,
+)
 from finring.presentation import require_cap
-from test_kernels import basis_change
 
 
 def test_cyclic_basics():

@@ -17,10 +17,17 @@ from finring import (
     peirce_component,
 )
 from finring.corners import corner_ring
-from finring.fixtures import FIXTURE_BUILDERS, fixture, matrix_ring, upper_triangular
+from finring.fixtures import (
+    FIXTURE_BUILDERS,
+    basis_change,
+    dual_square,
+    fixture,
+    matrix_ring,
+    poly_quotient,
+    product,
+    upper_triangular,
+)
 from finring.subgroups import Subgroup
-from test_kernels import basis_change
-from test_morphisms import poly_quotient
 
 CANONICAL_SEQUENCES = {
     "z6": [(3,), (4,)],
@@ -329,9 +336,6 @@ def _lexicographic_sweep(ring):
 
 
 def _corpus():
-    from test_morphisms import dual_square, poly_quotient
-    from finring.fixtures import product
-
     t2_f2, m2_f2 = upper_triangular(2, 2), matrix_ring(2, 2)
     rings = {
         **{"T%d(Z%d)" % nm: upper_triangular(*nm) for nm in
@@ -368,8 +372,6 @@ def test_construction_matches_the_sweep_above_the_default_cap(ring):
 
 
 def test_construction_never_lists_the_ring(monkeypatch):
-    from test_morphisms import dual_square, poly_quotient
-
     def refuse(self):
         raise AssertionError("RingPresentation.elements called")
 
