@@ -19,9 +19,10 @@ idempotents, read from the split the reducedness check made, and, when
 there are n >= 2 of them and all are equivalent to the first, p_1, the
 matrix units E_1j, E_j1 that make the block M_n(D) over the local corner
 D = p_1*A*p_1, with q = |D/J(D)|.  Equivalence is decided on products of
-spanning generators of p_1*A*p_j and p_j*A*p_1 (idempotents._matrix_unit_system)
-and q by the Frobenius of D's residue field (idempotents._residue_order),
-so nothing is listed; a one-primitive block costs no product.  Isomorphic
+spanning generators of p_1*A*p_j and p_j*A*p_1
+(idempotents._matrix_unit_system) and q by the Frobenius of D's residue
+field (idempotents._residue_order), so nothing is listed; a one-primitive
+block costs no product.  Isomorphic
 blocks have equal types, since complete sets of primitive idempotents are
 conjugate (Krull-Schmidt), and the isomorphism engine reads the types to
 pair blocks and to build or count the isomorphisms of matrix blocks.
