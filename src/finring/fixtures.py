@@ -19,61 +19,50 @@ def cyclic(n: int, name: str | None = None) -> RingPresentation:
     return RingPresentation((n,), (((1 % n,),),), (1 % n,), name=name or "Z%d" % n)
 
 
-def _matrix_units(pairs, modulus: int, name: str) -> RingPresentation:
-    """The ring over Z_modulus spanned by the matrix units E_ab, (a, b) in
-    pairs, in that order: E_ab * E_cd = [b == c] E_ad, and 1 = sum of the E_aa."""
-    index = {p: t for t, p in enumerate(pairs)}
-    k = len(pairs)
-    units = [tuple(int(s == t) for t in range(k)) for s in range(k)]
-    zero = (0,) * k
+def _matrix_units(pairs, d: RingPresentation, name: str) -> RingPresentation:
+    """The ring over the presented ring d spanned by E_ab * g_l, for the
+    positions (a, b) in pairs and the generators g_l of d, in the order of
+    pairs and then l: (E_ab x)(E_cd y) = [b == c] E_ad (x y), and 1 is the sum
+    of the E_aa * 1."""
+    k = d.rank
+    start = {p: t * k for t, p in enumerate(pairs)}
+    size = len(pairs) * k
+
+    def at(pos, vec):
+        out = [0] * size
+        out[start[pos]:start[pos] + k] = vec
+        return tuple(out)
+
+    zero = (0,) * size
     mul = tuple(
-        tuple(units[index[a, d]] if b == c else zero for c, d in pairs) for a, b in pairs
+        tuple(at((a, dd), d.mul[x][y]) if b == c else zero for c, dd in pairs for y in range(k))
+        for a, b in pairs for x in range(k)
     )
-    one = tuple(int(a == b) for a, b in pairs)
-    return RingPresentation((modulus,) * k, mul, one, name=name)
+    one = [0] * size
+    for a, b in pairs:
+        if a == b:
+            one[start[a, a]:start[a, a] + k] = d.one
+    return RingPresentation(d.orders * len(pairs), mul, tuple(one), name=name)
 
 
 def upper_triangular(n: int, modulus: int, name: str | None = None) -> RingPresentation:
     """n-by-n upper triangular matrices over Z_modulus, on E_ab for a <= b in
     row-major order."""
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    return _matrix_units(pairs, modulus, name or "T%d(Z%d)" % (n, modulus))
+    return _matrix_units(pairs, cyclic(modulus), name or "T%d(Z%d)" % (n, modulus))
 
 
 def matrix_ring(n: int, modulus: int, name: str | None = None) -> RingPresentation:
     """n-by-n matrices over Z_modulus, on E_ab in row-major order."""
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    return _matrix_units(pairs, modulus, name or "M%d(Z%d)" % (n, modulus))
+    return matrices_over(n, cyclic(modulus), name or "M%d(Z%d)" % (n, modulus))
 
 
 def matrices_over(n: int, d: RingPresentation, name: str | None = None) -> RingPresentation:
     """n-by-n matrices over the presented ring d, on E_ab * g_l for a, b in
     range(n) and the generators g_l of d, in row-major order of (a, b) and
-    then l: (E_ab x)(E_cd y) = [b == c] E_ad (x y)."""
-    k = d.rank
+    then l."""
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    index = {p: t for t, p in enumerate(pairs)}
-    size = len(pairs) * k
-
-    def embed(a, b, vec):
-        out = [0] * size
-        out[index[a, b] * k:index[a, b] * k + k] = vec
-        return tuple(out)
-
-    zero = (0,) * size
-    mul = tuple(
-        tuple(
-            embed(a, bb, d.mul[x][y]) if b == c else zero
-            for c, bb in pairs for y in range(k)
-        )
-        for a, b in pairs for x in range(k)
-    )
-    one = [0] * size
-    for a in range(n):
-        one[index[a, a] * k:index[a, a] * k + k] = d.one
-    return RingPresentation(
-        d.orders * len(pairs), mul, tuple(one), name=name or "M%d(%s)" % (n, d.name)
-    )
+    return _matrix_units(pairs, d, name or "M%d(%s)" % (n, d.name))
 
 
 def poly_quotient(f, p: int = 2, name: str | None = None) -> RingPresentation:

@@ -16,13 +16,17 @@ sets of primitive idempotents of a finite ring are conjugate up to order
 (Krull-Schmidt; Lam, A First Course in Noncommutative Rings, ch. 8), and
 conjugation keeps p_i*A*p_j != 0, so the p_i do not form one block either.
 complete_triangulating_set takes its blocks from the same graph.
+
+The idempotent powers a split tries, the unit inverses of the matrix units
+and the nilpotency test of a residue field come from one walk over the
+powers of an element, maps._power_walk.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
 from .corners import _peirce_span, _require_idempotent, _vanishes
-from .maps import _power_inverse
+from .maps import _power_walk
 from .presentation import Element, RingPresentation, require_cap
 
 
@@ -85,7 +89,7 @@ def _splitting_idempotent(ring: RingPresentation, p: Element, cap: int | None, s
     if _additive_order(p) == n and _is_prime_power(n):
         return None
     for x in corner.spanning:
-        q = _idempotent_power(x)
+        q = _power_walk(x, p)[0]
         if not q.is_zero() and q != p:
             return q
     require_cap(n, cap, "idempotent sweep")
@@ -108,21 +112,6 @@ def _is_prime_power(n: int) -> bool:
     while n % q == 0:
         n //= q
     return n == 1
-
-
-def _idempotent_power(x: Element) -> Element:
-    """The idempotent among the powers of x: x^n for the multiple n of their
-    period that is at least their preperiod."""
-    seen: dict = {}
-    powers = []  # powers[i] = x^(i + 1)
-    y = x
-    while y.coeffs not in seen:
-        seen[y.coeffs] = len(powers)
-        powers.append(y)
-        y = y * x
-    start = seen[y.coeffs] + 1  # x^start is the first power that recurs
-    period = len(powers) + 1 - start
-    return powers[-(-start // period) * period - 1]
 
 
 def _blocks(ring: RingPresentation, prims: list[Element]):
@@ -177,7 +166,7 @@ def _matrix_unit_system(ring: RingPresentation, prims: list[Element]):
         xs = [x for x in (p * g * r for g in gens) if not x.is_zero()]
         ys = [y for y in (r * g * p for g in gens) if not y.is_zero()]
         pair = next(
-            ((x, y * v) for x in xs for y in ys for v in [_power_inverse(x * y, p)]
+            ((x, y * v) for x in xs for y in ys for v in [_power_walk(x * y, p)[1]]
              if v is not None),
             None,
         )
@@ -192,22 +181,13 @@ def _residue_order(d: RingPresentation) -> int:
     """q = |D/J(D)| for a local ring D, without listing D.  D/J(D) is the
     field F_q, q = p^f for the one prime p dividing |D|, where x -> x^p is
     additive; so f is the least exponent at which g^(p^f) - g lies in J(D)
-    for every generator g of D.  J(D) is the set of nilpotents, and its
-    nilpotency index is at most the composition length of D, which is less
-    than the bit length b of |D|: x lies in J(D) when x^(2^r) = 0 for
-    2^r >= b."""
-    n = d.order
-    p = _least_prime(n)
-    bits = n.bit_length()
-
-    def nilpotent(x: Element) -> bool:
-        e = 1
-        while e < bits:
-            x, e = x * x, 2 * e
-        return x.is_zero()
+    for every generator g of D.  J(D) is the set of nilpotents: x lies in
+    J(D) when the idempotent among its powers is 0 (maps._power_walk)."""
+    p = _least_prime(d.order)
+    one = d.one_element()
 
     def power(x: Element, k: int) -> Element:
-        acc = d.one_element()
+        acc = one
         while k:
             if k & 1:
                 acc = acc * x
@@ -218,5 +198,5 @@ def _residue_order(d: RingPresentation) -> int:
     images, q = gens, 1
     while True:
         images, q = [power(y, p) for y in images], q * p
-        if all(nilpotent(y - g) for y, g in zip(images, gens)):
+        if all(_power_walk(y - g, one)[0].is_zero() for y, g in zip(images, gens)):
             return q

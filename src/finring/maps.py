@@ -35,6 +35,11 @@ matrix-unit isomorphisms of a block of type M_n(D), which are isomorphisms
 by construction and are verified as part of each whole map assembled from
 them.  Equal endpoints and images make equal maps, whichever of the two
 classes they have.
+
+The powers of an element are walked in one place, _power_walk, for the
+idempotent among them and, for a unit, its inverse: unit_inverse and the
+matrix units read the inverse, the idempotent splits and the nilpotency
+test (idempotents.py) the idempotent power.
 """
 from __future__ import annotations
 
@@ -278,25 +283,32 @@ def ring_units(ring: RingPresentation, cap: int | None = None) -> list[Element]:
 def unit_inverse(u: Element, cap: int | None = None) -> Element:
     """u^(n-1) for n the multiplicative order of the unit u."""
     require_cap(u.ring.order, cap, "unit inversion sweep")
-    inverse = _power_inverse(u, u.ring.one_element())
+    inverse = _power_walk(u, u.ring.one_element())[1]
     if inverse is None:
         raise StructureViolation("element is not a unit")
     return inverse
 
 
-def _power_inverse(u: Element, one: Element) -> Element | None:
-    """The inverse of u in the finite ring (or corner) whose unit is one,
-    read from the powers of u: u^(n-1) for the multiplicative order n of u.
-    None when u is not a unit: its powers then never meet one, and they
-    recur.  The walk makes at most as many products as u has powers."""
-    seen = set()
-    inverse, power = one, u
-    while power != one:
-        if power.coeffs in seen:
-            return None
-        seen.add(power.coeffs)
-        inverse, power = power, power * u
-    return inverse
+def _power_walk(x: Element, one: Element) -> tuple[Element, Element | None]:
+    """(e, v) for x in the finite ring (or corner) whose unit is one: e is
+    the idempotent among the powers of x, and v the inverse of x, or None
+    when x is not a unit.  If some x^n is one, x is a unit, e = one and
+    v = x^(n-1).  Otherwise the powers recur without meeting one, and e is
+    x^n for the multiple n of their period that is at least their
+    preperiod; x is nilpotent exactly when e is 0.  The walk makes at most
+    as many products as x has powers."""
+    seen: dict = {}
+    powers = [one]  # powers[i] = x^i
+    y = x
+    while y != one and y.coeffs not in seen:
+        seen[y.coeffs] = len(powers)
+        powers.append(y)
+        y = y * x
+    if y == one:
+        return one, powers[-1]
+    start = seen[y.coeffs]  # x^start is the first power that recurs
+    period = len(powers) - start
+    return powers[-(-start // period) * period], None
 
 
 def inner_automorphism(u: Element, cap: int | None = None) -> RingIsomorphism:

@@ -19,7 +19,14 @@ Enumeration walks sigma in lexicographic order and, per sigma, the layer
 choices with deeper levels varying slowest and each level keyed by image
 tuples in lexicographic order; iso_search returns the first hit in that
 canonical order.  Each level map is an AdditiveMap on A, built once from its
-images on the generators and read by every choice above it.
+images on the generators and read by every choice above it.  A level makes
+the row parts e_i*g*t_{i+1} of A's generators once for all its maps, and a
+map with offset 0 makes no product.
+
+Decomposition rests on the structure theorem (see triangulate.py), which
+drops phi(e_i) into the row coset of exactly one target block.  It is not
+re-proved per call: decomposition looks that block up, and comparing the
+resynthesis of the parts with phi is its one check.
 
 iso_count counts the same maps without listing them.  A level with offset m
 is its offset-0 map followed by conjugation by the unit 1 - m (m*m = 0), so
@@ -83,7 +90,7 @@ from .errors import (
     ToolkitError,
 )
 from .idempotents import is_semicentral
-from .maps import AdditiveMap, RingIsomorphism, _power_inverse, compose_maps, verify_ring_iso
+from .maps import AdditiveMap, RingIsomorphism, _power_walk, compose_maps, verify_ring_iso
 from .presentation import Element, RingPresentation, require_cap
 from .sequences import BlockType, TriangularSequence
 from .structure import admissible_orders
@@ -161,17 +168,19 @@ def _level_failure(chi: AdditiveMap, offset: Element, left, right) -> str | None
     return None
 
 
-def _level_map(e: Element, tail: Element, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:
+def _level_map(parts, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:
     """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
     for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
-    the tail t, given by its images on the generators of A.  rho_amb and
-    phi_next are AdditiveMaps on A that read only r and a; chi is defined on
-    the row alone."""
-    ring_a = rho_amb.domain
-    return AdditiveMap(ring_a, m.ring, [
-        rho_r + rho_r * m + chi.apply(e * g * tail) - m * phi_a + phi_a
-        for g, rho_r, phi_a in zip(ring_a.gens(), rho_amb._image_elems, phi_next._image_elems)
-    ])
+    the tail t, given by its images on the generators g of A, whose row
+    parts e*g*t the caller makes once per level and passes as parts.
+    rho_amb and phi_next are AdditiveMaps on A that read only r and a; chi
+    is defined on the row alone.  A zero offset m makes no product."""
+    twisted = not m.is_zero()
+    images = []
+    for l, rho_r, phi_a in zip(parts, rho_amb._image_elems, phi_next._image_elems):
+        y = rho_r + chi.apply(l) + phi_a
+        images.append(y + rho_r * m - m * phi_a if twisted else y)
+    return AdditiveMap(rho_amb.domain, m.ring, images)
 
 
 def _checked_level(
@@ -198,7 +207,8 @@ def _checked_level(
     reason = _level_failure(layer.chi, layer.m, *_row_equations(row_l, row_m, rho_pairs, phi_pairs))
     if reason is not None:
         raise InconsistentQuadruple(reason, level)
-    return _level_map(corner_r.idem, tail, rho_amb, layer.chi, layer.m, phi_next)
+    parts = [corner_r.idem * g * tail for g in tail.ring.gens()]
+    return _level_map(parts, rho_amb, layer.chi, layer.m, phi_next)
 
 
 def _assemble(phi: AdditiveMap) -> RingIsomorphism:
@@ -219,10 +229,10 @@ def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRin
 
 
 def _restrict_row(psi: AdditiveMap, row_l: Subgroup, row_m: Subgroup) -> AdditiveMap:
-    try:
-        return AdditiveMap(row_l, row_m, [psi.apply(l) for l in row_l.generators])
-    except ShapeMismatch as exc:
-        raise StructureViolation("restriction of phi leaves the target row: %s" % exc)
+    """psi read on the row e*A*(1-e), which it maps into the row f*B*(1-f):
+    f is semicentral and psi(e) lies in f + f*B*(1-f) (the structure
+    theorem, see triangulate.py)."""
+    return AdditiveMap(row_l, row_m, [psi.apply(l) for l in row_l.generators])
 
 
 # -- a single semicentral level ----------------------------------------------
@@ -282,7 +292,8 @@ def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuad
     rho = _restrict_corner(phi, corner_r, corner_s)
     phibar = _restrict_corner(phi, corner_abar, corner_bbar)
     q = CornerQuadruple(rho, phibar, _restrict_row(phi, row_l, row_m), offset)
-    if _assemble(_quadruple_level(ctx_a, ctx_b, q)) != phi:
+    # phi is verified, so a resynthesis equal to it needs no check of its own
+    if _quadruple_level(ctx_a, ctx_b, q) != phi:
         raise StructureViolation("corner data does not resynthesize the map")
     return q
 
@@ -357,14 +368,13 @@ def iso_decompose(
     seq_b: TriangularSequence,
 ) -> IsoDecomposition:
     """Factor phi into sigma, per-level corner data, and a closing corner
-    isomorphism.  The result resynthesizes to phi exactly; that is asserted."""
+    isomorphism.  The result resynthesizes to phi exactly; that is asserted,
+    and it is the only check (see the module docstring)."""
     ring_a = seq_a.ring
     ring_b = seq_b.ring
     if phi.domain != ring_a or phi.codomain != ring_b:
         raise ShapeMismatch("map endpoints do not match the sequences")
     m = seq_a.m
-    if seq_b.m != m:
-        raise StructureViolation("isomorphic rings have sequences of equal length")
     active = list(range(m))
     psi = phi
     sigma: list[int] = []
@@ -375,8 +385,6 @@ def iso_decompose(
         sigma.append(k)
         rho = _restrict_corner(psi, seq_a.corners[i], seq_b.corners[k])
         if i == m - 1:
-            if not rest.is_zero():
-                raise StructureViolation("closing block leaves a nonzero row part")
             last_rho = rho
             break
         layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
@@ -584,7 +592,7 @@ def _matrix_unit_isos(
     one = pres_s.one_element()
     conjugations = {}
     for u in pres_s.elements():
-        v = _power_inverse(u, one)
+        v = _power_walk(u, one)[1]
         if v is not None:
             conjugations.setdefault(tuple((v * x * u).coeffs for x in system), (v, u))
     isos = [
@@ -654,10 +662,10 @@ def _levels(
         for rho, rho_amb, _left_pairs in _corner_isos(table, seq_a, seq_b, i, j, cap):
             yield (), rho, rho_amb
         return
-    corner_r = seq_a.corners[i]
     row_l = seq_a.rows[i]
     row_m = seq_b.rows[j]
-    tail = seq_a.tail_idempotent(i + 1)
+    e, tail = seq_a.idems[i], seq_a.tail_idempotent(i + 1)
+    parts = [e * g * tail for g in seq_a.ring.gens()]
     level_offsets = offsets(row_m)
     for sub_layers, last_rho, phi_next in _levels(
         seq_a, seq_b, sigma, offsets, table, i + 1, cap
@@ -666,7 +674,7 @@ def _levels(
         for rho, rho_amb, left_pairs in _corner_isos(table, seq_a, seq_b, i, j, cap):
             for chi in _enumerate_row_maps(row_l, row_m, left_pairs, right_pairs):
                 for offset in level_offsets:
-                    phi = _level_map(corner_r.idem, tail, rho_amb, chi, offset, phi_next)
+                    phi = _level_map(parts, rho_amb, chi, offset, phi_next)
                     yield (IsoLayer(rho, chi, offset),) + sub_layers, last_rho, phi
 
 

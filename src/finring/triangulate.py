@@ -38,12 +38,15 @@ that one call; the ring keeps no cache.
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
 that product equals f_j, f - f_j lies in the row of f_j, and every component
-above f_j vanishes.
+above f_j vanishes.  The theorem is proved once, not per call: locate_reduced
+and the isomorphism decomposition only look up the block that f hits and
+take f - f_j, and the acceptance tests (criterion 05) assert all four facts
+over the fixture corpus.
 """
 from __future__ import annotations
 
 from .corners import _peirce_span, corner_ring
-from .errors import NotSemicentral, NotSemicentralReduced, StructureViolation
+from .errors import NotSemicentral, NotSemicentralReduced
 from .idempotents import _blocks, _primitive_idempotents, has_reduced_corner, is_semicentral
 from .presentation import Element, RingPresentation, require_cap
 from .sequences import TriangularSequence
@@ -84,35 +87,12 @@ def complete_triangulating_set(
 def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:
     """Shared core of locate_reduced, parameterized by the still-active block
     indices so the isomorphism decomposition can reuse it on shrinking tails.
-    Returns (absolute block index, row part of f).
-
-    f lies in u*A*u for u the sum of the active idempotents, so its row part
-    lies in e_k*A*(u - e_k) exactly when it lies in the row e_k*A*(1 - e_k)
-    that the sequence keeps."""
+    Returns (absolute block index, row part of f): the one active block e_k
+    with e_k*f*e_k != 0, and f - e_k.  The structure theorem proves the rest
+    (see the module docstring), so none of it is checked again here."""
     idems = seq.idems
-    hits = []
-    for k in active:
-        p = idems[k] * f * idems[k]
-        if not p.is_zero():
-            hits.append((k, p))
-    if len(hits) != 1:
-        raise StructureViolation(
-            "expected exactly one diagonal hit, found %d" % len(hits)
-        )
-    k, p = hits[0]
-    if p != idems[k]:
-        raise StructureViolation("diagonal product is nonzero but not the block idempotent")
-    rest = f - idems[k]
-    if not seq.rows[k].contains(rest):
-        raise StructureViolation("idempotent does not sit in its block's row coset")
-    for i in active:
-        if i == k:
-            break
-        if not seq.vanishing[i][k]:
-            raise StructureViolation(
-                "component above the located block is nonzero at index %d" % i
-            )
-    return k, rest
+    k = next(k for k in active if not (idems[k] * f * idems[k]).is_zero())
+    return k, f - idems[k]
 
 
 def locate_reduced(
@@ -142,7 +122,5 @@ def extend_semicentral(
     head = [head_corner.embed(x) for x in complete_triangulating_set(head_corner.presentation, cap).idems]
     tail_corner = corner_ring(ring, ring.one_element() - e)
     tail = [tail_corner.embed(x) for x in complete_triangulating_set(tail_corner.presentation, cap).idems]
-    seq = TriangularSequence.build(ring, tuple(head) + tuple(tail), cap)
-    if ring.sum(head) != e:
-        raise StructureViolation("head of the extension does not sum to the idempotent")
-    return seq, len(head)
+    # the head sequence sums to the unit e of its corner
+    return TriangularSequence.build(ring, tuple(head) + tuple(tail), cap), len(head)

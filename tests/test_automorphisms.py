@@ -18,6 +18,7 @@ from finring.errors import CapExceeded
 from finring.fixtures import (
     FIXTURE_BUILDERS,
     basis_change,
+    dual_square,
     f2,
     fixture,
     matrix_ring,
@@ -262,18 +263,30 @@ def test_corner_search_cap_is_met_exactly_by_f16(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring, order",
-    [(matrix_ring(2, 5), 120), (matrix_ring(3, 2), 168),
-     (basis_change(matrix_ring(2, 3), random.Random(5))[0], 24)],
-    ids=["M2(F5)", "M3(F2)", "M2(F3) on a random basis"],
+    "ring, order, charge",
+    [(matrix_ring(2, 5), 120, 6), (matrix_ring(3, 2), 168, 3),
+     (basis_change(matrix_ring(2, 3), random.Random(5))[0], 24, 4),
+     (basis_change(dual_square(), random.Random(1))[0], 24, 2448)],
+    ids=["M2(F5)", "M3(F2)", "M2(F3) on a random basis", "F2[x,y]/(x^2,y^2) on a random basis"],
 )
-def test_corner_search_charges_the_candidates_it_takes_up(ring, order):
-    # Charged per placement of every candidate, the searches over these
-    # whole blocks exceeded the default cap of 65536; charged per candidate
-    # filtered or taken up, they cost 7252, 39095 and 1580 (PGL2(F5),
-    # PGL3(F2) and PGL2(F3)).  Each block is now M_n(F_p), so only
-    # Iso(F_p, F_p) is searched, and the rest comes from matrix units
+def test_corner_search_charge_is_pinned_on_matrix_and_dense_local_rings(
+    monkeypatch, ring, order, charge
+):
+    # Charged per placement of every candidate, the searches over the whole
+    # M_n(F_p) blocks exceeded the default cap of 65536; charged per
+    # candidate filtered or taken up, they cost 7252, 39095 and 1580
+    # (PGL2(F5), PGL3(F2) and PGL2(F3)).  Those blocks are now built from
+    # matrix units, and only Iso(F_p, F_p) is searched.  F2[x,y]/(x^2,y^2)
+    # on a random basis is one local block, which the search covers whole.
+    # Each answers at the default cap and at its charge, and one less refuses
     assert aut_order(ring) == order
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", charge)
+    assert aut_order(ring) == order
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", charge - 1)
+    with pytest.raises(CapExceeded) as info:
+        aut_order(ring)
+    assert info.value.what == "corner isomorphism search"
+    assert (info.value.size, info.value.cap) == (charge, charge - 1)
 
 
 def test_row_search_cap_counts_candidate_images(monkeypatch):

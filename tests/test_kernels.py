@@ -243,11 +243,14 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # action pairs and the levels above read it without multiplying out the
     # level formula again.  Every map the enumeration and the group-law
     # check prove is proved multiplicative on packed integers, with no
-    # product, where two products per generator pair made 13008 more.
+    # product, where two products per generator pair made 13008 more.  Each
+    # level makes the row parts e*g*t of the generators once, where every
+    # level map multiplied them out again (1420 more), and a level map with
+    # offset 0 makes no product (220 more).
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_group(ring).order == 64
-    assert calls[0] == 4347
+    assert calls[0] == 2707
 
 
 def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
@@ -256,11 +259,13 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # multiplying out its formula.  The triangulation splits 1 into primitive
     # idempotents instead of walking A up to its first admissible head, which
     # cost 1180 of the 2084 products this count made before.  Multiplicativity
-    # is decided on packed integers, with no product (208 fewer).
+    # is decided on packed integers, with no product (208 fewer).  Every map
+    # the count builds has offset 0, and such a level map makes no product
+    # (60 fewer).
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     assert aut_order(ring) == 64
-    assert calls[0] == 696
+    assert calls[0] == 636
 
 
 def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):

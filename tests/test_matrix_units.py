@@ -6,6 +6,7 @@ M_n(F_q) is semilinear (Skolem-Noether with the Galois group of F_q), so
 |Aut| = |PGL_n(F_q)| * [F_q : F_p]; over Z_(p^k) every automorphism is
 inner, so |Aut(M_n(Z_(p^k)))| = |GL_n(Z_(p^k))| / phi(p^k).
 """
+import json
 import random
 from math import gcd, prod
 
@@ -22,6 +23,7 @@ from finring import (
     ring_units,
 )
 from finring import morphisms
+from finring.cli import main
 from finring.fixtures import (
     _matrix_units,
     basis_change,
@@ -35,6 +37,7 @@ from finring.fixtures import (
     upper_triangular,
 )
 from finring.idempotents import _residue_order
+from finring.jsonio import ring_to_obj
 from finring.oracle import brute_aut_count
 from finring.presentation import RingPresentation
 
@@ -50,7 +53,7 @@ def totient(m: int) -> int:
 # Block upper triangular [[M2(F2), F2^2], [0, F2]], on the matrix units E_ab
 # of M3(F2) off the lower-left 1x2 block: a matrix block at the first level
 PARABOLIC = _matrix_units(
-    [(a, b) for a in range(3) for b in range(3) if not (a == 2 and b < 2)], 2, "P(2,1)"
+    [(a, b) for a in range(3) for b in range(3) if not (a == 2 and b < 2)], cyclic(2), "P(2,1)"
 )
 
 # F2 on the quiver 1 <-> 2 modulo paths of length 2, on e1, e2, a, b with
@@ -190,6 +193,28 @@ def test_type_mismatch_is_not_found_before_any_search(monkeypatch):
     assert iso_search(a, b) is None and iso_search(b, a) is None
     # F16 and M2(F2) have 16 elements and one block each
     assert iso_search(matrix_ring(2, 2), poly_quotient([1, 1, 0, 0])) is None
+
+
+def test_matrix_blocks_of_one_type_over_non_isomorphic_corners_are_not_found(tmp_path, capsys):
+    # M2(Z4) and M2(F2[x]/(x^2)) have the one type key (2, 4, 2), so sigma
+    # pairs their blocks, but their local corners are not isomorphic (their
+    # additive groups are Z4 and Z2^2): Iso(D, D') is empty, and so is the
+    # list of maps built from matrix units
+    a, b = matrix_ring(2, 4), matrices_over(2, poly_quotient([0, 0]))
+    for ring in (a, b):
+        assert complete_triangulating_set(ring).types[0].key == (2, 4, 2)
+    paths = []
+    for x, y in ((a, b), (b, a)):
+        assert iso_search(x, y) is None
+        assert iso_count(x, y) == 0
+        path = tmp_path / ("%d.json" % len(paths))
+        path.write_text(json.dumps(ring_to_obj(x)))
+        paths.append(str(path))
+    for argv in (paths, paths[::-1]):
+        assert main(["iso-search", *argv]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["found"] is False
+        assert "no map found" in captured.err
 
 
 def test_the_count_of_a_matrix_block_lists_nothing_but_its_local_corner(monkeypatch):

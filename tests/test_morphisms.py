@@ -528,11 +528,20 @@ def test_searches_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_corner_search_of_m2f2_tries_under_one_percent(monkeypatch):
-    # the product-and-filter search scanned 16^4 = 65536 image tuples
+def test_m2f2_and_f16_enumerate_within_one_percent_of_their_image_tuples(monkeypatch):
+    # The product-and-filter search scanned 16^4 = 65536 image tuples of
+    # either ring.  M2(F2) is built from matrix units, with only Iso(F2, F2)
+    # searched; F16 is one local block, searched whole at a charge of 101
+    # candidates, so a cap of 100 refuses it.
     monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 65536 // 100)
     ring = matrix_ring(2, 2)
     assert len(list(enumerate_isomorphisms(ring, ring))) == 6
+    f16 = poly_quotient([1, 1, 0, 0])
+    assert len(list(enumerate_isomorphisms(f16, f16))) == 4
+    monkeypatch.setattr(morphisms, "CORNER_SEARCH_CAP", 100)
+    with pytest.raises(CapExceeded) as info:
+        list(enumerate_isomorphisms(f16, f16))
+    assert info.value.what == "corner isomorphism search"
 
 
 # -- counting without listing ---------------------------------------------

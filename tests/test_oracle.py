@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from finring import (
     enumerate_isomorphisms,
     is_semicentral,
 )
+import finring
 from finring import morphisms, oracle
 from finring.fixtures import (
     FIXTURE_BUILDERS,
@@ -358,3 +361,36 @@ def test_corner_search_matches_the_oracle_in_order():
             engine = [iso for _d, iso in enumerate_isomorphisms(dom, cod)]
             assert engine == brute_isos(dom, cod)
             assert len(engine) == 6
+
+
+# -- independence from the engine -----------------------------------------
+
+
+def _package_imports() -> dict:
+    """The finring modules that each module of the package imports, read
+    from its import statements: x for `from .x import y`, `from . import x`
+    and `import finring.x`."""
+    out = {}
+    for path in sorted(pathlib.Path(finring.__file__).parent.glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("finring." if node.level else "") + (node.module or "")
+                names = [base.rstrip(".") + "." + alias.name for alias in node.names]
+            else:
+                continue
+            found.update(name.split(".")[1] for name in names if name.startswith("finring."))
+        out[path.stem] = found
+    return out
+
+
+def test_oracle_shares_no_machinery_with_the_engine():
+    # The oracle re-derives the engine's answers, so it may read only the
+    # ring presentation, additive maps and the error types, and no engine
+    # module may read the oracle: only the package and the CLI expose it.
+    imports = _package_imports()
+    assert imports["oracle"] <= {"errors", "maps", "presentation"}
+    assert imports["oracle"], "the oracle's package imports were not found"
+    assert {name for name, found in imports.items() if "oracle" in found} == {"__init__", "cli"}
