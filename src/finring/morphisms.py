@@ -168,13 +168,19 @@ def _level_failure(chi: AdditiveMap, offset: Element, left, right) -> str | None
     return None
 
 
+def _row_parts(e: Element, tail: Element) -> list[Element]:
+    """The row parts e*g*t of the generators g of A, made once per level
+    for all the maps built there."""
+    return [e * g * tail for g in e.ring.gens()]
+
+
 def _level_map(parts, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:
     """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
     for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
-    the tail t, given by its images on the generators g of A, whose row
-    parts e*g*t the caller makes once per level and passes as parts.
-    rho_amb and phi_next are AdditiveMaps on A that read only r and a; chi
-    is defined on the row alone.  A zero offset m makes no product."""
+    the tail t, given by its images on the generators of A and their row
+    parts (_row_parts).  rho_amb and phi_next are AdditiveMaps on A that
+    read only r and a; chi is defined on the row alone.  A zero offset m
+    makes no product."""
     twisted = not m.is_zero()
     images = []
     for l, rho_r, phi_a in zip(parts, rho_amb._image_elems, phi_next._image_elems):
@@ -207,8 +213,7 @@ def _checked_level(
     reason = _level_failure(layer.chi, layer.m, *_row_equations(row_l, row_m, rho_pairs, phi_pairs))
     if reason is not None:
         raise InconsistentQuadruple(reason, level)
-    parts = [corner_r.idem * g * tail for g in tail.ring.gens()]
-    return _level_map(parts, rho_amb, layer.chi, layer.m, phi_next)
+    return _level_map(_row_parts(corner_r.idem, tail), rho_amb, layer.chi, layer.m, phi_next)
 
 
 def _assemble(phi: AdditiveMap) -> RingIsomorphism:
@@ -655,7 +660,8 @@ def _levels(
     """Yield (layers, last_rho, phi) for the levels i, ..., m-1 of the block
     order sigma in canonical order, deeper levels varying slowest; phi is the
     level map at i.  A level with target row row_m tries the offsets in
-    offsets(row_m), and table holds the corner isomorphisms (_corner_isos)."""
+    offsets(row_m).  table holds the corner isomorphisms (_corner_isos) and,
+    under i, the row parts of level i, which no block order changes."""
     m = seq_a.m
     j = sigma[i]
     if i == m - 1:
@@ -664,8 +670,9 @@ def _levels(
         return
     row_l = seq_a.rows[i]
     row_m = seq_b.rows[j]
-    e, tail = seq_a.idems[i], seq_a.tail_idempotent(i + 1)
-    parts = [e * g * tail for g in seq_a.ring.gens()]
+    parts = table.get(i)
+    if parts is None:
+        parts = table[i] = _row_parts(seq_a.idems[i], seq_a.tail_idempotent(i + 1))
     level_offsets = offsets(row_m)
     for sub_layers, last_rho, phi_next in _levels(
         seq_a, seq_b, sigma, offsets, table, i + 1, cap

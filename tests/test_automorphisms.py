@@ -269,9 +269,7 @@ def test_corner_search_cap_is_met_exactly_by_f16(monkeypatch):
      (basis_change(dual_square(), random.Random(1))[0], 24, 2448)],
     ids=["M2(F5)", "M3(F2)", "M2(F3) on a random basis", "F2[x,y]/(x^2,y^2) on a random basis"],
 )
-def test_corner_search_charge_is_pinned_on_matrix_and_dense_local_rings(
-    monkeypatch, ring, order, charge
-):
+def test_corner_search_charge_is_pinned(monkeypatch, ring, order, charge):
     # Charged per placement of every candidate, the searches over the whole
     # M_n(F_p) blocks exceeded the default cap of 65536; charged per
     # candidate filtered or taken up, they cost 7252, 39095 and 1580
