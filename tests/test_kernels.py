@@ -26,8 +26,10 @@ from finring import (
 from finring.fixtures import (
     FIXTURE_BUILDERS,
     basis_change,
+    cyclic,
     fixture,
     matrix_ring,
+    product,
     random_gl,
     upper_triangular,
 )
@@ -266,6 +268,17 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     calls = _count_products(monkeypatch)
     assert aut_order(ring) == 64
     assert calls[0] == 636
+
+
+def test_aut_order_of_f2_to_the_5_makes_a_pinned_number_of_products(monkeypatch):
+    # F2^5 is five blocks with 5! = 120 block orders.  Each level makes the
+    # row parts e*g*t of the generators once for all of them, and a level
+    # map with offset 0 makes no product; making the parts again for every
+    # map under every block order, and the offset terms, cost 9560 more.
+    ring = functools.reduce(product, [cyclic(2)] * 5)
+    calls = _count_products(monkeypatch)
+    assert aut_order(ring) == 120
+    assert calls[0] == 569
 
 
 def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
