@@ -77,8 +77,9 @@ def _verify_group_law(group: AutomorphismGroup, cap: int | None) -> None:
     |G|².
 
     Closure already implies inverses, so only the generators are inverted,
-    as a cross-check.  The elements are verified isomorphisms, so inverses
-    and composites are compared by map and not verified again.
+    as a cross-check.  The elements are isomorphisms by construction (built
+    from checked layers), so inverses and composites are compared by map
+    and never verified.
     """
     maps = set(group.elements)
     ident = identity_iso(group.ring)

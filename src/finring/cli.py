@@ -39,7 +39,9 @@ from .jsonio import (
     ring_ref,
 )
 from .maps import RingIsomorphism
-from .morphisms import enumerate_isomorphisms, iso_decompose, iso_search, iso_synthesize
+from .morphisms import (
+    _canonical_sequences, enumerate_isomorphisms, iso_decompose, iso_search, iso_synthesize,
+)
 from .oracle import (
     BrutePeirceTable,
     brute_aut_count,
@@ -196,8 +198,7 @@ def cmd_aut(args):
 def cmd_iso_synth(args):
     ring_a = _load_ring(args.ring_a)
     ring_b = _load_ring(args.ring_b)
-    seq_a = complete_triangulating_set(ring_a, args.cap)
-    seq_b = complete_triangulating_set(ring_b, args.cap)
+    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, args.cap)
     obj = _load_json(args.decomposition)
     try:
         d = decomposition_from_obj(obj, seq_a, seq_b)
@@ -214,8 +215,7 @@ def cmd_iso_synth(args):
 def cmd_iso_decompose(args):
     ring_a = _load_ring(args.ring_a)
     ring_b = _load_ring(args.ring_b)
-    seq_a = complete_triangulating_set(ring_a, args.cap)
-    seq_b = complete_triangulating_set(ring_b, args.cap)
+    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, args.cap)
     obj = _load_json(args.map)
     try:
         raw = map_from_obj(obj, ring_a, ring_b)

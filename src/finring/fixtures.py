@@ -151,13 +151,8 @@ def product(a: RingPresentation, b: RingPresentation, name: str | None = None) -
 
 
 def field_f4() -> RingPresentation:
-    # GF(4) on basis {1, x} with x^2 = x + 1
-    return RingPresentation(
-        (2, 2),
-        (((1, 0), (0, 1)), ((0, 1), (1, 1))),
-        (1, 0),
-        name="F4",
-    )
+    """GF(4) = F2[x]/(x^2 + x + 1) on 1, x."""
+    return poly_quotient([1, 1], name="F4")
 
 
 def z6() -> RingPresentation:

@@ -27,14 +27,16 @@ from the two structure-constant tables and the images, and compared; only
 an unequal row is read slot by slot, to name the first failing pair.
 
 A RingIsomorphism is an AdditiveMap between two presentations that is a
-unital ring isomorphism.  RingIsomorphism.create checks a map;
-RingIsomorphism(f) adopts a map that its caller has verified: corner-search
-survivors, oracle-checked maps, a decomposition's corner restrictions,
-which its resynthesis and comparison with the original map prove, and the
-matrix-unit isomorphisms of a block of type M_n(D), which are isomorphisms
-by construction and are verified as part of each whole map assembled from
-them.  Equal endpoints and images make equal maps, whichever of the two
-classes they have.
+unital ring isomorphism.  RingIsomorphism.create checks a map, and is kept
+for maps from outside input.  RingIsomorphism(f) adopts a map that is an
+isomorphism by proof or by construction: corner-search survivors, which
+verify_ring_iso proves; oracle-checked maps; a decomposition's corner
+restrictions, which its resynthesis and comparison with the original map
+prove; maps synthesized or enumerated from checked corner data, which the
+paper's parametrization makes isomorphisms, as it does the matrix-unit
+isomorphisms of a block of type M_n(D); and the composite and inverse of
+isomorphisms, the identity and conjugation by a unit.  Equal endpoints and
+images make equal maps, whichever of the two classes they have.
 
 The powers of an element are walked in one place, _power_walk, for the
 idempotent among them and, for a unit, its inverse: unit_inverse and the
@@ -225,8 +227,8 @@ def verify_ring_iso(f: AdditiveMap, a: RingPresentation, b: RingPresentation) ->
 
 
 class RingIsomorphism(AdditiveMap):
-    """A verified ring isomorphism between two presentations.  create checks
-    a map; RingIsomorphism(f) adopts the map f that its caller has verified."""
+    """A ring isomorphism between two presentations.  create checks a map;
+    RingIsomorphism(f) adopts the map f that its caller has proved one."""
 
     __slots__ = ()
 
@@ -250,17 +252,17 @@ class RingIsomorphism(AdditiveMap):
 
     def compose(self, other: "RingIsomorphism") -> "RingIsomorphism":
         """self followed by other."""
-        return RingIsomorphism.create(compose_maps(self, other))
+        return RingIsomorphism(compose_maps(self, other))
 
     def inverse(self, cap: int | None = None) -> "RingIsomorphism":
-        return RingIsomorphism.create(invert_map(self, cap))
+        return RingIsomorphism(invert_map(self, cap))
 
     def __repr__(self):
         return "RingIsomorphism(%r -> %r)" % (self.domain, self.codomain)
 
 
 def identity_iso(ring: RingPresentation) -> RingIsomorphism:
-    return RingIsomorphism.create(identity_map(ring))
+    return RingIsomorphism(identity_map(ring))
 
 
 # -- units and inner automorphisms ----------------------------------------
@@ -315,6 +317,4 @@ def inner_automorphism(u: Element, cap: int | None = None) -> RingIsomorphism:
     """Conjugation by the unit u, as x -> u^{-1} x u."""
     ring = u.ring
     v = unit_inverse(u, cap)
-    return RingIsomorphism.create(
-        AdditiveMap(ring, ring, [v * g * u for g in ring.gens()])
-    )
+    return RingIsomorphism(AdditiveMap(ring, ring, [v * g * u for g in ring.gens()]))

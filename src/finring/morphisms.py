@@ -87,7 +87,6 @@ from .errors import (
     NotSemicentral,
     ShapeMismatch,
     StructureViolation,
-    ToolkitError,
 )
 from .idempotents import is_semicentral
 from .maps import AdditiveMap, RingIsomorphism, _power_walk, compose_maps, verify_ring_iso
@@ -216,15 +215,6 @@ def _checked_level(
     return _level_map(_row_parts(corner_r.idem, tail), rho_amb, layer.chi, layer.m, phi_next)
 
 
-def _assemble(phi: AdditiveMap) -> RingIsomorphism:
-    """phi as a ring isomorphism; checked data always yields one, so a
-    failure here is reported as a StructureViolation."""
-    try:
-        return RingIsomorphism.create(phi)
-    except ToolkitError as exc:
-        raise StructureViolation("checked data synthesized a non-isomorphism: %s" % exc)
-
-
 def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRing):
     """The corner isomorphism x -> f*psi(x)*f from the corner at e to that at f,
     adopted unchecked: the callers' resynthesis and comparison with phi prove it."""
@@ -273,8 +263,11 @@ def check_corner_quadruple(e: Element, f: Element, q: CornerQuadruple) -> None:
 
 
 def corner_synthesize(e: Element, f: Element, q: CornerQuadruple) -> RingIsomorphism:
-    """Build the isomorphism determined by corner data at one level."""
-    return _assemble(_quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q))
+    """Build the isomorphism determined by corner data at one level, adopted
+    once the data is checked."""
+    return RingIsomorphism(
+        _quadruple_level(_corner_context(e.ring, e), _corner_context(f.ring, f), q)
+    )
 
 
 def corner_decompose(phi: RingIsomorphism, e: Element, f: Element) -> CornerQuadruple:
@@ -336,7 +329,9 @@ def iso_synthesize(
 ) -> RingIsomorphism:
     """Assemble the isomorphism parametrized by d over the two sequences.
     seq_b was validated when built, so sigma is checked only for vanishing
-    lower components, the one condition that depends on the block order."""
+    lower components, the one condition that depends on the block order.
+    Checked layers over an admissible sigma parametrize an isomorphism, so
+    the map is adopted, not verified."""
     ring_a = seq_a.ring
     ring_b = seq_b.ring
     m = seq_a.m
@@ -349,7 +344,7 @@ def iso_synthesize(
     if m == 0:
         if d.last_rho is not None:
             raise ShapeMismatch("empty decomposition cannot carry a closing isomorphism")
-        return RingIsomorphism.create(AdditiveMap(ring_a, ring_b, []))
+        return RingIsomorphism(AdditiveMap(ring_a, ring_b, []))
     if not seq_b.admits(d.sigma):
         raise InadmissiblePermutation(d.sigma)
     corner_r, corner_s = seq_a.corners[m - 1], seq_b.corners[d.sigma[m - 1]]
@@ -364,7 +359,7 @@ def iso_synthesize(
             d.layers[i], seq_a.corners[i], seq_b.corners[j], seq_a.rows[i], seq_b.rows[j],
             seq_a.tail_idempotent(i + 1), seq_a.tails[i + 1], phi, i,
         )
-    return _assemble(phi)
+    return RingIsomorphism(phi)
 
 
 def iso_decompose(
@@ -735,7 +730,7 @@ def _enumerate(seq_a: TriangularSequence, seq_b: TriangularSequence, cap: int | 
     """enumerate_isomorphisms over the canonical sequences of two rings of
     equal order, for a caller that has built them already."""
     for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements, cap):
-        yield IsoDecomposition(sigma, layers, last_rho), _assemble(phi)
+        yield IsoDecomposition(sigma, layers, last_rho), RingIsomorphism(phi)
 
 
 def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None = None) -> int:
@@ -745,10 +740,9 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     unit 1 - m, so the choices at a level do not depend on the offsets
     chosen below it.  Hence the count is, summed over sigma, the number of
     offset-free parametrizations times the orders of the target rows of
-    the levels above the last.  Each offset-free map is still assembled and
-    verified.  A ring of one block is its own corner, with identity embed
-    and project maps, so its isomorphisms are its corner isomorphisms,
-    counted by _corner_count with no map assembled.
+    the levels above the last.  A ring of one block is its own corner, with
+    identity embed and project maps, so its isomorphisms are its corner
+    isomorphisms, counted by _corner_count.
     """
     if ring_a.order != ring_b.order:
         return 0
@@ -756,8 +750,7 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     if seq_a.m == seq_b.m == 1:
         return _corner_count(seq_a, seq_b) if _matched(seq_a, seq_b, (0,)) else 0
     total = 0
-    for sigma, _layers, _last_rho, phi in _parametrizations(seq_a, seq_b, _zero_offset, cap):
-        _assemble(phi)
+    for sigma, _layers, _last_rho, _phi in _parametrizations(seq_a, seq_b, _zero_offset, cap):
         total += prod(seq_b.rows[j].order for j in sigma[:-1])
     return total
 

@@ -50,9 +50,14 @@ DEFAULT_ENUMERATION_CAP = 4096
 
 
 def _as_int_tuple(seq, what: str) -> tuple[int, ...]:
+    """seq as a tuple of ints; a float, string or bool raises, as in
+    jsonio, so no value is silently rounded or parsed."""
     try:
-        out = tuple(int(v) for v in seq)
-    except (TypeError, ValueError):
+        out = tuple(seq)
+        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in out)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ShapeMismatch("%s must be a sequence of integers" % what)
     return out
 

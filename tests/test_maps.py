@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -193,55 +194,74 @@ def _conjugation(ring, c):
     return AdditiveMap(ring, ring, [v * g * u for g in ring.gens()])
 
 
-def _iso_check_cases():
-    cases = [
-        pytest.param(_map_family(_first_isos(ring, ring, 3), ring, ring), id=name)
-        for name, ring in ((name, fixture(name)) for name in sorted(FIXTURE_BUILDERS))
-    ]
-    cases.append(pytest.param(_map_family(_first_isos(z6(), z2xz3(), 3), z6(), z2xz3()), id="z6-z2xz3"))
-    f4 = fixture("f4")
-    cases.append(pytest.param(_map_family([AdditiveMap(f2(), f4, [f4.one_element()])], f2(), f4), id="f2-f4"))
-    # dense structure constants in the domain, the codomain or both
-    for seed, (name, ring) in enumerate(
-        [
-            ("T4(F2)", upper_triangular(4, 2)),
-            ("T3(Z4)", upper_triangular(3, 4)),
-            ("T2(Z9)", upper_triangular(2, 9)),
-            ("M2(F3)", matrix_ring(2, 3)),
-            ("F16", poly_quotient([1, 1, 0, 0])),
-        ]
-    ):
-        changed, to_new = basis_change(ring, random.Random(seed))
-        family = _map_family(_first_isos(ring, ring, 3), ring, ring)
-        cases.append(pytest.param(_transported(family, ring, changed, to_new), id=name + "-basis"))
+def _fixture_family(name):
+    ring = fixture(name)
+    return _map_family(_first_isos(ring, ring, 3), ring, ring)
+
+
+def _basis_family(build, seed):
+    ring = build()
+    changed, to_new = basis_change(ring, random.Random(seed))
+    family = _map_family(_first_isos(ring, ring, 3), ring, ring)
+    return _transported(family, ring, changed, to_new)
+
+
+def _mixed_family():
     mixed = product(t2_z4(), matrix_ring(2, 3))
-    cases.append(pytest.param(_map_family(_first_isos(mixed, mixed, 3), mixed, mixed), id="T2(Z4)xM2(F3)"))
+    return _map_family(_first_isos(mixed, mixed, 3), mixed, mixed)
+
+
+def _wide_family():
     # slots of k^2 (t - 1)^3, about 2^96, wider than a machine word; the
     # conjugation's images carry a coefficient near 2^30
     wide = upper_triangular(2, 2**31)
-    isos = [identity_map(wide), _conjugation(wide, 2**30 + 12345)]
-    cases.append(pytest.param(_map_family(isos, wide, wide), id="T2(Z_2^31)"))
-    return cases
+    return _map_family([identity_map(wide), _conjugation(wide, 2**30 + 12345)], wide, wide)
 
 
-ISO_CHECK_CASES = _iso_check_cases()
+def _f2_f4_family():
+    f4 = fixture("f4")
+    return _map_family([AdditiveMap(f2(), f4, [f4.one_element()])], f2(), f4)
 
 
-@pytest.mark.parametrize("maps", ISO_CHECK_CASES)
-def test_packed_multiplicativity_matches_the_pair_loop(maps):
-    for f in maps:
+# case id -> the function that builds its maps.  The maps are built by the
+# tests (_iso_check_maps), so collecting this module runs no engine.
+ISO_CHECK_CASES = {name: functools.partial(_fixture_family, name) for name in sorted(FIXTURE_BUILDERS)}
+ISO_CHECK_CASES["z6-z2xz3"] = lambda: _map_family(_first_isos(z6(), z2xz3(), 3), z6(), z2xz3())
+ISO_CHECK_CASES["f2-f4"] = _f2_f4_family
+# dense structure constants in the domain, the codomain or both
+BASIS_CHANGED = {
+    "T4(F2)": lambda: upper_triangular(4, 2),
+    "T3(Z4)": lambda: upper_triangular(3, 4),
+    "T2(Z9)": lambda: upper_triangular(2, 9),
+    "M2(F3)": lambda: matrix_ring(2, 3),
+    "F16": lambda: poly_quotient([1, 1, 0, 0]),
+}
+for seed, (name, build) in enumerate(BASIS_CHANGED.items()):
+    ISO_CHECK_CASES[name + "-basis"] = functools.partial(_basis_family, build, seed)
+ISO_CHECK_CASES["T2(Z4)xM2(F3)"] = _mixed_family
+ISO_CHECK_CASES["T2(Z_2^31)"] = _wide_family
+
+
+@functools.cache
+def _iso_check_maps(name):
+    return ISO_CHECK_CASES[name]()
+
+
+@pytest.mark.parametrize("name", list(ISO_CHECK_CASES), ids=list(ISO_CHECK_CASES))
+def test_packed_multiplicativity_matches_the_pair_loop(name):
+    for f in _iso_check_maps(name):
         assert ring_iso_failure(f, f.domain, f.codomain) == loop_iso_failure(f, f.domain, f.codomain)
 
 
 def test_iso_check_corpus_reaches_every_verdict():
     verdicts = collections.Counter()
-    for case in ISO_CHECK_CASES:
+    for name in ISO_CHECK_CASES:
         kinds = collections.Counter(
             (loop_iso_failure(f, f.domain, f.codomain) or "isomorphism").split(" on ")[0]
-            for f in case.values[0]
+            for f in _iso_check_maps(name)
         )
-        if case.id.endswith("-basis") or case.id.startswith("T2("):
-            assert kinds["isomorphism"] and kinds["multiplicativity fails"], case.id
+        if name.endswith("-basis") or name.startswith("T2("):
+            assert kinds["isomorphism"] and kinds["multiplicativity fails"], name
         verdicts += kinds
     assert set(verdicts) == {
         "isomorphism",

@@ -245,7 +245,6 @@ def test_one_block_counts_verify_each_map_once(monkeypatch):
         return original(f, a, b)
 
     monkeypatch.setattr(morphisms, "verify_ring_iso", counted)
-    monkeypatch.setattr(morphisms, "_assemble", None)  # no second check at m = 1
     assert aut_order(poly_quotient([1, 1, 0, 0])) == 4
     assert checks == [16] * 4
     checks.clear()

@@ -289,10 +289,10 @@ def test_iso_synthesize_does_not_relabel_internal_errors(monkeypatch):
     seq = complete_triangulating_set(ring)
     d = iso_decompose(inner_automorphism(ring.element((1, 3, 1))), seq, seq)
 
-    def broken(cls, map):
+    def broken(*args):
         raise TypeError("internal bug")
 
-    monkeypatch.setattr(RingIsomorphism, "create", classmethod(broken))
+    monkeypatch.setattr(morphisms, "_level_map", broken)
     with pytest.raises(TypeError, match="internal bug"):
         iso_synthesize(seq, seq, d)
 

@@ -74,6 +74,36 @@ def test_rejects_wrong_shapes():
         cyclic(6).element((1, 2))
 
 
+def test_rejects_floats_as_integers():
+    # int(2.7) == 2 and int(1.9) == 1 would present Z2
+    with pytest.raises(ShapeMismatch, match="orders must be a sequence of integers"):
+        RingPresentation([2.7], [[[1.9]]], [1.2])
+    with pytest.raises(ShapeMismatch, match=r"mul\[0\]\[0\] must be a sequence of integers"):
+        RingPresentation([2], [[[1.0]]], [1])
+    with pytest.raises(ShapeMismatch, match="one must be a sequence of integers"):
+        RingPresentation([2], [[[1]]], [1.0])
+
+
+def test_rejects_strings_and_bools_as_integers():
+    # int("3") == 3 and int(True) == 1 would present Z3
+    with pytest.raises(ShapeMismatch, match="orders must be a sequence of integers"):
+        validate_presentation(["3"], [[["1"]]], [True])
+    with pytest.raises(ShapeMismatch, match=r"mul\[0\]\[0\] must be a sequence of integers"):
+        validate_presentation([3], [[["1"]]], [1])
+    with pytest.raises(ShapeMismatch, match="one must be a sequence of integers"):
+        validate_presentation([3], [[[1]]], [True])
+
+
+def test_element_rejects_non_integer_coefficients():
+    # int(3.9) == 3 would give (1, 0, 0) in T2(F2)
+    ring = upper_triangular(2, 2)
+    with pytest.raises(ShapeMismatch, match="coefficients must be a sequence of integers"):
+        ring.element([3.9, 0, 0])
+    with pytest.raises(ShapeMismatch, match="coefficients must be a sequence of integers"):
+        ring.element([True, 0, 0])
+    assert ring.element([3, 0, 0]).coeffs == (1, 0, 0)
+
+
 def test_order_compatibility_check():
     # e0 has additive order 2, so e0*e0 must be killed by 2; (0,1) is not
     mul = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
