@@ -1,15 +1,14 @@
 """Automorphism groups assembled from the structured enumeration, and their
-order counted from the layers without listing the group."""
+order counted from the layers without listing the group.  Both read the
+canonical sequence the ring keeps, so the second of them builds none."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import StructureViolation
 from .maps import RingIsomorphism, compose_maps, identity_iso, invert_map
-from .morphisms import _enumerate, iso_count
+from .morphisms import enumerate_isomorphisms, iso_count
 from .presentation import RingPresentation
-from .sequences import TriangularSequence
-from .triangulate import complete_triangulating_set
 
 
 @dataclass(frozen=True)
@@ -36,19 +35,13 @@ def aut_group(ring: RingPresentation, cap: int | None = None) -> AutomorphismGro
     checked from a greedy generating set T (see `_verify_group_law`):
     |G|·|T| compositions and |T| inversions.
     """
-    return _aut_group(complete_triangulating_set(ring, cap), cap)
-
-
-def _aut_group(seq: TriangularSequence, cap: int | None) -> AutomorphismGroup:
-    """aut_group of seq.ring over its canonical sequence seq, for a caller
-    that has built it already."""
     seen = set()
-    for _d, iso in _enumerate(seq, seq, cap):
+    for _d, iso in enumerate_isomorphisms(ring, ring, cap):
         if iso in seen:
             raise StructureViolation("the enumeration yields an automorphism twice")
         seen.add(iso)
     elements = tuple(sorted(seen, key=lambda g: g.images))
-    group = AutomorphismGroup(seq.ring, elements)
+    group = AutomorphismGroup(ring, elements)
     _verify_group_law(group, cap)
     return group
 

@@ -25,7 +25,7 @@ import json
 import sys
 import time
 
-from .automorphisms import _aut_group, aut_group, aut_order
+from .automorphisms import aut_group, aut_order
 from .errors import CapExceeded, ShapeMismatch, StructureViolation, ToolkitError
 from .idempotents import enumerate_idempotents, is_semicentral
 from .jsonio import (
@@ -39,9 +39,7 @@ from .jsonio import (
     ring_ref,
 )
 from .maps import RingIsomorphism
-from .morphisms import (
-    _canonical_sequences, enumerate_isomorphisms, iso_decompose, iso_search, iso_synthesize,
-)
+from .morphisms import enumerate_isomorphisms, iso_decompose, iso_search, iso_synthesize
 from .oracle import (
     BrutePeirceTable,
     brute_aut_count,
@@ -198,7 +196,8 @@ def cmd_aut(args):
 def cmd_iso_synth(args):
     ring_a = _load_ring(args.ring_a)
     ring_b = _load_ring(args.ring_b)
-    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, args.cap)
+    seq_a = complete_triangulating_set(ring_a, args.cap)
+    seq_b = complete_triangulating_set(ring_b, args.cap)
     obj = _load_json(args.decomposition)
     try:
         d = decomposition_from_obj(obj, seq_a, seq_b)
@@ -215,7 +214,8 @@ def cmd_iso_synth(args):
 def cmd_iso_decompose(args):
     ring_a = _load_ring(args.ring_a)
     ring_b = _load_ring(args.ring_b)
-    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, args.cap)
+    seq_a = complete_triangulating_set(ring_a, args.cap)
+    seq_b = complete_triangulating_set(ring_b, args.cap)
     obj = _load_json(args.map)
     try:
         raw = map_from_obj(obj, ring_a, ring_b)
@@ -279,7 +279,7 @@ def cmd_report(args):
     seq = timed("triangulate", lambda: complete_triangulating_set(ring, args.cap))
     sigmas = timed("orders", lambda: admissible_orders(seq))
     splits = timed("split", lambda: detect_direct_sum(seq))
-    group = timed("aut", lambda: _aut_group(seq, args.cap))
+    group = timed("aut", lambda: aut_group(ring, args.cap))
     report = {
         "ring": {"name": ring.name, "hash": ring_hash(ring)},
         "order": ring.order,

@@ -6,6 +6,9 @@ subgroup e*A*e, so the corner presentation is a valid RingPresentation in its
 own right, with embed/project additive maps translating between corner and
 ambient coordinates.  The corner at the ambient unit is the ring itself, with
 identity translation, rather than a re-based copy.
+
+The engine reads each span e*A*f through _peirce_span, which keeps it in
+the ring's memo; peirce_component always spans afresh.
 """
 from __future__ import annotations
 
@@ -31,25 +34,12 @@ def peirce_component(ring: RingPresentation, e: Element, f: Element) -> Subgroup
     return Subgroup.span(ring, left if f == one else [x * f for x in left])
 
 
-def _peirce_span(ring: RingPresentation, e: Element, f: Element, spans) -> Subgroup:
-    """peirce_component(ring, e, f), spanned at most once per spans dict.
-
-    spans maps idempotent pairs (e, f) to their components.  A sequence
-    construction creates one for a single call and hands it down, so the
-    construction, the reducedness checks and the kept corners share their
-    spans; nothing is cached on the ring.  spans=None spans afresh.  Every
-    corner entry (e, e) is spanned here, from e*g*e over the generators,
+def _peirce_span(ring: RingPresentation, e: Element, f: Element) -> Subgroup:
+    """peirce_component(ring, e, f), kept in the ring's memo under (e, f).
+    Every corner (e, e) is spanned here, from e*g*e over the generators,
     which corner_ring reads back; the triangulation files each head's row
-    under (f, 1 - f) itself (see triangulate.py).  The same dict keeps,
-    under ("split", p), the idempotent that splits p, or None for a
-    primitive p (see idempotents._primitive_idempotents), so each
-    idempotent is split once per call."""
-    if spans is None:
-        return peirce_component(ring, e, f)
-    sub = spans.get((e, f))
-    if sub is None:
-        sub = spans[e, f] = peirce_component(ring, e, f)
-    return sub
+    under (f, 1 - f) itself (see triangulate.py)."""
+    return ring._remember((e, f), lambda: peirce_component(ring, e, f))
 
 
 def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
@@ -102,9 +92,9 @@ class CornerRing:
         return hash((self.parent, self.idem))
 
 
-def corner_ring(ring: RingPresentation, e: Element, *, _spans=None) -> CornerRing:
+def corner_ring(ring: RingPresentation, e: Element) -> CornerRing:
     _require_idempotent(e)
-    sub = _peirce_span(ring, e, e, _spans)
+    sub = _peirce_span(ring, e, e)
     if sub.order == ring.order:
         # e A e = A forces e = 1; keep the original presentation untouched.
         ident = identity_map(ring)

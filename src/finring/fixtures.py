@@ -1,10 +1,10 @@
 """Bundled example rings and maps used by tests, docs, and the CLI corpus.
 
 Besides the fixture corpus, this module builds the ring families the tests
-check against closed forms: T_n(Z_m), M_n(Z_m), M_n(D) over a presented ring
-D, truncated and irreducible polynomial quotients over F_p, and copies of a
-ring on a random basis of GL_k(Z_n) (random_gl, basis_change), whose
-structure constants are dense.
+check against closed forms: T_n(Z_m), M_n(Z_m), T_n(D) and M_n(D) over a
+presented ring D, truncated and irreducible polynomial quotients over F_p,
+and copies of a ring on a random basis of GL_k(Z_n) (random_gl,
+basis_change), whose structure constants are dense.
 """
 from __future__ import annotations
 
@@ -48,8 +48,15 @@ def _matrix_units(pairs, d: RingPresentation, name: str) -> RingPresentation:
 def upper_triangular(n: int, modulus: int, name: str | None = None) -> RingPresentation:
     """n-by-n upper triangular matrices over Z_modulus, on E_ab for a <= b in
     row-major order."""
+    return upper_triangular_over(n, cyclic(modulus), name or "T%d(Z%d)" % (n, modulus))
+
+
+def upper_triangular_over(n: int, d: RingPresentation, name: str | None = None) -> RingPresentation:
+    """n-by-n upper triangular matrices over the presented ring d, on
+    E_ab * g_l for a <= b and the generators g_l of d, in row-major order of
+    (a, b) and then l."""
     pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    return _matrix_units(pairs, cyclic(modulus), name or "T%d(Z%d)" % (n, modulus))
+    return _matrix_units(pairs, d, name or "T%d(%s)" % (n, d.name))
 
 
 def matrix_ring(n: int, modulus: int, name: str | None = None) -> RingPresentation:

@@ -17,6 +17,11 @@ sets of primitive idempotents of a finite ring are conjugate up to order
 conjugation keeps p_i*A*p_j != 0, so the p_i do not form one block either.
 complete_triangulating_set takes its blocks from the same graph.
 
+Each idempotent is split once per ring object: the ring's memo keeps the
+splitting idempotent, or None for a primitive, beside the corner spans it
+read (corners._peirce_span).  The "idempotent sweep" cap guards only the
+listing of a corner, so a split read from the memo is never refused.
+
 The idempotent powers a split tries, the unit inverses of the matrix units
 and the nilpotency test of a residue field come from one walk over the
 powers of an element, maps._power_walk.
@@ -41,15 +46,12 @@ def is_semicentral(ring: RingPresentation, e: Element) -> bool:
     return _vanishes(ring, ring.one_element() - e, e)
 
 
-def has_reduced_corner(
-    ring: RingPresentation, e: Element, cap: int | None = None, *, _spans=None
-) -> bool:
+def has_reduced_corner(ring: RingPresentation, e: Element, cap: int | None = None) -> bool:
     """True when the corner e*A*e is semicentral reduced: its semicentral
     idempotents are exactly 0 and e, two of them (the zero corner has one).
-    cap bounds the corners listed while splitting e.  _spans is the caller's
-    dict of Peirce spans and splits (see corners._peirce_span)."""
-    spans = {} if _spans is None else _spans
-    return len(_blocks(ring, _primitive_idempotents(ring, e, cap, spans))[0]) == 1
+    cap bounds the corners listed while splitting e; a split read from the
+    ring's memo lists nothing, so it is never refused."""
+    return len(_blocks(ring, _primitive_idempotents(ring, e, cap))[0]) == 1
 
 
 def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bool:
@@ -57,20 +59,15 @@ def is_semicentral_reduced(ring: RingPresentation, cap: int | None = None) -> bo
     return has_reduced_corner(ring, ring.one_element(), cap)
 
 
-def _primitive_idempotents(
-    ring: RingPresentation, e: Element, cap: int | None, spans
-) -> list[Element]:
+def _primitive_idempotents(ring: RingPresentation, e: Element, cap: int | None) -> list[Element]:
     """Orthogonal primitive idempotents summing to e; none when e = 0.  Each
-    idempotent is split once per spans dict, which keeps the answer under
-    ("split", p)."""
+    idempotent p is split once per ring object: the ring's memo keeps the
+    answer under ("split", p)."""
     todo = [] if e.is_zero() else [e]
     prims = []
     while todo:
         p = todo.pop()
-        key = ("split", p)
-        if key not in spans:
-            spans[key] = _splitting_idempotent(ring, p, cap, spans)
-        q = spans[key]
+        q = ring._remember(("split", p), lambda: _splitting_idempotent(ring, p, cap))
         if q is None:
             prims.append(p)
         else:
@@ -78,13 +75,13 @@ def _primitive_idempotents(
     return prims
 
 
-def _splitting_idempotent(ring: RingPresentation, p: Element, cap: int | None, spans):
+def _splitting_idempotent(ring: RingPresentation, p: Element, cap: int | None):
     """An idempotent of p*A*p other than 0 and p, or None when p is
     primitive.  A corner that p generates additively is Z_n, whose only
     idempotents are 0 and p when n is a prime power.  Otherwise the
     idempotent powers of the p*g*p that span the corner are tried, then its
     elements, which cap bounds."""
-    corner = _peirce_span(ring, p, p, spans)
+    corner = _peirce_span(ring, p, p)
     n = corner.order
     if _additive_order(p) == n and _is_prime_power(n):
         return None

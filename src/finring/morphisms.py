@@ -18,10 +18,13 @@ same engine on the two-block sequence (e, 1-e), with phibar as the next level.
 Enumeration walks sigma in lexicographic order and, per sigma, the layer
 choices with deeper levels varying slowest and each level keyed by image
 tuples in lexicographic order; iso_search returns the first hit in that
-canonical order.  Each level map is an AdditiveMap on A, built once from its
-images on the generators and read by every choice above it.  A level makes
-the row parts e_i*g*t_{i+1} of A's generators once for all its maps, and a
-map with offset 0 makes no product.
+canonical order.  Each entry point reads the canonical sequences from
+complete_triangulating_set, which keeps each ring's sequence on the ring,
+so a ring paired with itself or asked again is triangulated once.  Each
+level map is an AdditiveMap on A, built once from its images on the
+generators and read by every choice above it.  A level makes the row parts
+e_i*g*t_{i+1} of A's generators once for all its maps, and a map with
+offset 0 makes no product.
 
 Decomposition rests on the structure theorem (see triangulate.py), which
 drops phi(e_i) into the row coset of exactly one target block.  It is not
@@ -537,14 +540,6 @@ def _enumerate_row_maps(row_l: Subgroup, row_m: Subgroup, left_pairs, right_pair
     return [chi for chi in found if chi.is_bijective()]
 
 
-def _canonical_sequences(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | None):
-    """The canonical sequences of both rings; a ring paired with itself
-    (automorphisms) is triangulated once."""
-    seq_a = complete_triangulating_set(ring_a, cap)
-    seq_b = seq_a if ring_b is ring_a else complete_triangulating_set(ring_b, cap)
-    return seq_a, seq_b
-
-
 def _zero_offset(row_m: Subgroup) -> tuple[Element, ...]:
     return (row_m.ring.zero(),)
 
@@ -723,12 +718,8 @@ def enumerate_isomorphisms(
     """
     if ring_a.order != ring_b.order:
         return
-    yield from _enumerate(*_canonical_sequences(ring_a, ring_b, cap), cap)
-
-
-def _enumerate(seq_a: TriangularSequence, seq_b: TriangularSequence, cap: int | None):
-    """enumerate_isomorphisms over the canonical sequences of two rings of
-    equal order, for a caller that has built them already."""
+    seq_a = complete_triangulating_set(ring_a, cap)
+    seq_b = complete_triangulating_set(ring_b, cap)
     for sigma, layers, last_rho, phi in _parametrizations(seq_a, seq_b, Subgroup.elements, cap):
         yield IsoDecomposition(sigma, layers, last_rho), RingIsomorphism(phi)
 
@@ -746,7 +737,8 @@ def iso_count(ring_a: RingPresentation, ring_b: RingPresentation, cap: int | Non
     """
     if ring_a.order != ring_b.order:
         return 0
-    seq_a, seq_b = _canonical_sequences(ring_a, ring_b, cap)
+    seq_a = complete_triangulating_set(ring_a, cap)
+    seq_b = complete_triangulating_set(ring_b, cap)
     if seq_a.m == seq_b.m == 1:
         return _corner_count(seq_a, seq_b) if _matched(seq_a, seq_b, (0,)) else 0
     total = 0

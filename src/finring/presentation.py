@@ -29,6 +29,11 @@ one tuple of generator elements built with the presentation.  A presentation
 is also an additive side of maps (see maps.py), like a Subgroup: its ring is
 itself, its generators are gens(), and the coordinates of an element are its
 coefficients.
+
+Each presentation object keeps one memo (_remember) of the Peirce spans,
+idempotent splits and canonical sequence the engine derives from it (see
+corners, idempotents and triangulate).  It belongs to the object, not to
+its contents, and lives as long as the object.
 """
 from __future__ import annotations
 
@@ -117,7 +122,7 @@ class SlotPacking:
 class RingPresentation:
     """A validated structure-constant presentation of a finite unital ring."""
 
-    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_gens")
+    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_gens", "_memo")
 
     def __init__(self, orders, mul, one, name: str | None = None):
         self.orders = _as_int_tuple(orders, "orders")
@@ -164,6 +169,7 @@ class RingPresentation:
             for row in self.mul
         )
         self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(k))
+        self._memo = {}
 
         self._check_order_compat()
         self._check_unit()
@@ -299,6 +305,15 @@ class RingPresentation:
 
     def gens(self) -> tuple["Element", ...]:
         return self._gens
+
+    def _remember(self, key, make):
+        """The fact kept under key, made by make() the first time it is
+        asked for; it lives as long as this ring object (see the module
+        docstring)."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def element(self, coeffs) -> "Element":
         c = _as_int_tuple(coeffs, "coefficients")

@@ -27,17 +27,16 @@ blocks have equal types, since complete sets of primitive idempotents are
 conjugate (Krull-Schmidt), and the isomorphism engine reads the types to
 pair blocks and to build or count the isomorphisms of matrix blocks.
 
-build spans each corner, tail and row once: the reducedness check, the
-corner rings, the tails and the rows read one dict of spans that lives for
-the one call.  The dict also keeps the answer of each idempotent split (the
-splitting idempotent, or None for a primitive), so the reducedness check
-splits each idempotent once.  complete_triangulating_set passes in its own
-dict, which already holds the corners and splits of the idempotents it
-split 1 into, and the row of each head, so those are not spanned or split
-again: a head that is one of them, such as the head 1 of a one-block ring,
-is split by reading the dict, and only its block test runs.  The dict is
-dropped when build returns, and only the subgroups the sequence keeps live
-on.
+build spans each corner, tail and row once per ring object: the
+reducedness check, the corner rings, the tails and the rows read the spans
+and idempotent splits kept in the ring's memo (corners._peirce_span,
+idempotents._primitive_idempotents).  complete_triangulating_set has
+already filled it with the corners and splits of the idempotents it split
+1 into, and the row of each head, so those are not spanned or split again:
+a head that is one of them, such as the head 1 of a one-block ring, is
+split by reading the memo, and only its block test runs.  A sequence built
+again on the same ring object, in another block order say, spans nothing
+the memo holds.
 """
 from __future__ import annotations
 
@@ -55,13 +54,10 @@ from .presentation import Element, RingPresentation
 from .subgroups import Subgroup
 
 
-def triangularity_failure(
-    ring: RingPresentation, idems, cap: int | None = None, *, _spans=None
-) -> str | None:
+def triangularity_failure(ring: RingPresentation, idems, cap: int | None = None) -> str | None:
     """First reason the sequence fails to be strongly triangulating, or None:
     idempotence, orthogonality, the unit sum, the vanishing lower components,
-    then the reducedness of each corner.  _spans is the caller's dict of
-    Peirce spans (see corners._peirce_span)."""
+    then the reducedness of each corner."""
     idems = tuple(idems)
     for i, e in enumerate(idems):
         if e.ring != ring:
@@ -87,7 +83,7 @@ def triangularity_failure(
                     if not _vanishes(ring, idems[j], idems[i]):
                         return "lower component (%d, %d) is nonzero" % (j, i)
     for i, e in enumerate(idems):
-        if not has_reduced_corner(ring, e, cap, _spans=_spans):
+        if not has_reduced_corner(ring, e, cap):
             return "corner %d is not semicentral reduced" % i
     return None
 
@@ -118,14 +114,14 @@ class BlockType:
         return len(self.prims), None if self.local is None else self.local.order, self.q
 
 
-def _block_type(ring: RingPresentation, e: Element, cap: int | None, spans) -> BlockType:
+def _block_type(ring: RingPresentation, e: Element, cap: int | None) -> BlockType:
     """The type of the block at e, from the split of e that the reducedness
-    check left in spans; a one-primitive block makes no product."""
-    prims = tuple(_primitive_idempotents(ring, e, cap, spans))
+    check left in the ring's memo; a one-primitive block makes no product."""
+    prims = tuple(_primitive_idempotents(ring, e, cap))
     units = _matrix_unit_system(ring, prims) if len(prims) > 1 else None
     if units is None:
         return BlockType(prims)
-    local = corner_ring(ring, prims[0], _spans=spans)
+    local = corner_ring(ring, prims[0])
     return BlockType(prims, *units, local, _residue_order(local.presentation))
 
 
@@ -150,32 +146,27 @@ class TriangularSequence:
     types: tuple[BlockType, ...]
 
     @classmethod
-    def build(
-        cls, ring: RingPresentation, idems, cap: int | None = None, *, _spans=None
-    ) -> "TriangularSequence":
-        """Validate idems and collect their Peirce data.  _spans is a dict of
-        spans the caller already made, keyed by idempotent pair; build adds
-        its own to it."""
+    def build(cls, ring: RingPresentation, idems, cap: int | None = None) -> "TriangularSequence":
+        """Validate idems and collect their Peirce data, reading and adding
+        to the spans and splits in the ring's memo."""
         idems = tuple(idems)
-        spans = {} if _spans is None else _spans
-        reason = triangularity_failure(ring, idems, cap, _spans=spans)
+        reason = triangularity_failure(ring, idems, cap)
         if reason is not None:
             raise InvalidSequence(reason)
-        corners = tuple(corner_ring(ring, e, _spans=spans) for e in idems)
+        corners = tuple(corner_ring(ring, e) for e in idems)
         # t_m = e_m, so the last tail is the last corner's subgroup
         tails = tuple(
-            _peirce_span(ring, t, t, spans)
-            for t in (ring.sum(idems[i:]) for i in range(len(idems)))
+            _peirce_span(ring, t, t) for t in (ring.sum(idems[i:]) for i in range(len(idems)))
         )
         one = ring.one_element()
-        rows = tuple(_peirce_span(ring, e, one - e, spans) for e in idems)
+        rows = tuple(_peirce_span(ring, e, one - e) for e in idems)
         # the lower triangle was just checked to vanish, and e_i*A*e_i holds
         # the nonzero e_i
         vanishing = tuple(
             tuple(i > j or (i < j and _vanishes(ring, ei, ej)) for j, ej in enumerate(idems))
             for i, ei in enumerate(idems)
         )
-        types = tuple(_block_type(ring, e, cap, spans) for e in idems)
+        types = tuple(_block_type(ring, e, cap) for e in idems)
         return cls(ring, idems, corners, tails, rows, vanishing, types)
 
     @property

@@ -26,14 +26,17 @@ It works in three steps.
    (r*r = 0) turns e_j into f and every other block e_i into e_i - r*e_i,
    which triangulate t - f; the block graph is unchanged.
 
-Each Peirce component is spanned once per call: the primitive corners and
-the stage rows sit in one dict, keyed by idempotent pair, that goes to
-TriangularSequence.build.  The chosen head's row f*A*(1 - f) is the row it
-was reduced against, conjugated by 1 + r, which fixes that row; build reads
-it, and the head corners and tails, from the dict.  The dict also keeps the
-split of every idempotent that step 1 met, so build's reducedness check
-splits again only a head that step 3 moved (r != 0).  The dict lives for
-that one call; the ring keeps no cache.
+Each Peirce component is spanned once per ring object: the primitive
+corners and the stage rows are kept in the ring's memo, keyed by
+idempotent pair (corners._peirce_span), where TriangularSequence.build
+reads them.  The chosen head's row f*A*(1 - f) is the row it was reduced
+against, conjugated by 1 + r, which fixes that row; the construction files
+it under (f, 1 - f), so build spans no row of its own.  The memo also
+keeps the split of every idempotent that step 1 met, so build's
+reducedness check splits again only a head that step 3 moved (r != 0).
+The finished sequence is kept there too, so every later question about
+the same ring object reads it and builds nothing.  Rings loaded or built
+afresh share nothing.
 
 locate_reduced realizes the structure theorem for a semicentral reduced
 idempotent f over a triangulating sequence: exactly one j has f_j*f*f_j != 0,
@@ -56,11 +59,15 @@ def complete_triangulating_set(
     ring: RingPresentation, cap: int | None = None
 ) -> TriangularSequence:
     """The canonical complete triangulating sequence of ring (see the module
-    docstring), validated by TriangularSequence.build."""
+    docstring), validated by TriangularSequence.build.  The cap on |A| is
+    checked on every call; the sequence is then kept in the ring's memo."""
     require_cap(ring.order, cap, "triangulating sweep")
-    spans: dict = {}
+    return ring._remember("sequence", lambda: _construct(ring, cap))
+
+
+def _construct(ring: RingPresentation, cap: int | None) -> TriangularSequence:
     one = ring.one_element()
-    blocks, into = _blocks(ring, _primitive_idempotents(ring, one, cap, spans))
+    blocks, into = _blocks(ring, _primitive_idempotents(ring, one, cap))
     tail = one
     active = list(range(len(blocks)))
     idems: list[Element] = []
@@ -70,10 +77,10 @@ def complete_triangulating_set(
             if any(i in into[j] for i in active):
                 continue
             e = blocks[j]
-            row = _peirce_span(ring, e, tail - e, spans)
+            row = _peirce_span(ring, e, tail - e)
             candidates.append((row.least_in_coset(e), j, row))
         f, j, row = min(candidates, key=lambda c: c[0].coeffs)
-        spans[f, one - f] = row
+        ring._remember((f, one - f), lambda: row)
         active.remove(j)
         r = f - blocks[j]
         if not r.is_zero():
@@ -81,7 +88,7 @@ def complete_triangulating_set(
                 blocks[i] = blocks[i] - r * blocks[i]
         idems.append(f)
         tail = tail - f
-    return TriangularSequence.build(ring, tuple(idems), cap, _spans=spans)
+    return TriangularSequence.build(ring, tuple(idems), cap)
 
 
 def _locate_over(seq: TriangularSequence, active: list[int], f: Element) -> tuple[int, Element]:

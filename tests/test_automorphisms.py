@@ -66,13 +66,13 @@ def test_aut_group_sorted_and_deduplicated():
 def test_aut_group_refuses_an_automorphism_enumerated_twice(monkeypatch):
     # a duplicate is an enumeration bug; collapsing it would let aut and
     # aut --all disagree
-    original = automorphisms._enumerate
+    original = automorphisms.enumerate_isomorphisms
 
-    def first_twice(seq_a, seq_b, cap=None):
-        pairs = list(original(seq_a, seq_b, cap))
+    def first_twice(ring_a, ring_b, cap=None):
+        pairs = list(original(ring_a, ring_b, cap))
         return pairs[:1] + pairs
 
-    monkeypatch.setattr(automorphisms, "_enumerate", first_twice)
+    monkeypatch.setattr(automorphisms, "enumerate_isomorphisms", first_twice)
     with pytest.raises(StructureViolation, match="twice"):
         aut_group(fixture("t2_f2"))
 

@@ -1,5 +1,4 @@
 import json
-import sys
 import pathlib
 from functools import reduce
 
@@ -10,6 +9,7 @@ from finring.cli import main
 from finring.errors import CapExceeded
 from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, poly_quotient, product
 from finring.jsonio import ring_to_obj
+from finring.sequences import TriangularSequence
 from test_structure import SPLITS
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -280,18 +280,16 @@ def test_report_deterministic(capsys):
 
 
 def test_report_triangulates_its_ring_once(capsys, monkeypatch):
-    # the Aut(A) enumeration reuses the sequence report built; every module's
-    # copy of the name is counted, as the traced benchmark counts it
-    original = triangulate.complete_triangulating_set
+    # the Aut(A) enumeration reads the sequence report built, which the
+    # ring keeps: one sequence is constructed per report
+    build = TriangularSequence.build.__func__
     rings = []
 
-    def counted(ring, cap=None):
+    def counted(cls, ring, idems, cap=None):
         rings.append(ring)
-        return original(ring, cap)
+        return build(cls, ring, idems, cap)
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "complete_triangulating_set", None) is original:
-            monkeypatch.setattr(module, "complete_triangulating_set", counted)
+    monkeypatch.setattr(TriangularSequence, "build", classmethod(counted))
     for name in sorted(FIXTURE_BUILDERS):
         rings.clear()
         code, payload, _ = run(capsys, "report", "--oracle", fx(name))

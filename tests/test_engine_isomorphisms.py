@@ -22,14 +22,16 @@ from finring import (
     ring_iso_failure,
     ring_units,
 )
-from finring.fixtures import _matrix_units, basis_change, field_f4, fixture, matrix_ring
+from finring.fixtures import (
+    basis_change,
+    field_f4,
+    fixture,
+    matrix_ring,
+    upper_triangular_over,
+)
 from finring.presentation import RingPresentation
 from test_matrix_units import MATRIX_PAIRS
 from test_triangulate import LADDER
-
-
-def _t2_f4():
-    return _matrix_units([(0, 0), (0, 1), (1, 1)], field_f4(), "T2(F4)")
 
 
 def _zero_ring():
@@ -45,7 +47,10 @@ def _corpus():
     for seed, (name, ring) in enumerate(LADDER.items()):
         changed = basis_change(ring, random.Random(seed))[0]
         out += [(name, ring, ring), (name + "-basis", ring, changed)]
-    out += [("T2(F4)", _t2_f4(), _t2_f4()), ("zero", _zero_ring(), _zero_ring())]
+    out += [
+        ("T2(F4)", upper_triangular_over(2, field_f4()), upper_triangular_over(2, field_f4())),
+        ("zero", _zero_ring(), _zero_ring()),
+    ]
     return out
 
 
@@ -95,7 +100,14 @@ def test_composites_and_inverses_are_ring_isomorphisms(name):
 
 
 @pytest.mark.parametrize(
-    "ring", [fixture("t2_z4"), fixture("t3_f2"), _t2_f4(), matrix_ring(2, 3), LADDER["T2(Z9)"]],
+    "ring",
+    [
+        fixture("t2_z4"),
+        fixture("t3_f2"),
+        upper_triangular_over(2, field_f4()),
+        matrix_ring(2, 3),
+        LADDER["T2(Z9)"],
+    ],
     ids=lambda r: r.name,
 )
 def test_identity_and_conjugations_are_ring_isomorphisms(ring):

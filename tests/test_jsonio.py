@@ -147,7 +147,8 @@ def test_sigma_checks_read_the_sequence_table(monkeypatch):
     with pytest.raises(InadmissiblePermutation):
         decomposition_from_obj({**obj, "sigma": [2, 1, 3]}, seq, seq)
     assert calls == []
-    complete_triangulating_set(ring)  # the patches reach the sequence's table
+    # the patches reach the table of a ring that keeps no sequence yet
+    complete_triangulating_set(fixture("three_block"))
     assert calls
 
 

@@ -18,6 +18,7 @@ from finring import (
     NotSemicentral,
     RingIsomorphism,
     ShapeMismatch,
+    TriangularSequence,
     aut_group,
     aut_order,
     check_corner_quadruple,
@@ -46,6 +47,7 @@ from finring.fixtures import (
     cyclic,
     dual_square,
     f2,
+    field_f4,
     fixture,
     matrix_ring,
     poly_quotient,
@@ -54,6 +56,7 @@ from finring.fixtures import (
     t2_f2_inner,
     t2_z4,
     upper_triangular,
+    upper_triangular_over,
 )
 from finring.oracle import brute_isos
 from finring.presentation import RingPresentation
@@ -150,26 +153,9 @@ def test_quadruple_validation():
         check_corner_quadruple(e, e, CornerQuadruple(q.rho, q.phibar, zero_chi, ring.zero()))
 
 
-def tensor(a: RingPresentation, b: RingPresentation) -> RingPresentation:
-    """a ⊗ b for two rings over the same Z_n, on the generators g_i ⊗ h_p
-    in row-major order."""
-    (n,) = set(a.orders + b.orders)
-    index = [(i, p) for i in range(a.rank) for p in range(b.rank)]
-    mul = [
-        [[a.mul[i][j][l] * b.mul[p][q][r] for l, r in index] for j, q in index]
-        for i, p in index
-    ]
-    one = [a.one[l] * b.one[r] for l, r in index]
-    return RingPresentation([n] * len(index), mul, one)
-
-
-def t2_f4() -> RingPresentation:
-    """T2(F4): two F4 corners, each acting on the row F4 by multiplication,
-    so the Frobenius twists either action."""
-    return tensor(t2_f2(), fixture("f4"))
-
-
 def _frobenius(corner: RingPresentation) -> RingIsomorphism:
+    """The Frobenius of an F4 corner.  T2(F4) has two F4 corners, each
+    acting on the row F4 by multiplication, so it twists either action."""
     (frob,) = [g for g in aut_group(corner).elements if g != identity_iso(corner)]
     return frob
 
@@ -191,7 +177,7 @@ def _corruptions(ring, row, rho, closing, closing_name, closing_what):
 
 
 def test_every_level_check_reason_reaches_iso_synthesize():
-    ring = t2_f4()
+    ring = upper_triangular_over(2, field_f4())
     seq = complete_triangulating_set(ring)
     assert seq.m == 2 and all(c.order == 4 for c in seq.corners)
     d = iso_decompose(identity_iso(ring), seq, seq)
@@ -215,7 +201,7 @@ def test_every_level_check_reason_reaches_iso_synthesize():
 
 
 def test_every_level_check_reason_reaches_check_corner_quadruple():
-    ring = t2_f4()
+    ring = upper_triangular_over(2, field_f4())
     e = complete_triangulating_set(ring).idems[0]
     q = corner_decompose(identity_iso(ring), e, e)
     row = peirce_component(ring, e, ring.one_element() - e)
@@ -585,18 +571,19 @@ def test_iso_count_of_non_isomorphic_pairs_is_zero():
 
 
 def test_automorphisms_triangulate_the_ring_once(monkeypatch):
-    original = morphisms.complete_triangulating_set
+    build = TriangularSequence.build.__func__
     calls = []
 
-    def counted(ring, cap=None):
+    def counted(cls, ring, idems, cap=None):
         calls.append(ring)
-        return original(ring, cap)
+        return build(cls, ring, idems, cap)
 
-    monkeypatch.setattr(morphisms, "complete_triangulating_set", counted)
+    monkeypatch.setattr(TriangularSequence, "build", classmethod(counted))
     ring = t2_z4()
     assert iso_count(ring, ring) == 8
     assert len(list(enumerate_isomorphisms(ring, ring))) == 8
-    assert calls == [ring, ring]
+    assert calls == [ring]
     calls.clear()
+    # the ring keeps its sequence; only the permuted copy is constructed
     assert iso_count(ring, ring.permuted([1, 0, 2])) == 8
-    assert len(calls) == 2
+    assert len(calls) == 1

@@ -394,3 +394,16 @@ def test_oracle_shares_no_machinery_with_the_engine():
     assert imports["oracle"] <= {"errors", "maps", "presentation"}
     assert imports["oracle"], "the oracle's package imports were not found"
     assert {name for name, found in imports.items() if "oracle" in found} == {"__init__", "cli"}
+
+
+def test_the_cli_reads_only_public_library_names():
+    # The command line is a client of the library: every name it imports
+    # from a finring module is public, so no private fork of an engine
+    # entry point exists only for it.
+    path = pathlib.Path(finring.__file__).parent / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("finring")):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "the CLI's package imports were not found"
+    assert sorted(name for name in imported if name.startswith("_")) == []

@@ -6,13 +6,18 @@ import pytest
 
 from finring import (
     AmbientMismatch,
+    CapExceeded,
     NotIdempotent,
     NotSemicentral,
     NotSemicentralReduced,
     RingPresentation,
+    TriangularSequence,
+    aut_group,
+    aut_order,
     complete_triangulating_set,
     extend_semicentral,
     is_strongly_triangular,
+    iso_search,
     locate_reduced,
     peirce_component,
 )
@@ -27,6 +32,7 @@ from finring.fixtures import (
     product,
     upper_triangular,
 )
+from finring.jsonio import ring_from_obj, ring_to_obj
 from finring.subgroups import Subgroup
 
 CANONICAL_SEQUENCES = {
@@ -300,12 +306,20 @@ def test_one_triangulation_spans_each_peirce_component_once(monkeypatch, ring):
     assert list(seq.tails) == [original(ring, t, t) for t in tails]
 
 
+def _corner_span(ring, e, spans):
+    """e*A*e, spanned once per dict spans of the sweep's own, which shares
+    nothing with the ring's memo."""
+    if e not in spans:
+        spans[e] = peirce_component(ring, e, e)
+    return spans[e]
+
+
 def _swept_reduced_corner(ring, e, spans):
     """The definition in the ring: list e*A*e and count its semicentral
     idempotents, which must be exactly 0 and e."""
-    from finring.corners import _peirce_span, _vanishes
+    from finring.corners import _vanishes
 
-    corner = _peirce_span(ring, e, e, spans)
+    corner = _corner_span(ring, e, spans)
     semis = [f for f in corner.elements() if f.is_idempotent() and _vanishes(ring, e - f, f)]
     return len(semis) == 2 and set(semis) == {ring.zero(), e}
 
@@ -314,13 +328,13 @@ def _lexicographic_sweep(ring):
     """The construction this package used before primitive idempotents: walk
     A (later tails: t*A*t, listed sorted) in lexicographic order and take the
     first admissible head of each tail, each corner swept for reducedness."""
-    from finring.corners import _peirce_span, _vanishes
+    from finring.corners import _vanishes
 
     tail = ring.one_element()
     idems = []
     spans = {}
     while not tail.is_zero():
-        sweep = _peirce_span(ring, tail, tail, spans).elements() if idems else ring.elements()
+        sweep = _corner_span(ring, tail, spans).elements() if idems else ring.elements()
         for e in sweep:
             if e.is_zero() or not e.is_idempotent():
                 continue
@@ -407,7 +421,7 @@ def test_one_block_rings_list_nothing(monkeypatch, ring):
 def test_each_idempotent_is_split_once(monkeypatch):
     # Every generator of F16 is a unit, whose idempotent power is 1, so only
     # listing F16 shows that 1 is primitive.  build's reducedness check of
-    # the head 1 reads that answer from the construction's dict.
+    # the head 1 reads that answer from the ring's memo.
     listed = []
     original = Subgroup.elements
 
@@ -418,3 +432,68 @@ def test_each_idempotent_is_split_once(monkeypatch):
     monkeypatch.setattr(Subgroup, "elements", counted)
     assert complete_triangulating_set(poly_quotient([1, 1, 0, 0])).m == 1
     assert listed == [16]
+
+
+# -- the ring's memo -----------------------------------------------------------
+
+
+def _count_work(monkeypatch):
+    """Count peirce_component calls, through every module's copy of the
+    name, and sequence constructions (TriangularSequence.build)."""
+    import finring.corners
+
+    counts = {"spans": 0, "builds": 0}
+    original = finring.corners.peirce_component
+    build = TriangularSequence.build.__func__
+
+    def counted(ring, e, f):
+        counts["spans"] += 1
+        return original(ring, e, f)
+
+    def counted_build(cls, ring, idems, cap=None):
+        counts["builds"] += 1
+        return build(cls, ring, idems, cap)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "finring" or name.startswith("finring.")) and (
+            getattr(mod, "peirce_component", None) is original
+        ):
+            monkeypatch.setattr(mod, "peirce_component", counted)
+    monkeypatch.setattr(TriangularSequence, "build", classmethod(counted_build))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        pytest.param(upper_triangular(4, 2), id="T4(F2)"),
+        pytest.param(basis_change(matrix_ring(2, 3), random.Random(0))[0], id="M2(F3)-basis"),
+    ],
+)
+def test_a_second_question_about_a_ring_spans_and_builds_nothing(monkeypatch, ring):
+    counts = _count_work(monkeypatch)
+    order = aut_order(ring)
+    assert counts["spans"] > 0 and counts["builds"] == 1
+    counts.update(spans=0, builds=0)
+    assert aut_group(ring).order == order
+    assert iso_search(ring, ring) is not None
+    assert counts == {"spans": 0, "builds": 0}
+
+
+def test_the_cap_is_checked_before_the_kept_sequence():
+    ring = upper_triangular(3, 2)
+    assert complete_triangulating_set(ring, cap=64).m == 3
+    with pytest.raises(CapExceeded, match="triangulating sweep size 64 exceeds cap 63"):
+        complete_triangulating_set(ring, cap=63)
+
+
+def test_rings_read_from_one_object_share_nothing(monkeypatch):
+    # rings equal by content are still separate objects, each with its own
+    # memo, so a query that loads its rings afresh repeats all of its work
+    obj = ring_to_obj(upper_triangular(3, 2))
+    counts = _count_work(monkeypatch)
+    for _ in range(2):
+        ring = ring_from_obj(obj)
+        counts.update(spans=0, builds=0)
+        assert complete_triangulating_set(ring).m == 3
+        assert counts == {"spans": 8, "builds": 1}
