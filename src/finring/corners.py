@@ -8,7 +8,9 @@ ambient coordinates.  The corner at the ambient unit is the ring itself, with
 identity translation, rather than a re-based copy.
 
 The engine reads each span e*A*f through _peirce_span, which keeps it in
-the ring's memo; peirce_component always spans afresh.
+the ring's memo; peirce_component always spans afresh.  Both span e*g*f
+over the generators g, which RingPresentation._peirce_rows makes for all g
+in one packed pass, as it does for the vanishing test.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ def peirce_component(ring: RingPresentation, e: Element, f: Element) -> Subgroup
     _require_idempotent(e)
     _require_idempotent(f)
     one = ring.one_element()
-    left = ring.gens() if e == one else [e * g for g in ring.gens()]
-    return Subgroup.span(ring, left if f == one else [x * f for x in left])
+    if e == one == f:
+        return Subgroup.span(ring, ring.gens())
+    return Subgroup.span(ring, _peirce_rows(ring, e, f))
 
 
 def _peirce_span(ring: RingPresentation, e: Element, f: Element) -> Subgroup:
@@ -46,8 +49,7 @@ def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
     """True when e*A*f = 0, i.e. peirce_component(ring, e, f).is_trivial().
 
     A span is trivial exactly when every spanning vector is zero, so the test
-    multiplies e*g*f over the generators and stops at the first nonzero
-    product, without a Hermite form.
+    reads e*g*f over the generators, without a Hermite form.
     """
     _require_idempotent(e)
     _require_idempotent(f)
@@ -57,7 +59,12 @@ def vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
 def _vanishes(ring: RingPresentation, e: Element, f: Element) -> bool:
     """vanishes for idempotents the caller has already checked or built as
     such (t - e for e idempotent in the corner of t), without checking again."""
-    return all((x * f).is_zero() for x in (e * g for g in ring.gens()) if not x.is_zero())
+    return not any(map(any, ring._peirce_rows(e.coeffs, f.coeffs)))
+
+
+def _peirce_rows(ring: RingPresentation, e: Element, f: Element) -> list[Element]:
+    """e*g*f for every generator g of ring, in one packed pass."""
+    return [Element(ring, c) for c in ring._peirce_rows(e.coeffs, f.coeffs)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,15 +22,14 @@ splitting idempotent, or None for a primitive, beside the corner spans it
 read (corners._peirce_span).  The "idempotent sweep" cap guards only the
 listing of a corner, so a split read from the memo is never refused.
 
-The idempotent powers a split tries, the unit inverses of the matrix units
-and the nilpotency test of a residue field come from one walk over the
-powers of an element, maps._power_walk.
+The idempotent powers a split tries and the unit inverses of the matrix
+units come from one walk over the powers of an element, maps._power_walk.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
-from .corners import _peirce_span, _require_idempotent, _vanishes
+from .corners import _peirce_rows, _peirce_span, _require_idempotent, _vanishes
 from .maps import _power_walk
 from .presentation import Element, RingPresentation, require_cap
 
@@ -118,10 +117,9 @@ def _blocks(ring: RingPresentation, prims: list[Element]):
     n = len(prims)
     if n == 1:  # one primitive is one block, with no edges to find
         return prims, [set()]
-    left = [[x for x in (p * g for g in ring.gens()) if not x.is_zero()] for p in prims]
     edge = [
-        [i != j and any(not (x * q).is_zero() for x in left[i]) for j, q in enumerate(prims)]
-        for i in range(n)
+        [i != j and not _vanishes(ring, p, q) for j, q in enumerate(prims)]
+        for i, p in enumerate(prims)
     ]
     reach = [[i == j or edge[i][j] for j in range(n)] for i in range(n)]
     for m in range(n):
@@ -157,11 +155,10 @@ def _matrix_unit_system(ring: RingPresentation, prims: list[Element]):
     corner p_j*A*p_j, which is p_j (Lam, A First Course in Noncommutative
     Rings, sections 21-23)."""
     p = prims[0]
-    gens = ring.gens()
     row, col = [p], [p]
     for r in prims[1:]:
-        xs = [x for x in (p * g * r for g in gens) if not x.is_zero()]
-        ys = [y for y in (r * g * p for g in gens) if not y.is_zero()]
+        xs = [x for x in _peirce_rows(ring, p, r) if not x.is_zero()]
+        ys = [y for y in _peirce_rows(ring, r, p) if not y.is_zero()]
         pair = next(
             ((x, y * v) for x in xs for y in ys for v in [_power_walk(x * y, p)[1]]
              if v is not None),
@@ -178,10 +175,22 @@ def _residue_order(d: RingPresentation) -> int:
     """q = |D/J(D)| for a local ring D, without listing D.  D/J(D) is the
     field F_q, q = p^f for the one prime p dividing |D|, where x -> x^p is
     additive; so f is the least exponent at which g^(p^f) - g lies in J(D)
-    for every generator g of D.  J(D) is the set of nilpotents: x lies in
-    J(D) when the idempotent among its powers is 0 (maps._power_walk)."""
+    for every generator g of D.  J(D) is the set of nilpotents, and its
+    nilpotency index is at most the length of D, log_p |D|: the powers of
+    J(D) fall strictly until 0, each by a factor of at least p.  So x lies
+    in J(D) exactly when x^(2^s) = 0 for the least 2^s >= log_p |D|; an x
+    outside J(D) is a unit, and no power of a unit is 0."""
     p = _least_prime(d.order)
     one = d.one_element()
+    length, n = 0, d.order
+    while n > 1:
+        n, length = n // p, length + 1
+    squarings = (length - 1).bit_length()
+
+    def nilpotent(x: Element) -> bool:
+        for _ in range(squarings):
+            x = x * x
+        return x.is_zero()
 
     def power(x: Element, k: int) -> Element:
         acc = one
@@ -195,5 +204,5 @@ def _residue_order(d: RingPresentation) -> int:
     images, q = gens, 1
     while True:
         images, q = [power(y, p) for y in images], q * p
-        if all(_power_walk(y - g, one)[0].is_zero() for y, g in zip(images, gens)):
+        if all(nilpotent(y - g) for y, g in zip(images, gens)):
             return q

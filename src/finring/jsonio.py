@@ -81,6 +81,13 @@ def ring_from_obj(obj: Any) -> RingPresentation:
 
 
 def ring_hash(ring: RingPresentation) -> str:
+    """The SHA-256 of the ring's canonical JSON without its name, made once
+    per ring object and kept in its memo: the other fields are fixed when
+    the ring is built."""
+    return ring._remember("hash", lambda: _digest(ring))
+
+
+def _digest(ring: RingPresentation) -> str:
     stripped = ring_to_obj(ring)
     stripped.pop("name", None)
     return hashlib.sha256(dumps_canonical(stripped).encode("utf-8")).hexdigest()

@@ -40,8 +40,8 @@ images make equal maps, whichever of the two classes they have.
 
 The powers of an element are walked in one place, _power_walk, for the
 idempotent among them and, for a unit, its inverse: unit_inverse and the
-matrix units read the inverse, the idempotent splits and the nilpotency
-test (idempotents.py) the idempotent power.
+matrix units read the inverse, the idempotent splits (idempotents.py) the
+idempotent power.
 """
 from __future__ import annotations
 

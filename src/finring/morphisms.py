@@ -80,7 +80,7 @@ import operator
 from dataclasses import dataclass
 from math import prod
 
-from .corners import CornerRing, corner_ring, peirce_component
+from .corners import CornerRing, _peirce_rows, corner_ring, peirce_component
 from .errors import (
     AmbientMismatch,
     CapExceeded,
@@ -173,7 +173,7 @@ def _level_failure(chi: AdditiveMap, offset: Element, left, right) -> str | None
 def _row_parts(e: Element, tail: Element) -> list[Element]:
     """The row parts e*g*t of the generators g of A, made once per level
     for all the maps built there."""
-    return [e * g * tail for g in e.ring.gens()]
+    return _peirce_rows(e.ring, e, tail)
 
 
 def _level_map(parts, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:

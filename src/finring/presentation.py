@@ -11,17 +11,21 @@ extension well defined), the two-sided unit law on generators, and
 associativity on all generator triples.  Bilinearity then carries these to the
 whole ring, so a validated presentation is an honest finite unital ring.
 
-Products read a sparse copy of the tensor, built before validation:
-_terms[i][j] lists the nonzero (l, c[i][j][l]).  A product visits only the
-nonzero coefficients of both factors and the terms of their generator
-products, accumulates in plain integers and reduces once.  Matrix-unit rings
-such as T_n and M_n have at most one term per generator product.  The unit
-law runs through that product kernel; associativity is checked on _terms
-directly, with no product call: both bracketings of the triples (i, j, l)
-for one pair (i, j) and every l are packed into one integer each and
-compared.  SlotPacking owns that format and reads an unequal pair of
+A sparse copy of the tensor is built before validation: _terms[i][j]
+lists the nonzero (l, c[i][j][l]).  Products read a ProductTable, made from
+_terms in one pass on the ring's first product (the unit law, during
+validation) and kept on the ring: rows[i] packs every g_i * g_j into one
+integer, in slots of a whole number of bytes wide enough for
+k^2 * (max(orders) - 1)^3, the largest unreduced coefficient of a product.
+a * b is then one big-integer product and sum per nonzero coefficient of a
+and of b and one unpack of k slots, reduced once; _peirce_rows(e, f) makes
+e * g_j * f for every generator g_j in one such pass, for the Peirce spans
+and tests of corners, idempotents and morphisms.  Associativity is checked
+on _terms directly, with no product call: both bracketings of the triples
+(i, j, l) for one pair (i, j) and every l are packed into one integer each
+and compared.  SlotPacking owns that format and reads an unequal pair of
 integers slot by slot; maps.ring_iso_failure decides multiplicativity in
-the same format.
+the same format.  Every packed format lives in this module.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
 elements of different presentations raises AmbientMismatch.  gens() returns
@@ -31,14 +35,15 @@ itself, its generators are gens(), and the coordinates of an element are its
 coefficients.
 
 Each presentation object keeps one memo (_remember) of the Peirce spans,
-idempotent splits and canonical sequence the engine derives from it (see
-corners, idempotents and triangulate).  It belongs to the object, not to
-its contents, and lives as long as the object.
+idempotent splits, canonical sequence and content hash derived from it
+(see corners, idempotents, triangulate and jsonio.ring_hash).  It belongs
+to the object, not to its contents, and lives as long as the object.
 """
 from __future__ import annotations
 
 import itertools
 import operator
+import struct
 
 from .errors import (
     AmbientMismatch,
@@ -119,10 +124,61 @@ class SlotPacking:
         return None
 
 
+class ProductTable:
+    """The packed format of products: the structure constants in 2k integers.
+
+    Slot (j, l) of rows[i] and slot (i, l) of cols[j] hold c[i][j][l]; slot
+    (x, n) sits at bit (x * k + n) * width, so group x (its k slots) starts
+    at shifts[x], and mask keeps group 0.  width is a whole number of bytes
+    and holds k^2 * (max(orders) - 1)^3, the largest unreduced coefficient
+    of a product of reduced factors; read_row and read_grid turn the
+    little-endian bytes of k and k^2 slots into their values.
+
+    sum a_i * rows[i] holds the unreduced a*g_j in group j, and adding
+    b_j times it shifted down by shifts[j] leaves a*b in group 0: every
+    term there is nonnegative and no slot of group 0 overflows, so what
+    lies above it never reaches it.  Likewise sum f_n * cols[n] holds
+    g_m*f in group m.
+    """
+
+    __slots__ = ("rows", "cols", "shifts", "mask", "row_bytes", "read_row", "read_grid")
+
+    def __init__(self, orders: tuple[int, ...], terms):
+        k = len(orders)
+        need = (k * k * (max(orders, default=1) - 1) ** 3).bit_length()
+        nbytes = 1
+        while nbytes < need / 8:
+            nbytes *= 2
+        width = 8 * nbytes
+        self.row_bytes = k * nbytes
+        self.read_row = _slot_reader(k, nbytes)
+        self.read_grid = _slot_reader(k * k, nbytes)
+        self.shifts = shifts = tuple(x * k * width for x in range(k))
+        self.mask = (1 << k * width) - 1
+        # one pass over the sparse constants: group (i, j) packs g_i * g_j
+        lift = [l * width for l in range(k)]
+        packed = [
+            [sum([c << lift[l] for l, c in vec]) if vec else 0 for vec in row] for row in terms
+        ]
+        self.rows = tuple(sum(map(operator.lshift, row, shifts)) for row in packed)
+        self.cols = tuple(sum(map(operator.lshift, col, shifts)) for col in zip(*packed))
+
+
+def _slot_reader(count: int, nbytes: int):
+    """The values of count little-endian slots of nbytes each, from their
+    bytes.  Slots wider than 8 bytes, which large moduli such as 2^31 need,
+    are read one int.from_bytes each."""
+    if nbytes <= 8:
+        return struct.Struct("<%d%s" % (count, "BHIQ"[nbytes.bit_length() - 1])).unpack
+    return lambda data: [
+        int.from_bytes(data[s:s + nbytes], "little") for s in range(0, len(data), nbytes)
+    ]
+
+
 class RingPresentation:
     """A validated structure-constant presentation of a finite unital ring."""
 
-    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_gens", "_memo")
+    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_table", "_gens", "_memo")
 
     def __init__(self, orders, mul, one, name: str | None = None):
         self.orders = _as_int_tuple(orders, "orders")
@@ -168,6 +224,7 @@ class RingPresentation:
             tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row)
             for row in self.mul
         )
+        self._table = None
         self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(k))
         self._memo = {}
 
@@ -247,17 +304,45 @@ class RingPresentation:
         return tuple([n * x % d for x, d in zip(a, self.orders)])
 
     def _mul_coeffs(self, a, b):
-        acc = [0] * len(self.orders)
-        b_terms = list(itertools.compress(enumerate(b), b))
+        table = self._table or self._build_table()
+        rows, shifts = table.rows, table.shifts
+        left = 0
         for i, x in itertools.compress(enumerate(a), a):
-            row = self._terms[i]
-            for j, y in b_terms:
-                terms = row[j]
-                if terms:
-                    xy = x * y
-                    for l, c in terms:
-                        acc[l] += xy * c
-        return tuple(map(operator.mod, acc, self.orders))
+            left += x * rows[i]
+        acc = 0
+        for j, y in itertools.compress(enumerate(b), b):
+            acc += y * (left >> shifts[j])
+        slots = table.read_row((acc & table.mask).to_bytes(table.row_bytes, "little"))
+        return tuple(map(operator.mod, slots, self.orders))
+
+    def _peirce_rows(self, e, f):
+        """The coefficients of e * g_j * f for every generator g_j, in one
+        packed pass; e and f are coefficient tuples.  The left factors
+        e * g_j are reduced before the second product, so each of its sums
+        stays in its slot."""
+        table = self._table or self._build_table()
+        k = len(self.orders)
+        orders, shifts, mask = self.orders * k, table.shifts, table.mask
+        grid_bytes = k * table.row_bytes
+        left = 0
+        for i, x in itertools.compress(enumerate(e), e):
+            left += x * table.rows[i]
+        right = 0
+        for n, y in itertools.compress(enumerate(f), f):
+            right += y * table.cols[n]
+        # (e * g_j)_m at index j * k + m, and g_m * f in right_m[m]
+        eg = tuple(map(operator.mod, table.read_grid(left.to_bytes(grid_bytes, "little")), orders))
+        right_m = [right >> s & mask for s in shifts]
+        acc = 0
+        for x, c in itertools.compress(enumerate(eg), eg):
+            j, m = divmod(x, k)
+            acc += c * right_m[m] << shifts[j]
+        flat = map(operator.mod, table.read_grid(acc.to_bytes(grid_bytes, "little")), orders)
+        return tuple(zip(*[flat] * k))
+
+    def _build_table(self) -> "ProductTable":
+        self._table = ProductTable(self.orders, self._terms)
+        return self._table
 
     # -- public surface --------------------------------------------------
 

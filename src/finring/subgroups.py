@@ -7,6 +7,13 @@ column modulus and entries above each pivot reduced, and it is unique, so two
 spans are equal exactly when their Hermite forms are equal bit for bit.  The
 subgroup order is the product of d_i / pivot_i.
 
+hermite_form works modulo the diagonal (Cohen, A Course in Computational
+Algebraic Number Theory, 1993, section 2.4.2): since d_l * e_l lies in the
+lattice, every column-l entry is kept reduced mod d_l, and each column is
+cleared with extended gcds.  The steps change the basis, never the lattice,
+and the Hermite form of a lattice is unique, so the output is the one any
+correct Hermite algorithm gives, bit for bit.
+
 The Hermite rows are deliberately not used as additive generators.  In a mixed
 modulus ambient they need not be independent: span{(1,1)} inside Z_2 x Z_4 is
 cyclic of order 4, while its Hermite pivots alone would suggest Z_2 x Z_2.  A
@@ -17,7 +24,12 @@ require.
 With W writing diag(orders) in the Hermite rows H and U * W * V = diag(s),
 a member x = c * H has coordinate (U * c)_i mod s_i on the generator at each
 index i with s_i != 1 (it would be 0 mod 1 elsewhere), so a coordinate is one
-dot product with a kept row of U; a non-member has no integer c.
+dot product with a kept row of U; a non-member has no integer c.  The Smith
+form runs in the ambient rank: dropping the rows d_i * e_i first may give
+other, equally valid generators (a Smith transform is not unique), and with
+them other canonical output.  Its two shortcuts (the pivot scan stops at an
+entry +-1, and a pivot 1 needs no divisibility scan) change no pivot and no
+row of U.
 """
 from __future__ import annotations
 
@@ -29,37 +41,56 @@ from .presentation import Element, RingPresentation
 
 def hermite_form(rows, orders) -> tuple[tuple[int, ...], ...]:
     """Canonical upper-triangular basis of the lattice spanned by the given
-    rows together with diag(orders).  Returns a k x k tuple matrix."""
+    rows together with diag(orders).  Returns a k x k tuple matrix.
+
+    The lattice contains d_l * e_l, so every column-l entry is kept reduced
+    mod d_l.  Column by column, the pivot d * e_col meets each row r with
+    entry a in column col through the unimodular step
+    (P, r) -> (x*P + y*r, (a/h)*P - (g/h)*r), x*g + y*a = h = gcd(g, a),
+    which leaves the pivot entry h and clears r's; the cleared rows, which
+    are zero before col + 1, go on to the next column.  Each entry above a
+    pivot is reduced mod that pivot last."""
     k = len(orders)
-    mat = [list(r) for r in rows]
-    mat += [[orders[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    piv = 0
-    for col in range(k):
-        while True:
-            # never empty: the row orders[col] * e_col is still among them
-            nz = [r for r in range(piv, len(mat)) if mat[r][col]]
-            r_best = min(nz, key=lambda r: (abs(mat[r][col]), r))
-            if r_best != piv:
-                mat[piv], mat[r_best] = mat[r_best], mat[piv]
-            if mat[piv][col] < 0:
-                mat[piv] = [-v for v in mat[piv]]
-            p = mat[piv][col]
-            done = True
-            for r in range(piv + 1, len(mat)):
-                if mat[r][col]:
-                    q = mat[r][col] // p
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[piv])]
-                    if mat[r][col]:
-                        done = False
-            if done:
-                break
-        p = mat[piv][col]
-        for r in range(piv):
-            q = mat[r][col] // p
+    active = [r for r in (list(map(operator.mod, row, orders)) for row in rows) if any(r)]
+    pivots, tails = [], []
+    for col, d in enumerate(orders):
+        rest_orders = orders[col + 1:]
+        g, p = d, [0] * len(rest_orders)  # the pivot row d * e_col, by its tail
+        rest = []
+        for row in active:
+            a, r = row[0], row[1:]
+            if not a:
+                if any(r):
+                    rest.append(r)
+                continue
+            h, x, y = _extended_gcd(g, a)
+            other = [(a // h * w - g // h * v) % n for v, w, n in zip(r, p, rest_orders)]
+            if h != g:  # x = 0 when a divides g, and then y = 1
+                p = [(x * w + y * v) % n for v, w, n in zip(r, p, rest_orders)] if x else r
+                g = h
+            if any(other):
+                rest.append(other)
+        pivots.append(g)
+        tails.append(p)
+        active = rest
+    hnf = [[0] * i + [g] + p for i, (g, p) in enumerate(zip(pivots, tails))]
+    for i, row in enumerate(hnf):
+        for j in range(i + 1, k):
+            q = row[j] // pivots[j]
             if q:
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[piv])]
-        piv += 1
-    return tuple(tuple(mat[i]) for i in range(k))
+                row[j:] = [v - q * w for v, w in zip(row[j:], hnf[j][j:])]
+    return tuple(map(tuple, hnf))
+
+
+def _extended_gcd(g: int, a: int) -> tuple[int, int, int]:
+    """(h, x, y) with x*g + y*a = h = gcd(g, a), for g > 0 and a >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while a:
+        q, r = divmod(g, a)
+        g, a = a, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return g, x0, y0
 
 
 def smith_form_left(w):
@@ -99,12 +130,17 @@ def smith_form_left(w):
 
     for t in range(n):
         while True:
-            best = None
+            # the first entry of least absolute value; nothing is below 1
+            best, least = None, 0
             for i in range(t, n):
                 for j in range(t, n):
-                    v = s[i][j]
-                    if v and (best is None or abs(v) < abs(s[best[0]][best[1]])):
-                        best = (i, j)
+                    v = abs(s[i][j])
+                    if v and (best is None or v < least):
+                        best, least = (i, j), v
+                        if v == 1:
+                            break
+                if least == 1:
+                    break
             if best is None:
                 break
             bi, bj = best
@@ -128,6 +164,8 @@ def smith_form_left(w):
                         dirty = True
             if dirty:
                 continue
+            if p == 1:  # every entry is a multiple of 1
+                break
             off = None
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
@@ -188,7 +226,10 @@ class Subgroup:
         # w expresses diag(orders) in the Hermite basis; solve column by column.
         w = [[0] * k for _ in range(k)]
         for j in range(k):
-            target = [self.ring.orders[i] if i == j else 0 for i in range(k)]
+            target = tuple(self.ring.orders[i] if i == j else 0 for i in range(k))
+            if self.hnf[j] == target:  # _solve_rows would give e_j
+                w[j][j] = 1
+                continue
             col = _solve_rows(self.hnf, target)
             for i in range(k):
                 w[i][j] = col[i]

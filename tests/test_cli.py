@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from finring import cli, morphisms, oracle, triangulate
+from finring import cli, jsonio, morphisms, oracle, triangulate
 from finring.cli import main
 from finring.errors import CapExceeded
 from finring.fixtures import FIXTURE_BUILDERS, f2, matrix_ring, poly_quotient, product
@@ -125,6 +125,23 @@ def test_aut_count_and_enumeration_print_the_same_order(capsys, name):
         orders.append(payload["aut_order"])
     assert orders[0] == orders[1] == orders[2]
     assert payload["oracle"] in ("agree", "skipped")
+
+
+def test_iso_search_all_hashes_each_ring_once(capsys, monkeypatch):
+    # every map of --all names both endpoints by hash; the ring keeps its
+    # digest, so each ring object is hashed once
+    digested = []
+    original = jsonio._digest
+
+    def counted(ring):
+        digested.append(ring)
+        return original(ring)
+
+    monkeypatch.setattr(jsonio, "_digest", counted)
+    code, payload, _ = run(capsys, "iso-search", "--all", fx("t2_z4"), fx("t2_z4"))
+    assert code == 0
+    assert payload["count"] == 8
+    assert len(digested) == len({id(ring) for ring in digested}) == 2
 
 
 def test_iso_search(capsys):

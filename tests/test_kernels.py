@@ -3,9 +3,10 @@
 The references below are written the textbook way: a triple loop over the
 whole structure-constant tensor for products, one generator expression per
 coordinate for the additive operations, and Element accumulation for additive
-maps.  Coefficient vectors are drawn over the fixture corpus, T3(Z4), M2(F3),
-the zero ring, and copies of some of them on a random basis in GL_k(Z_n),
-whose structure constants are dense.
+maps.  The packed product table is also held to a copy of the sparse product
+loop it replaced.  Coefficient vectors are drawn over the fixture corpus,
+T3(Z4), M2(F3), the zero ring, and copies of some of them on a random basis
+in GL_k(Z_n), whose structure constants are dense.
 """
 import functools
 import math
@@ -29,10 +30,12 @@ from finring.fixtures import (
     cyclic,
     fixture,
     matrix_ring,
+    poly_quotient,
     product,
     random_gl,
     upper_triangular,
 )
+from finring.idempotents import _residue_order
 from finring.presentation import RingPresentation
 
 
@@ -43,6 +46,21 @@ def dense_mul(ring, a, b):
         for j in range(k):
             for l in range(k):
                 acc[l] += a[i] * b[j] * ring.mul[i][j][l]
+    return tuple(c % d for c, d in zip(acc, ring.orders))
+
+
+def sparse_mul(ring, a, b):
+    """The sparse product loop products ran before the packed table: the
+    nonzero coefficients of both factors against the nonzero structure
+    constants, reduced once."""
+    acc = [0] * ring.rank
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in b_terms:
+            for l, c in ring._terms[i][j]:
+                acc[l] += x * y * c
     return tuple(c % d for c, d in zip(acc, ring.orders))
 
 
@@ -80,6 +98,8 @@ CHANGED_RINGS = [
     )
 ]
 RINGS = BASE_RINGS + CHANGED_RINGS
+# T2(Z_2^31) needs slots of several 64-bit words
+PRODUCT_RINGS = RINGS + [upper_triangular(2, 2**31)]
 
 
 def coeffs(ring):
@@ -113,6 +133,65 @@ def test_products_match_the_dense_triple_loop(data):
     a = data.draw(coeffs(ring))
     b = data.draw(coeffs(ring))
     assert ring._mul_coeffs(a, b) == dense_mul(ring, a, b)
+
+
+def test_products_match_the_sparse_loop_on_random_pairs():
+    rng = random.Random(31)
+    for ring in PRODUCT_RINGS:
+        pairs = [
+            tuple(tuple(rng.randrange(d) for d in ring.orders) for _ in range(2))
+            for _ in range(200)
+        ]
+        # the extreme coefficients reach the bound the slot width is made for
+        top = tuple(d - 1 for d in ring.orders)
+        pairs += [(top, top), (top, (0,) * ring.rank), (ring.one, top)]
+        for a, b in pairs:
+            assert ring._mul_coeffs(a, b) == sparse_mul(ring, a, b)
+
+
+def test_wide_moduli_take_slots_of_several_words():
+    ring = upper_triangular(2, 2**31)
+    top = tuple(d - 1 for d in ring.orders)
+    assert ring._mul_coeffs(top, top) == sparse_mul(ring, top, top) == dense_mul(ring, top, top)
+    # 3^2 * (2^31 - 1)^3 needs 97 bits: three slots of 16 bytes a group
+    assert ring._table.row_bytes == 3 * 16
+
+
+def _idempotent_pairs(ring):
+    """Pairs of idempotents of ring: all of them on small rings, else the
+    canonical sequence's idempotents, their complements, 0 and 1."""
+    if ring.order <= 256:
+        idems = [x for x in ring.elements() if x.is_idempotent()]
+    else:
+        one = ring.one_element()
+        seq = complete_triangulating_set(ring)
+        idems = [ring.zero(), one] + list(seq.idems) + [one - e for e in seq.idems]
+    return [(e, f) for e in idems for f in idems]
+
+
+def test_peirce_rows_match_products_of_e_g_f():
+    checked = 0
+    for ring in RINGS:
+        for e, f in _idempotent_pairs(ring):
+            rows = ring._peirce_rows(e.coeffs, f.coeffs)
+            assert rows == tuple((e * g * f).coeffs for g in ring.gens())
+            assert rows == tuple(
+                sparse_mul(ring, sparse_mul(ring, e.coeffs, g.coeffs), f.coeffs)
+                for g in ring.gens()
+            )
+            checked += 1
+    assert checked > 1000
+
+
+def test_peirce_rows_of_any_factors_on_wide_and_dense_rings():
+    rng = random.Random(32)
+    for ring in PRODUCT_RINGS:
+        for _ in range(30):
+            e = tuple(rng.randrange(d) for d in ring.orders)
+            f = tuple(rng.randrange(d) for d in ring.orders)
+            assert ring._peirce_rows(e, f) == tuple(
+                dense_mul(ring, dense_mul(ring, e, g.coeffs), f) for g in ring.gens()
+            )
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,6 +317,20 @@ def _count_products(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_peirce_passes(monkeypatch) -> list[int]:
+    """Peirce-row passes (e*g*f for every generator g at once), which make
+    no product call but do the work of 2k products."""
+    calls = [0]
+    original = RingPresentation._peirce_rows
+
+    def counted(self, e, f):
+        calls[0] += 1
+        return original(self, e, f)
+
+    monkeypatch.setattr(RingPresentation, "_peirce_rows", counted)
+    return calls
+
+
 def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # The number of products is part of the cost model: a change that buys
     # speed with more products, or saves products, must update this figure.
@@ -248,11 +341,17 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # product, where two products per generator pair made 13008 more.  Each
     # level makes the row parts e*g*t of the generators once, where every
     # level map multiplied them out again (1420 more), and a level map with
-    # offset 0 makes no product (220 more).
+    # offset 0 makes no product (220 more).  The spans e*A*f, the vanishing
+    # tests, the block edges of the Peirce graph and the row parts read
+    # e*g*f for all g in one Peirce-row pass each: 34 passes where 413
+    # products were made (200 for spans, 87 for vanishing, 66 for edges, 60
+    # for row parts).
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
+    passes = _count_peirce_passes(monkeypatch)
     assert aut_group(ring).order == 64
-    assert calls[0] == 2707
+    assert calls[0] == 2294
+    assert passes[0] == 34
 
 
 def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
@@ -263,11 +362,14 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # cost 1180 of the 2084 products this count made before.  Multiplicativity
     # is decided on packed integers, with no product (208 fewer).  Every map
     # the count builds has offset 0, and such a level map makes no product
-    # (60 fewer).
+    # (60 fewer).  The same 413 products of the triangulation as in
+    # aut_group's count are 34 Peirce-row passes.
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
+    passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 64
-    assert calls[0] == 636
+    assert calls[0] == 223
+    assert passes[0] == 34
 
 
 def test_aut_order_of_f2_to_the_5_makes_a_pinned_number_of_products(monkeypatch):
@@ -275,21 +377,40 @@ def test_aut_order_of_f2_to_the_5_makes_a_pinned_number_of_products(monkeypatch)
     # row parts e*g*t of the generators once for all of them, and a level
     # map with offset 0 makes no product; making the parts again for every
     # map under every block order, and the offset terms, cost 9560 more.
+    # Spans (260 products), vanishing tests and block edges (135) and row
+    # parts (40) are 64 Peirce-row passes.
     ring = functools.reduce(product, [cyclic(2)] * 5)
     calls = _count_products(monkeypatch)
+    passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 120
-    assert calls[0] == 569
+    assert calls[0] == 134
+    assert passes[0] == 64
 
 
 def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
-    # 53 products triangulate M2(F3) (the reducedness check of the one head,
+    # 11 products triangulate M2(F3) (the reducedness check of the one head,
     # 1, reads the split of 1 that the triangulation made and runs only the
-    # block test), 27 type its block as M2(D) (18 for the matrix units, 4
-    # for the corner ring D = F3, 5 for its residue field) and 1 searches
+    # block test), 10 type its block as M2(D) (2 for the matrix units, 4
+    # for the corner ring D = F3, 4 for its residue field) and 1 searches
     # Iso(F3, F3).  The count is then |GL2(F3)| / |F3^x| * 1 = 24, with no
     # product.  The corner search over all of M2(F3) and its 24 assembled
-    # maps made 1158 more.
+    # maps made 1158 more.  9 Peirce-row passes replace 58 products: 20
+    # for spans, 22 for the block edges and 16 for the matrix units'
+    # e*g*f; the residue field F3 has length 1 and its nilpotency test
+    # needs no squaring (1 product fewer).
     ring = matrix_ring(2, 3)
     calls = _count_products(monkeypatch)
+    passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 24
-    assert calls[0] == 81
+    assert calls[0] == 22
+    assert passes[0] == 9
+
+
+def test_residue_order_of_f256_makes_a_pinned_number_of_products(monkeypatch):
+    # F256 = F2[x]/(x^8 + x^4 + x^3 + x^2 + 1) has length 8, so y - g is
+    # nilpotent exactly when its 8th power, three squarings, is 0.  Walking
+    # each unit y - g up to its multiplicative order made 1745 products.
+    ring = poly_quotient([1, 0, 1, 1, 1, 0, 0, 0])
+    calls = _count_products(monkeypatch)
+    assert _residue_order(ring) == 256
+    assert calls[0] == 258
