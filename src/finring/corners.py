@@ -7,6 +7,13 @@ own right, with embed/project additive maps translating between corner and
 ambient coordinates.  The corner at the ambient unit is the ring itself, with
 identity translation, rather than a re-based copy.
 
+corner_ring checks that e is idempotent and then adopts what it builds
+(RingPresentation._adopt, AdditiveMap._adopt): a corner of a validated ring
+at an idempotent is a ring with unit e, its orders compatible and its
+product associative (see presentation.py), embed_map sends each corner
+generator to itself in the subgroup, and project_map sends g to the corner
+coordinates of e*g*e, which is additive in g.
+
 The engine reads each span e*A*f through _peirce_span, which keeps it in
 the ring's memo; peirce_component always spans afresh.  Both span e*g*f
 over the generators g, which RingPresentation._peirce_rows makes for all g
@@ -112,8 +119,8 @@ def corner_ring(ring: RingPresentation, e: Element) -> CornerRing:
     mul = tuple(
         tuple(sub.coords(gens[i] * gens[j]) for j in range(k)) for i in range(k)
     )
-    pres = RingPresentation(orders, mul, sub.coords(e))
-    embed = AdditiveMap(pres, sub, gens)
+    pres = RingPresentation._adopt(orders, mul, sub.coords(e))
+    embed = AdditiveMap._adopt(pres, sub, gens)
     # sub was spanned from e*g*e over the generators: their images
-    project = AdditiveMap(ring, pres, [pres.element(sub.coords(x)) for x in sub.spanning])
+    project = AdditiveMap._adopt(ring, pres, [Element(pres, sub.coords(x)) for x in sub.spanning])
     return CornerRing(ring, e, pres, sub, embed, project)

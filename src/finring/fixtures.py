@@ -8,8 +8,6 @@ basis_change), whose structure constants are dense.
 """
 from __future__ import annotations
 
-import math
-
 from .maps import RingIsomorphism, inner_automorphism
 from .presentation import RingPresentation
 
@@ -95,13 +93,49 @@ def dual_square() -> RingPresentation:
     return RingPresentation([2] * 4, mul, [1, 0, 0, 0])
 
 
+def _unit_counter(n: int):
+    """x -> the number of units of Z_n in [1, x], by inclusion and exclusion
+    over the squarefree divisors of n; its primes come from trial division,
+    up to sqrt(n) steps."""
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    signed = [(1, 1)]  # (d, mu(d)) over the squarefree divisors d of n
+    for p in primes:
+        signed += [(d * p, -mu) for d, mu in signed]
+    return lambda x: sum(mu * (x // d) for d, mu in signed)
+
+
+def _unit_at(r: int, n: int, count) -> int:
+    """The unit of Z_n at index r of the increasing list of units: the
+    least x in [1, n) with count(x) > r."""
+    lo, hi = 1, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(mid) > r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def random_gl(k: int, n: int, rng):
     """P in GL_k(Z_n) and its inverse Q, from 3k^2 random steps, each a
     transvection or a unit scaling of the rows of P (with the matching
-    column operation on Q).  rng is a random.Random."""
+    column operation on Q).  rng is a random.Random.  A scaling draws the
+    index of its unit in the increasing list of the phi(n) units and finds
+    that unit by a binary search, without listing the units, so a modulus
+    such as 2^31 costs a trial division of n and about 31 counts per draw."""
     p = [[int(i == j) for j in range(k)] for i in range(k)]
     q = [[int(i == j) for j in range(k)] for i in range(k)]
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    count = _unit_counter(n)
+    phi = count(n)
     for _ in range(3 * k * k):
         i, j = rng.randrange(k), rng.randrange(k)
         if i != j:
@@ -110,7 +144,7 @@ def random_gl(k: int, n: int, rng):
             for row in q:
                 row[j] = (row[j] - c * row[i]) % n
         else:
-            u = rng.choice(units)
+            u = _unit_at(rng.randrange(phi), n, count)
             p[i] = [(u * x) % n for x in p[i]]
             for row in q:
                 row[i] = (row[i] * pow(u, -1, n)) % n

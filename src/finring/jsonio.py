@@ -1,9 +1,14 @@
 """JSON serialization for rings, maps, and decomposition data.
 
 Ring files carry the presentation verbatim: {"orders", "mul", "one"} plus an
-optional "name".  Map files carry {"domain", "codomain", "images"} where the
-endpoint references hold the ring's content hash (and name, when set); images
-are rows of generator-image coefficients.  Decomposition files carry a
+optional "name".  ring_from_obj checks only what is JSON about a ring file
+(an object, the three keys, a string name) and hands the three values to
+RingPresentation unchanged, which holds every rule for ring data: integers
+that are not booleans, shapes, reduced entries and the axioms.
+
+Map files carry {"domain", "codomain", "images"} where the endpoint
+references hold the ring's content hash (and name, when set); images are
+rows of generator-image coefficients.  Decomposition files carry a
 1-based "sigma", one {"rho", "chi", "m"} object per non-final level, and
 "last_rho".  Nested maps inside decompositions are stored as bare image
 matrices: endpoints are implied by position, with rho_i acting between the
@@ -67,17 +72,9 @@ def ring_from_obj(obj: Any) -> RingPresentation:
     _expect(isinstance(obj, dict), "ring file must hold a JSON object")
     for key in ("orders", "mul", "one"):
         _expect(key in obj, "ring object lacks %r" % key)
-    orders = _int_list(obj["orders"], "orders")
-    one = _int_list(obj["one"], "one")
-    mul_raw = obj["mul"]
-    _expect(isinstance(mul_raw, list), "mul must be a 3-dimensional array")
-    mul = []
-    for row in mul_raw:
-        _expect(isinstance(row, list), "mul must be a 3-dimensional array")
-        mul.append(tuple(tuple(_int_list(cell, "mul entry")) for cell in row))
     name = obj.get("name")
     _expect(name is None or isinstance(name, str), "name must be a string")
-    return RingPresentation(tuple(orders), tuple(mul), tuple(one), name=name)
+    return RingPresentation(obj["orders"], obj["mul"], obj["one"], name=name)
 
 
 def ring_hash(ring: RingPresentation) -> str:

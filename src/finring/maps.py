@@ -9,6 +9,19 @@ ambient coordinates.  Construction enforces well definedness (each
 generator's order annihilates its image, and images land inside a subgroup
 codomain), so every AdditiveMap instance is an honest homomorphism.
 
+AdditiveMap(...) runs those checks, and is the constructor for maps from
+outside input (map and decomposition files, library callers, the oracle)
+and for the candidates of the engine's searches.  AdditiveMap._adopt builds
+the same object, through the same _setup, with no check, for maps that are
+well defined by construction: each image is made from its generator g by
+additive steps (an additive map's value, a product with fixed elements, a
+sum of such), so the order of g annihilates it.  Its callers are
+compose_maps (g's images lie in g's codomain), identity_map, invert_map (the
+images are members of f's domain), _is_unit's x -> u*x, inner_automorphism,
+a corner's embed_map (the subgroup's own generators) and project_map (the
+corner coordinates of e*g*e), and, in morphisms.py, the level maps, the
+matrix-unit isomorphisms and the shrunk map of iso_decompose.
+
 Evaluation works in coefficient space: apply() sums c * images[i] over the
 argument's domain coordinates c in plain integers, reduces once modulo the
 codomain orders and allocates a single Element.
@@ -35,8 +48,9 @@ restrictions, which its resynthesis and comparison with the original map
 prove; maps synthesized or enumerated from checked corner data, which the
 paper's parametrization makes isomorphisms, as it does the matrix-unit
 isomorphisms of a block of type M_n(D); and the composite and inverse of
-isomorphisms, the identity and conjugation by a unit.  Equal endpoints and
-images make equal maps, whichever of the two classes they have.
+isomorphisms, the identity and conjugation by a unit.  It shares _setup
+with AdditiveMap, so adoption is written once.  Equal endpoints and images
+make equal maps, whichever of the two classes they have.
 
 The powers of an element are walked in one place, _power_walk, for the
 idempotent among them and, for a unit, its inverse: unit_inverse and the
@@ -82,6 +96,20 @@ class AdditiveMap:
                 )
             if subgroup and not codomain.contains(e):
                 raise ShapeMismatch("image falls outside the codomain subgroup")
+        self._setup(domain, codomain, elems)
+
+    @classmethod
+    def _adopt(cls, domain, codomain, images) -> "AdditiveMap":
+        """The map with these generator images, with no check: each image
+        is an element of the codomain's ring that its generator's order
+        annihilates and that lies in a subgroup codomain by construction
+        (see the module docstring for the callers)."""
+        f = cls.__new__(cls)
+        f._setup(domain, codomain, tuple(images))
+        return f
+
+    def _setup(self, domain, codomain, elems: tuple):
+        """The fields of a map from its image elements, checked or adopted."""
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(e.coeffs for e in elems)
@@ -133,7 +161,7 @@ class AdditiveMap:
 
 
 def identity_map(ring: RingPresentation) -> AdditiveMap:
-    return AdditiveMap(ring, ring, ring.gens())
+    return AdditiveMap._adopt(ring, ring, ring.gens())
 
 
 def compose_maps(f: AdditiveMap, g: AdditiveMap) -> AdditiveMap:
@@ -141,7 +169,7 @@ def compose_maps(f: AdditiveMap, g: AdditiveMap) -> AdditiveMap:
     share their ambient ring: g reads f's images in its own domain side."""
     if f.codomain.ring != g.domain.ring:
         raise ShapeMismatch("composition endpoints do not match")
-    return AdditiveMap(f.domain, g.codomain, [g.apply(img) for img in f._image_elems])
+    return AdditiveMap._adopt(f.domain, g.codomain, [g.apply(img) for img in f._image_elems])
 
 
 def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
@@ -157,7 +185,7 @@ def invert_map(f: AdditiveMap, cap: int | None = None) -> AdditiveMap:
             raise NotBijective("map is not injective")
         table[y] = x
     # n distinct images in a codomain of n elements: every generator is one
-    return AdditiveMap(f.codomain, f.domain, [table[g] for g in f.codomain.generators])
+    return AdditiveMap._adopt(f.codomain, f.domain, [table[g] for g in f.codomain.generators])
 
 
 # -- ring isomorphisms ----------------------------------------------------
@@ -233,11 +261,8 @@ class RingIsomorphism(AdditiveMap):
     __slots__ = ()
 
     def __init__(self, f: AdditiveMap):
-        self.domain = f.domain
-        self.codomain = f.codomain
-        self.images = f.images
-        self._image_elems = f._image_elems
-        self._span = None  # kept isomorphisms, e.g. of a group, hold no span
+        # a kept isomorphism, e.g. in a group, holds no span
+        self._setup(f.domain, f.codomain, f._image_elems)
 
     @classmethod
     def create(cls, f: AdditiveMap) -> "RingIsomorphism":
@@ -272,7 +297,7 @@ def _is_unit(u: Element) -> bool:
     """Whether x -> u*x is bijective.  Then u*v = 1 for some v, and v*u = 1
     follows because a finite ring is Dedekind-finite."""
     ring = u.ring
-    return AdditiveMap(ring, ring, [u * g for g in ring.gens()]).is_bijective()
+    return AdditiveMap._adopt(ring, ring, [u * g for g in ring.gens()]).is_bijective()
 
 
 def ring_units(ring: RingPresentation, cap: int | None = None) -> list[Element]:
@@ -317,4 +342,4 @@ def inner_automorphism(u: Element, cap: int | None = None) -> RingIsomorphism:
     """Conjugation by the unit u, as x -> u^{-1} x u."""
     ring = u.ring
     v = unit_inverse(u, cap)
-    return RingIsomorphism(AdditiveMap(ring, ring, [v * g * u for g in ring.gens()]))
+    return RingIsomorphism(AdditiveMap._adopt(ring, ring, [v * g * u for g in ring.gens()]))

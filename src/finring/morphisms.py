@@ -22,9 +22,9 @@ canonical order.  Each entry point reads the canonical sequences from
 complete_triangulating_set, which keeps each ring's sequence on the ring,
 so a ring paired with itself or asked again is triangulated once.  Each
 level map is an AdditiveMap on A, built once from its images on the
-generators and read by every choice above it.  A level makes the row parts
-e_i*g*t_{i+1} of A's generators once for all its maps, and a map with
-offset 0 makes no product.
+generators, adopted without the map checks (see maps.py) and read by every
+choice above it.  A level makes the row parts e_i*g*t_{i+1} of A's
+generators once for all its maps, and a map with offset 0 makes no product.
 
 Decomposition rests on the structure theorem (see triangulate.py), which
 drops phi(e_i) into the row coset of exactly one target block.  It is not
@@ -170,25 +170,19 @@ def _level_failure(chi: AdditiveMap, offset: Element, left, right) -> str | None
     return None
 
 
-def _row_parts(e: Element, tail: Element) -> list[Element]:
-    """The row parts e*g*t of the generators g of A, made once per level
-    for all the maps built there."""
-    return _peirce_rows(e.ring, e, tail)
-
-
 def _level_map(parts, rho_amb, chi, m: Element, phi_next) -> AdditiveMap:
     """phi(r + l + a) = rho(r) + rho(r)*m + chi(l) - m*phi_next(a) + phi_next(a)
     for the Peirce parts r = e*x*e, l = e*x*t, a = t*x*t at the head e and
     the tail t, given by its images on the generators of A and their row
-    parts (_row_parts).  rho_amb and phi_next are AdditiveMaps on A that
-    read only r and a; chi is defined on the row alone.  A zero offset m
-    makes no product."""
+    parts e*g*t (corners._peirce_rows, made once per level).  rho_amb and
+    phi_next are AdditiveMaps on A that read only r and a; chi is defined on
+    the row alone.  A zero offset m makes no product."""
     twisted = not m.is_zero()
     images = []
     for l, rho_r, phi_a in zip(parts, rho_amb._image_elems, phi_next._image_elems):
         y = rho_r + chi.apply(l) + phi_a
         images.append(y + rho_r * m - m * phi_a if twisted else y)
-    return AdditiveMap(rho_amb.domain, m.ring, images)
+    return AdditiveMap._adopt(rho_amb.domain, m.ring, images)
 
 
 def _checked_level(
@@ -215,7 +209,8 @@ def _checked_level(
     reason = _level_failure(layer.chi, layer.m, *_row_equations(row_l, row_m, rho_pairs, phi_pairs))
     if reason is not None:
         raise InconsistentQuadruple(reason, level)
-    return _level_map(_row_parts(corner_r.idem, tail), rho_amb, layer.chi, layer.m, phi_next)
+    parts = _peirce_rows(corner_r.parent, corner_r.idem, tail)
+    return _level_map(parts, rho_amb, layer.chi, layer.m, phi_next)
 
 
 def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRing):
@@ -229,7 +224,8 @@ def _restrict_corner(psi: AdditiveMap, corner_r: CornerRing, corner_s: CornerRin
 def _restrict_row(psi: AdditiveMap, row_l: Subgroup, row_m: Subgroup) -> AdditiveMap:
     """psi read on the row e*A*(1-e), which it maps into the row f*B*(1-f):
     f is semicentral and psi(e) lies in f + f*B*(1-f) (the structure
-    theorem, see triangulate.py)."""
+    theorem, see triangulate.py).  The map is built checked, so the
+    theorem is guarded on data derived from a map read from a file."""
     return AdditiveMap(row_l, row_m, [psi.apply(l) for l in row_l.generators])
 
 
@@ -393,7 +389,7 @@ def iso_decompose(
         layers.append(IsoLayer(rho, _restrict_row(psi, seq_a.rows[i], seq_b.rows[k]), rest))
         active.remove(k)
         shrink = ring_b.sum(seq_b.idems[r] for r in active)
-        psi = AdditiveMap(ring_a, ring_b, [shrink * y * shrink for y in phi._image_elems])
+        psi = AdditiveMap._adopt(ring_a, ring_b, [shrink * y * shrink for y in phi._image_elems])
     d = IsoDecomposition(tuple(sigma), tuple(layers), last_rho)
     if iso_synthesize(seq_a, seq_b, d) != phi:
         raise StructureViolation("decomposition does not resynthesize the isomorphism")
@@ -591,7 +587,7 @@ def _matrix_unit_isos(
         if v is not None:
             conjugations.setdefault(tuple((v * x * u).coeffs for x in system), (v, u))
     isos = [
-        RingIsomorphism(AdditiveMap(pres_r, pres_s, [v * b * u for b in base]))
+        RingIsomorphism(AdditiveMap._adopt(pres_r, pres_s, [v * b * u for b in base]))
         for v, u in conjugations.values()
         for base in bases
     ]
@@ -662,7 +658,7 @@ def _levels(
     row_m = seq_b.rows[j]
     parts = table.get(i)
     if parts is None:
-        parts = table[i] = _row_parts(seq_a.idems[i], seq_a.tail_idempotent(i + 1))
+        parts = table[i] = _peirce_rows(seq_a.ring, seq_a.idems[i], seq_a.tail_idempotent(i + 1))
     level_offsets = offsets(row_m)
     for sub_layers, last_rho, phi_next in _levels(
         seq_a, seq_b, sigma, offsets, table, i + 1, cap

@@ -11,10 +11,23 @@ extension well defined), the two-sided unit law on generators, and
 associativity on all generator triples.  Bilinearity then carries these to the
 whole ring, so a validated presentation is an honest finite unital ring.
 
+Each check runs once, where data enters.  RingPresentation(...) and
+validate_presentation run all of them, and are the constructors for outside
+input: ring files (jsonio hands their values over unchanged, so the rules
+for integers, which exclude booleans, for shapes and for reduced entries
+live only here), library callers and the fixture builders.
+RingPresentation._adopt builds the same object, through the same _setup,
+with no check, and has one caller: corners.corner_ring, for a corner e*A*e
+of a validated ring A at an idempotent e.  That corner is correct by
+construction: on independent cyclic generators h_i of orders s_i, the
+constants are the reduced coordinates of h_i h_j, and s_i * (h_i h_j) =
+(s_i h_i) h_j = 0 gives order compatibility; e is its two-sided unit; and
+its product is A's, so it is associative.
+
 A sparse copy of the tensor is built before validation: _terms[i][j]
 lists the nonzero (l, c[i][j][l]).  Products read a ProductTable, made from
-_terms in one pass on the ring's first product (the unit law, during
-validation) and kept on the ring: rows[i] packs every g_i * g_j into one
+_terms in one pass on the ring's first product (the unit law, when it is
+validated) and kept on the ring: rows[i] packs every g_i * g_j into one
 integer, in slots of a whole number of bytes wide enough for
 k^2 * (max(orders) - 1)^3, the largest unreduced coefficient of a product.
 a * b is then one big-integer product and sum per nonzero coefficient of a
@@ -59,15 +72,22 @@ from .errors import (
 DEFAULT_ENUMERATION_CAP = 4096
 
 
-def _as_int_tuple(seq, what: str) -> tuple[int, ...]:
-    """seq as a tuple of ints; a float, string or bool raises, as in
-    jsonio, so no value is silently rounded or parsed."""
+def _as_tuple(seq) -> tuple | None:
+    """seq as a tuple, or None when it is not a sequence.  A string or a
+    mapping iterates, but over its characters or keys, so neither is one."""
+    if isinstance(seq, (str, bytes, dict)):
+        return None
     try:
-        out = tuple(seq)
-        ok = all(isinstance(v, int) and not isinstance(v, bool) for v in out)
+        return tuple(seq)
     except TypeError:
-        ok = False
-    if not ok:
+        return None
+
+
+def _as_int_tuple(seq, what: str) -> tuple[int, ...]:
+    """seq as a tuple of ints; a float, string or bool raises, so no value
+    is silently rounded or parsed (JSON true and false are not integers)."""
+    out = _as_tuple(seq)
+    if out is None or not all(isinstance(v, int) and not isinstance(v, bool) for v in out):
         raise ShapeMismatch("%s must be a sequence of integers" % what)
     return out
 
@@ -181,17 +201,19 @@ class RingPresentation:
     __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_table", "_gens", "_memo")
 
     def __init__(self, orders, mul, one, name: str | None = None):
-        self.orders = _as_int_tuple(orders, "orders")
-        k = len(self.orders)
-        for i, d in enumerate(self.orders):
+        orders = _as_int_tuple(orders, "orders")
+        k = len(orders)
+        for i, d in enumerate(orders):
             if d < 2:
                 raise ShapeMismatch("generator order at index %d must be >= 2" % i)
 
-        if len(mul) != k:
+        mul_rows = _as_tuple(mul)
+        if mul_rows is None or len(mul_rows) != k:
             raise ShapeMismatch("mul tensor must have %d rows" % k)
         rows = []
-        for i, row in enumerate(mul):
-            if len(row) != k:
+        for i, row in enumerate(mul_rows):
+            row = _as_tuple(row)
+            if row is None or len(row) != k:
                 raise ShapeMismatch("mul row %d must have %d entries" % (i, k))
             cols = []
             for j, vec in enumerate(row):
@@ -199,38 +221,52 @@ class RingPresentation:
                 if len(v) != k:
                     raise ShapeMismatch("mul[%d][%d] must have %d coefficients" % (i, j, k))
                 for l, c in enumerate(v):
-                    if not 0 <= c < self.orders[l]:
+                    if not 0 <= c < orders[l]:
                         raise ShapeMismatch(
                             "mul[%d][%d][%d] = %d is not reduced mod %d; "
-                            "reduce all inputs before validation" % (i, j, l, c, self.orders[l])
+                            "reduce all inputs before validation" % (i, j, l, c, orders[l])
                         )
                 cols.append(v)
             rows.append(tuple(cols))
-        self.mul = tuple(rows)
 
         u = _as_int_tuple(one, "one")
         if len(u) != k:
             raise ShapeMismatch("unit vector must have %d coefficients" % k)
         for l, c in enumerate(u):
-            if not 0 <= c < self.orders[l]:
+            if not 0 <= c < orders[l]:
                 raise ShapeMismatch(
                     "one[%d] = %d is not reduced mod %d; "
-                    "reduce all inputs before validation" % (l, c, self.orders[l])
+                    "reduce all inputs before validation" % (l, c, orders[l])
                 )
-        self.one = u
-        self.name = name
-        self._hash = hash((self.orders, self.mul, self.one))
-        self._terms = tuple(
-            tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row)
-            for row in self.mul
-        )
-        self._table = None
-        self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(k))
-        self._memo = {}
 
+        self._setup(orders, tuple(rows), u, name)
         self._check_order_compat()
         self._check_unit()
         self._check_associativity()
+
+    @classmethod
+    def _adopt(cls, orders, mul, one, name: str | None = None) -> "RingPresentation":
+        """The presentation of data that satisfies every check by
+        construction, with none run: orders a tuple of ints >= 2, mul a
+        k x k tuple of reduced coefficient tuples and one a reduced tuple
+        (see the module docstring for its one caller)."""
+        ring = cls.__new__(cls)
+        ring._setup(orders, mul, one, name)
+        return ring
+
+    def _setup(self, orders, mul, one, name):
+        """The fields every presentation has, from checked or adopted data."""
+        self.orders = orders
+        self.mul = mul
+        self.one = one
+        self.name = name
+        self._hash = hash((orders, mul, one))
+        self._terms = tuple(
+            tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row) for row in mul
+        )
+        self._table = None
+        self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(len(orders)))
+        self._memo = {}
 
     # -- validation ------------------------------------------------------
 

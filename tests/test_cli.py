@@ -48,6 +48,15 @@ def test_validate_rejects_malformed(tmp_path, capsys):
     assert run(capsys, "validate", str(booleans))[0] == 2
 
 
+@pytest.mark.parametrize("mul", [5, [5], None, {"a": 1}, "x"], ids=repr)
+def test_validate_rejects_a_mul_of_the_wrong_shape(tmp_path, capsys, mul):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"orders": [2], "mul": mul, "one": [1]}))
+    code, _, cap = run(capsys, "validate", str(path))
+    assert code == 2 and cap.err.startswith("error: %s: " % path), cap.err
+    assert "mul" in cap.err
+
+
 def _undecodable_files(tmp_path):
     """A file that is not UTF-8 (it starts with a UTF-16 byte order mark) and
     one nested past the JSON decoder's recursion limit."""

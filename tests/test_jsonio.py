@@ -57,6 +57,10 @@ def test_ring_from_obj_rejects_bad_shapes():
     # unreduced structure constants are rejected, not normalized
     with pytest.raises(ShapeMismatch):
         ring_from_obj({**good, "mul": [[[3]]]})
+    # the presentation, not the JSON reader, rejects a mul of the wrong shape
+    for mul in (5, [5], None, {"a": 1}, "x"):
+        with pytest.raises(ShapeMismatch):
+            ring_from_obj({**good, "mul": mul})
 
 
 def test_check_ring_ref():

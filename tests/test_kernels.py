@@ -345,12 +345,14 @@ def test_aut_group_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # tests, the block edges of the Peirce graph and the row parts read
     # e*g*f for all g in one Peirce-row pass each: 34 passes where 413
     # products were made (200 for spans, 87 for vanishing, 66 for edges, 60
-    # for row parts).
+    # for row parts).  A corner e*A*e is a ring with unit e by construction,
+    # so its presentation is adopted without the unit-law check, whose two
+    # products per corner generator made 8 more.
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     passes = _count_peirce_passes(monkeypatch)
     assert aut_group(ring).order == 64
-    assert calls[0] == 2294
+    assert calls[0] == 2286
     assert passes[0] == 34
 
 
@@ -363,12 +365,13 @@ def test_aut_order_of_t4_f2_makes_a_pinned_number_of_products(monkeypatch):
     # is decided on packed integers, with no product (208 fewer).  Every map
     # the count builds has offset 0, and such a level map makes no product
     # (60 fewer).  The same 413 products of the triangulation as in
-    # aut_group's count are 34 Peirce-row passes.
+    # aut_group's count are 34 Peirce-row passes.  The corner presentations
+    # are adopted, with no unit-law check (8 products fewer).
     ring = upper_triangular(4, 2)
     calls = _count_products(monkeypatch)
     passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 64
-    assert calls[0] == 223
+    assert calls[0] == 215
     assert passes[0] == 34
 
 
@@ -378,21 +381,23 @@ def test_aut_order_of_f2_to_the_5_makes_a_pinned_number_of_products(monkeypatch)
     # map with offset 0 makes no product; making the parts again for every
     # map under every block order, and the offset terms, cost 9560 more.
     # Spans (260 products), vanishing tests and block edges (135) and row
-    # parts (40) are 64 Peirce-row passes.
+    # parts (40) are 64 Peirce-row passes.  The corner presentations are
+    # adopted, with no unit-law check (10 products fewer).
     ring = functools.reduce(product, [cyclic(2)] * 5)
     calls = _count_products(monkeypatch)
     passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 120
-    assert calls[0] == 134
+    assert calls[0] == 124
     assert passes[0] == 64
 
 
 def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
     # 11 products triangulate M2(F3) (the reducedness check of the one head,
     # 1, reads the split of 1 that the triangulation made and runs only the
-    # block test), 10 type its block as M2(D) (2 for the matrix units, 4
+    # block test), 8 type its block as M2(D) (2 for the matrix units, 2
     # for the corner ring D = F3, 4 for its residue field) and 1 searches
-    # Iso(F3, F3).  The count is then |GL2(F3)| / |F3^x| * 1 = 24, with no
+    # Iso(F3, F3).  D's presentation is a corner, adopted with no unit-law
+    # check (2 products fewer).  The count is then |GL2(F3)| / |F3^x| * 1 = 24, with no
     # product.  The corner search over all of M2(F3) and its 24 assembled
     # maps made 1158 more.  9 Peirce-row passes replace 58 products: 20
     # for spans, 22 for the block edges and 16 for the matrix units'
@@ -402,7 +407,7 @@ def test_aut_order_of_m2_f3_makes_a_pinned_number_of_products(monkeypatch):
     calls = _count_products(monkeypatch)
     passes = _count_peirce_passes(monkeypatch)
     assert aut_order(ring) == 24
-    assert calls[0] == 22
+    assert calls[0] == 20
     assert passes[0] == 9
 
 

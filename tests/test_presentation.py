@@ -70,6 +70,12 @@ def test_rejects_wrong_shapes():
         RingPresentation((2, 2), (((1, 0), (0, 1)), ((0, 1),)), (1, 0))
     with pytest.raises(ShapeMismatch, match="unit vector must have 2 coefficients"):
         RingPresentation((2, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1,))
+    # a mul that is not a nested sequence is a shape error, not a TypeError
+    for mul in (5, None):
+        with pytest.raises(ShapeMismatch, match="mul tensor must have 1 rows"):
+            RingPresentation([2], mul, [1])
+    with pytest.raises(ShapeMismatch, match="mul row 0 must have 1 entries"):
+        RingPresentation([2], [5], [1])
     with pytest.raises(ShapeMismatch, match="element needs 1 coefficients"):
         cyclic(6).element((1, 2))
 
