@@ -15,6 +15,13 @@ once through _oracle, which gives "agree", or "skipped" when a sweep exceeds
 its own cap, stores that verdict as payload["oracle"] and appends
 "oracle: <verdict>" to the summary.  report has three verdicts, so it runs
 the same checks itself under report.oracle and returns no check.
+
+Each query frees what it loaded.  main hands every handler a list, and
+_load_ring appends each ring it reads to it; once the handler and its
+oracle check are done, on any exit code, main calls forget() on each of
+them.  A ring's memo is the only cycle in its graph (see presentation.py),
+so the rings, their sequences, spans, corners and maps are freed by
+reference counting as main returns.
 """
 from __future__ import annotations
 
@@ -67,12 +74,17 @@ def _load_json(path: str):
         raise InputProblem("%s: invalid JSON (%s)" % (path, exc))
 
 
-def _load_ring(path: str):
+def _load_ring(path: str, loaded: list | None = None):
+    """The ring in the file at path, appended to loaded, the list of rings
+    that main frees when the query ends."""
     obj = _load_json(path)
     try:
-        return ring_from_obj(obj)
+        ring = ring_from_obj(obj)
     except ToolkitError as exc:
         raise InputProblem("%s: %s" % (path, exc))
+    if loaded is not None:
+        loaded.append(ring)
+    return ring
 
 
 def _coeff_rows(elems) -> list:
@@ -86,11 +98,11 @@ def _one_based(perms) -> list:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_validate(args):
+def cmd_validate(args, loaded):
     rings = []
     summary = []
     for path in args.rings:
-        ring = _load_ring(path)
+        ring = _load_ring(path, loaded)
         rings.append(
             {
                 "file": path,
@@ -105,8 +117,8 @@ def cmd_validate(args):
     return {"rings": rings}, summary, None
 
 
-def cmd_idempotents(args):
-    ring = _load_ring(args.ring)
+def cmd_idempotents(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     idems = enumerate_idempotents(ring, args.cap)
     semis = [e for e in idems if is_semicentral(ring, e)]
     payload = {
@@ -119,8 +131,8 @@ def cmd_idempotents(args):
     return payload, summary, lambda: _check_semicentral(ring, payload["semicentral"])
 
 
-def cmd_triangulate(args):
-    ring = _load_ring(args.ring)
+def cmd_triangulate(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     seq = complete_triangulating_set(ring, args.cap)
     payload = {
         "ring": ring_ref(ring),
@@ -132,8 +144,8 @@ def cmd_triangulate(args):
     return payload, summary, lambda: _check_triangular(ring, seq)
 
 
-def cmd_orders(args):
-    ring = _load_ring(args.ring)
+def cmd_orders(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     seq = complete_triangulating_set(ring, args.cap)
     sigmas = admissible_orders(seq)
     payload = {
@@ -164,8 +176,8 @@ def cmd_orders(args):
     return payload, summary, check
 
 
-def cmd_split(args):
-    ring = _load_ring(args.ring)
+def cmd_split(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     seq = complete_triangulating_set(ring, args.cap)
     splits = detect_direct_sum(seq)
     payload = {
@@ -177,8 +189,8 @@ def cmd_split(args):
     return payload, summary, None
 
 
-def cmd_aut(args):
-    ring = _load_ring(args.ring)
+def cmd_aut(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     payload = {"ring": ring_ref(ring)}
     if args.all:
         group = aut_group(ring, args.cap)
@@ -193,9 +205,9 @@ def cmd_aut(args):
     return payload, summary, lambda: _check_aut(ring, order)
 
 
-def cmd_iso_synth(args):
-    ring_a = _load_ring(args.ring_a)
-    ring_b = _load_ring(args.ring_b)
+def cmd_iso_synth(args, loaded):
+    ring_a = _load_ring(args.ring_a, loaded)
+    ring_b = _load_ring(args.ring_b, loaded)
     seq_a = complete_triangulating_set(ring_a, args.cap)
     seq_b = complete_triangulating_set(ring_b, args.cap)
     obj = _load_json(args.decomposition)
@@ -211,9 +223,9 @@ def cmd_iso_synth(args):
     return payload, summary, None
 
 
-def cmd_iso_decompose(args):
-    ring_a = _load_ring(args.ring_a)
-    ring_b = _load_ring(args.ring_b)
+def cmd_iso_decompose(args, loaded):
+    ring_a = _load_ring(args.ring_a, loaded)
+    ring_b = _load_ring(args.ring_b, loaded)
     seq_a = complete_triangulating_set(ring_a, args.cap)
     seq_b = complete_triangulating_set(ring_b, args.cap)
     obj = _load_json(args.map)
@@ -230,9 +242,9 @@ def cmd_iso_decompose(args):
     return payload, summary, None
 
 
-def cmd_iso_search(args):
-    ring_a = _load_ring(args.ring_a)
-    ring_b = _load_ring(args.ring_b)
+def cmd_iso_search(args, loaded):
+    ring_a = _load_ring(args.ring_a, loaded)
+    ring_b = _load_ring(args.ring_b, loaded)
     if args.all:
         isos = [iso for _d, iso in enumerate_isomorphisms(ring_a, ring_b, args.cap)]
         payload = {
@@ -264,8 +276,8 @@ def cmd_iso_search(args):
     return payload, summary, check
 
 
-def cmd_report(args):
-    ring = _load_ring(args.ring)
+def cmd_report(args, loaded):
+    ring = _load_ring(args.ring, loaded)
     timings: dict[str, float] = {}
 
     def timed(key, thunk):
@@ -408,8 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    loaded = []
     try:
-        payload, summary, check = args.handler(args)
+        payload, summary, check = args.handler(args, loaded)
         if check is not None and args.oracle:
             payload["oracle"] = _oracle(check)
             summary.append("oracle: %s" % payload["oracle"])
@@ -422,6 +435,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
+    finally:
+        for ring in loaded:
+            ring.forget()
     if args.format == "json":
         print(dumps_canonical(payload))
         for line in summary:

@@ -224,6 +224,11 @@ def z2xz3() -> RingPresentation:
     return product(cyclic(2), cyclic(3), name="Z2xZ3")
 
 
+def zero_ring(name: str | None = None) -> RingPresentation:
+    """The zero ring: no generators, so 1 = 0."""
+    return RingPresentation((), (), (), name=name)
+
+
 def three_block() -> RingPresentation:
     """T2(F2) plus a one-dimensional summand; three triangular blocks, one of
     which splits off.  The summand is listed first in the basis."""

@@ -113,12 +113,14 @@ class _Positions:
     them by bilinearity (see the module docstring).
 
     elems[p] is the element at position p, pos maps its coefficients back to
-    p, and position 0 is zero.  Each row of the addition table is filled on
-    first use, and the multiplication table too.
+    p, position 0 is zero, and gens holds the ring's generators, built once.
+    Each row of the addition table is filled on first use, and the
+    multiplication table too.
     """
 
     def __init__(self, ring: RingPresentation):
         self.ring = ring
+        self.gens = ring.gens()
         self.elems = list(ring.elements())
         self.pos = {x.coeffs: p for p, x in enumerate(self.elems)}
         self.steps = _steps(ring.orders)
@@ -130,7 +132,7 @@ class _Positions:
     @cached_property
     def _gen_add(self) -> list[list[int]]:
         """The positions of g_i + q for every q, one row per generator."""
-        return [[self.of(g + y) for y in self.elems] for g in self.ring.gens()]
+        return [[self.of(g + y) for y in self.elems] for g in self.gens]
 
     def add_row(self, y: int) -> list[int]:
         """The positions of y + q for every q.  The row of x' + g_i is the
@@ -157,7 +159,7 @@ class _Positions:
         """mul[x][z] is the position of x * z; mul[x'+g_i] is mul[x'] plus
         the row of g_i, entry by entry."""
         add = self.add
-        gen_rows = [[self.of(g * z) for z in self.elems] for g in self.ring.gens()]
+        gen_rows = [[self.of(g * z) for z in self.elems] for g in self.gens]
         mul = [[0] * len(self.elems)]
         for prev, i in self.steps:
             mul.append([add[y][z] for y, z in zip(mul[prev], gen_rows[i])])
@@ -166,7 +168,7 @@ class _Positions:
     def values(self, f) -> list[int]:
         """The positions of f(a) for every a, for an additive map f on the
         ring's elements, from its k values f(g_i) (see _fill)."""
-        return _fill(self.steps, [self.add_row(self.of(f(g))) for g in self.ring.gens()])
+        return _fill(self.steps, [self.add_row(self.of(f(g))) for g in self.gens])
 
 
 def _vanish(left: list[int], right: list[int], among) -> bool:

@@ -26,14 +26,16 @@ its product is A's, so it is associative.
 
 A sparse copy of the tensor is built before validation: _terms[i][j]
 lists the nonzero (l, c[i][j][l]).  Products read a ProductTable, made from
-_terms in one pass on the ring's first product (the unit law, when it is
-validated) and kept on the ring: rows[i] packs every g_i * g_j into one
+_terms in one pass when it is first read (by the unit law, when the ring
+is validated) and kept on the ring: rows[i] packs every g_i * g_j into one
 integer, in slots of a whole number of bytes wide enough for
 k^2 * (max(orders) - 1)^3, the largest unreduced coefficient of a product.
 a * b is then one big-integer product and sum per nonzero coefficient of a
 and of b and one unpack of k slots, reduced once; _peirce_rows(e, f) makes
 e * g_j * f for every generator g_j in one such pass, for the Peirce spans
-and tests of corners, idempotents and morphisms.  Associativity is checked
+and tests of corners, idempotents and morphisms.  The unit law reads
+one * g_j for every j from one pass over the rows, and g_m * one for every
+m from one over the columns, with no product call.  Associativity is checked
 on _terms directly, with no product call: both bracketings of the triples
 (i, j, l) for one pair (i, j) and every l are packed into one integer each
 and compared.  SlotPacking owns that format and reads an unequal pair of
@@ -41,16 +43,24 @@ integers slot by slot; maps.ring_iso_failure decides multiplicativity in
 the same format.  Every packed format lives in this module.
 
 Elements are immutable coefficient tuples tied to their presentation; mixing
-elements of different presentations raises AmbientMismatch.  gens() returns
-one tuple of generator elements built with the presentation.  A presentation
-is also an additive side of maps (see maps.py), like a Subgroup: its ring is
-itself, its generators are gens(), and the coordinates of an element are its
-coefficients.
+elements of different presentations raises AmbientMismatch.  A presentation
+keeps its generators as the coefficient tuples of the basis, and gens()
+builds their elements on each call, since an Element points at its ring.
+A presentation is also an additive side of maps (see maps.py), like a
+Subgroup: its ring is itself, its generators are gens(), and the
+coordinates of an element are its coefficients.
 
 Each presentation object keeps one memo (_remember) of the Peirce spans,
 idempotent splits, canonical sequence and content hash derived from it
 (see corners, idempotents, triangulate and jsonio.ring_hash).  It belongs
-to the object, not to its contents, and lives as long as the object.
+to the object, not to its contents.  The memo is the only field that
+points back at the ring, through the spans and sequence it holds, so it is
+the only cycle in a ring's graph: forget() empties it, and reference
+counting then frees the ring and all that was derived from it as soon as
+the last outside reference goes.  The CLI calls forget() on every ring a
+query loaded when the query ends; the library never does, so a ring used
+from Python keeps its memo as long as it lives and is freed by the cyclic
+collector.
 """
 from __future__ import annotations
 
@@ -198,7 +208,7 @@ def _slot_reader(count: int, nbytes: int):
 class RingPresentation:
     """A validated structure-constant presentation of a finite unital ring."""
 
-    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_table", "_gens", "_memo")
+    __slots__ = ("orders", "mul", "one", "name", "_hash", "_terms", "_table", "_basis", "_memo")
 
     def __init__(self, orders, mul, one, name: str | None = None):
         orders = _as_int_tuple(orders, "orders")
@@ -265,7 +275,8 @@ class RingPresentation:
             tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row) for row in mul
         )
         self._table = None
-        self._gens = tuple(Element(self, self._basis_coeffs(i)) for i in range(len(orders)))
+        k = len(orders)
+        self._basis = tuple(tuple(int(j == i) for j in range(k)) for i in range(k))
         self._memo = {}
 
     # -- validation ------------------------------------------------------
@@ -280,9 +291,14 @@ class RingPresentation:
                         raise OrderViolation(i, j)
 
     def _check_unit(self):
-        for i, gen in enumerate(self._gens):
-            g = gen.coeffs
-            if self._mul_coeffs(self.one, g) != g or self._mul_coeffs(g, self.one) != g:
+        # one packed pass per side: one * g_j in group j of the left grid,
+        # g_m * one in group m of the right one
+        table = self._table or self._build_table()
+        k = len(self.orders)
+        left = self._grid(table.rows, self.one)
+        right = self._grid(table.cols, self.one)
+        for i, g in enumerate(self._basis):
+            if left[i * k:i * k + k] != g or right[i * k:i * k + k] != g:
                 raise UnitFailure(i)
 
     def _check_associativity(self):
@@ -324,9 +340,6 @@ class RingPresentation:
 
     # -- coefficient arithmetic ------------------------------------------
 
-    def _basis_coeffs(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(len(self.orders)))
-
     def _reduce(self, coeffs) -> tuple[int, ...]:
         return tuple(map(operator.mod, coeffs, self.orders))
 
@@ -360,14 +373,11 @@ class RingPresentation:
         k = len(self.orders)
         orders, shifts, mask = self.orders * k, table.shifts, table.mask
         grid_bytes = k * table.row_bytes
-        left = 0
-        for i, x in itertools.compress(enumerate(e), e):
-            left += x * table.rows[i]
         right = 0
         for n, y in itertools.compress(enumerate(f), f):
             right += y * table.cols[n]
         # (e * g_j)_m at index j * k + m, and g_m * f in right_m[m]
-        eg = tuple(map(operator.mod, table.read_grid(left.to_bytes(grid_bytes, "little")), orders))
+        eg = self._grid(table.rows, e)
         right_m = [right >> s & mask for s in shifts]
         acc = 0
         for x, c in itertools.compress(enumerate(eg), eg):
@@ -375,6 +385,18 @@ class RingPresentation:
             acc += c * right_m[m] << shifts[j]
         flat = map(operator.mod, table.read_grid(acc.to_bytes(grid_bytes, "little")), orders)
         return tuple(zip(*[flat] * k))
+
+    def _grid(self, packed, e) -> tuple[int, ...]:
+        """The reduced slots of sum e_i * packed[i], k per generator: with
+        packed the table's rows, e * g_j at index j * k; with its columns,
+        g_m * e at index m * k.  Each slot is at most k * (max(orders) - 1)^2,
+        so none overflows."""
+        table = self._table
+        acc = 0
+        for i, x in itertools.compress(enumerate(e), e):
+            acc += x * packed[i]
+        grid = table.read_grid(acc.to_bytes(len(self.orders) * table.row_bytes, "little"))
+        return tuple(map(operator.mod, grid, self.orders * len(self.orders)))
 
     def _build_table(self) -> "ProductTable":
         self._table = ProductTable(self.orders, self._terms)
@@ -401,7 +423,7 @@ class RingPresentation:
 
     @property
     def generators(self) -> tuple["Element", ...]:
-        return self._gens
+        return self.gens()
 
     @property
     def generator_orders(self) -> tuple[int, ...]:
@@ -422,19 +444,29 @@ class RingPresentation:
     def gen(self, i: int) -> "Element":
         if not 0 <= i < self.rank:
             raise ShapeMismatch("generator index %d outside range(%d)" % (i, self.rank))
-        return self._gens[i]
+        return self.gens()[i]
 
     def gens(self) -> tuple["Element", ...]:
-        return self._gens
+        """The generator elements, built afresh on each call (see the module
+        docstring)."""
+        return tuple([Element(self, g) for g in self._basis])
 
     def _remember(self, key, make):
         """The fact kept under key, made by make() the first time it is
-        asked for; it lives as long as this ring object (see the module
-        docstring)."""
+        asked for; it lives until forget() or the ring object goes (see
+        the module docstring)."""
         memo = self._memo
         if key not in memo:
             memo[key] = make()
         return memo[key]
+
+    def forget(self) -> None:
+        """Drop every fact derived from this ring and kept on it: Peirce
+        spans, idempotent splits, the canonical sequence and the content
+        hash.  A later question derives them again.  With the memo empty
+        the ring's graph holds no cycle, so it is freed as soon as nothing
+        outside refers to it (see the module docstring)."""
+        self._memo.clear()
 
     def element(self, coeffs) -> "Element":
         c = _as_int_tuple(coeffs, "coefficients")

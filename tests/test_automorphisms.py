@@ -4,7 +4,6 @@ import pytest
 
 from finring import (
     AutomorphismGroup,
-    RingPresentation,
     StructureViolation,
     aut_group,
     aut_order,
@@ -25,6 +24,7 @@ from finring.fixtures import (
     poly_quotient,
     product,
     upper_triangular,
+    zero_ring,
 )
 from finring.maps import compose_maps, invert_map
 
@@ -85,7 +85,7 @@ def test_inner_automorphisms_lie_in_group():
 
 
 def test_trivial_rings():
-    zero = RingPresentation((), (), ())
+    zero = zero_ring()
     assert aut_order(zero) == 1
     assert [g.images for g in aut_group(zero).elements] == [()]
     assert aut_order(f2()) == 1

@@ -41,6 +41,7 @@ from finring.fixtures import (
     poly_quotient,
     product,
     upper_triangular,
+    zero_ring,
 )
 from finring.jsonio import ring_to_obj
 from finring.presentation import RingPresentation
@@ -114,7 +115,7 @@ def _ladder_rings() -> dict[str, RingPresentation]:
     rings.update({
         "m2_f3.json": matrix_ring(2, 3),
         "f16.json": poly_quotient([1, 1, 0, 0]),
-        "zero.json": RingPresentation([], [], [], name="0"),
+        "zero.json": zero_ring(name="0"),
         "f2_7.json": f2_7,
     })
     return rings

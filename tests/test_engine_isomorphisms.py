@@ -28,14 +28,10 @@ from finring.fixtures import (
     fixture,
     matrix_ring,
     upper_triangular_over,
+    zero_ring,
 )
-from finring.presentation import RingPresentation
 from test_matrix_units import MATRIX_PAIRS
 from test_triangulate import LADDER
-
-
-def _zero_ring():
-    return RingPresentation([], [], [], name="0")
 
 
 def _corpus():
@@ -49,7 +45,7 @@ def _corpus():
         out += [(name, ring, ring), (name + "-basis", ring, changed)]
     out += [
         ("T2(F4)", upper_triangular_over(2, field_f4()), upper_triangular_over(2, field_f4())),
-        ("zero", _zero_ring(), _zero_ring()),
+        ("zero", zero_ring(name="0"), zero_ring(name="0")),
     ]
     return out
 

@@ -26,6 +26,7 @@ from finring.fixtures import (
     t2_f2,
     upper_triangular,
     z6,
+    zero_ring,
 )
 from finring.idempotents import has_reduced_corner
 
@@ -75,7 +76,7 @@ def test_semicentral_reduced():
 
 
 def test_zero_ring_is_not_semicentral_reduced():
-    zr = RingPresentation((), (), ())
+    zr = zero_ring()
     assert not is_semicentral_reduced(zr)
 
 

@@ -7,7 +7,6 @@ import finring.corners
 from finring import (
     InadmissiblePermutation,
     IsoDecomposition,
-    RingPresentation,
     ShapeMismatch,
     check_ring_ref,
     complete_triangulating_set,
@@ -25,7 +24,7 @@ from finring import (
     ring_ref,
     ring_to_obj,
 )
-from finring.fixtures import FIXTURE_BUILDERS, fixture, t2_f2
+from finring.fixtures import FIXTURE_BUILDERS, fixture, t2_f2, zero_ring
 
 Z6_HASH = "28f5f451e340893d51de3a79998b3505100f1b7f9cbce7fc8b145dc7e1c13836"
 
@@ -120,7 +119,7 @@ def test_decomposition_from_obj_rejections():
     with pytest.raises(ShapeMismatch):
         decomposition_from_obj({**obj, "sigma": [3, 1, 2]}, seq, seq)
     # the one-element ring has the empty decomposition and nothing else
-    seq = complete_triangulating_set(RingPresentation((), (), ()))
+    seq = complete_triangulating_set(zero_ring())
     empty = {"sigma": [], "layers": [], "last_rho": None}
     assert decomposition_from_obj(empty, seq, seq) == IsoDecomposition((), (), None)
     with pytest.raises(ShapeMismatch, match="cannot carry a closing isomorphism"):

@@ -4,11 +4,14 @@ The references below are written the textbook way: a triple loop over the
 whole structure-constant tensor for products, one generator expression per
 coordinate for the additive operations, and Element accumulation for additive
 maps.  The packed product table is also held to a copy of the sparse product
-loop it replaced.  Coefficient vectors are drawn over the fixture corpus,
+loop it replaced, and the packed unit-law check to a copy of the loop of
+products it replaced.  Coefficient vectors are drawn over the fixture corpus,
 T3(Z4), M2(F3), the zero ring, and copies of some of them on a random basis
 in GL_k(Z_n), whose structure constants are dense.
 """
 import functools
+import gc
+import itertools
 import math
 import random
 
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from finring import (
     AdditiveMap,
     StructureViolation,
+    UnitFailure,
     aut_group,
     aut_order,
     complete_triangulating_set,
@@ -34,7 +38,9 @@ from finring.fixtures import (
     product,
     random_gl,
     upper_triangular,
+    zero_ring,
 )
+from finring.errors import NonAssociative, ToolkitError
 from finring.idempotents import _residue_order
 from finring.presentation import RingPresentation
 
@@ -85,7 +91,7 @@ def element_apply(f, x):
     return acc
 
 
-ZERO_RING = RingPresentation([], [], [], name="0")
+ZERO_RING = zero_ring(name="0")
 BASE_RINGS = [fixture(name) for name in sorted(FIXTURE_BUILDERS)] + [
     upper_triangular(3, 4),
     matrix_ring(2, 3),
@@ -299,10 +305,100 @@ def test_apply_refuses_non_members_of_a_subgroup_domain():
         f.apply(ring.one_element())
 
 
-def test_generators_are_built_once():
+def test_generators_agree_and_form_no_cycle():
     ring = upper_triangular(4, 2)
-    assert ring.gens() is ring.gens()
-    assert [g.coeffs for g in ring.gens()] == [ring.gen(i).coeffs for i in range(ring.rank)]
+    assert ring.gens() == ring.generators == tuple(ring.gen(i) for i in range(ring.rank))
+    assert [g.coeffs for g in ring.gens()] == [
+        tuple(int(j == i) for j in range(ring.rank)) for i in range(ring.rank)
+    ]
+    # a ring that built its generators is freed by reference counting alone
+    debug = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ring = RingPresentation(ring.orders, ring.mul, ring.one)
+        assert len(ring.gens()) == len(ring.generators) == 10
+        del ring
+        gc.collect()
+        assert not any(isinstance(o, RingPresentation) for o in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+
+
+def _looped_unit_failure(ring):
+    """A copy of the unit-law check that the packed pass replaced: the first
+    i with one * g_i != g_i or g_i * one != g_i, by two products each."""
+    for i in range(ring.rank):
+        g = tuple(int(j == i) for j in range(ring.rank))
+        if ring._mul_coeffs(ring.one, g) != g or ring._mul_coeffs(g, ring.one) != g:
+            return i
+    return None
+
+
+def _packed_unit_failure(ring):
+    try:
+        ring._check_unit()
+    except UnitFailure as exc:
+        return exc.index
+    return None
+
+
+def _unit_sides(ring):
+    """The generators where one is no left unit, and those where it is no
+    right unit."""
+    basis = [tuple(int(j == i) for j in range(ring.rank)) for i in range(ring.rank)]
+    return (
+        {i for i, g in enumerate(basis) if ring._mul_coeffs(ring.one, g) != g},
+        {i for i, g in enumerate(basis) if ring._mul_coeffs(g, ring.one) != g},
+    )
+
+
+def _broken_units(ring):
+    """Presentations of ring's data with one structure constant c[i][j][l]
+    moved by 1, adopted unchecked: where one_i != 0 the move breaks
+    one * g_j, and where one_j != 0 it breaks g_i * one."""
+    k = ring.rank
+    out = []
+    for i, j in itertools.product(range(k), repeat=2):
+        l = (i + j) % k
+        mul = [[list(vec) for vec in row] for row in ring.mul]
+        mul[i][j][l] = (mul[i][j][l] + 1) % ring.orders[l]
+        mul = tuple(tuple(tuple(vec) for vec in row) for row in mul)
+        out.append(RingPresentation._adopt(ring.orders, mul, ring.one))
+    return out
+
+
+def test_the_packed_unit_check_matches_the_loop_of_products():
+    broken = [b for ring in RINGS for b in _broken_units(ring)]
+    for ring in RINGS:
+        assert _packed_unit_failure(ring) is None
+        assert _looped_unit_failure(ring) is None
+    sides = {"left": set(), "right": set()}
+    for ring in broken:
+        assert _packed_unit_failure(ring) == _looped_unit_failure(ring)
+        left, right = _unit_sides(ring)
+        if left and not right:
+            sides["left"].add(min(left))
+        if right and not left:
+            sides["right"].add(min(right))
+    # failures on one side only, first at several generators
+    assert len(sides["left"]) >= 3 and len(sides["right"]) >= 3, sides
+
+
+def test_the_constructor_raises_the_first_unit_failure():
+    for ring in [b for ring in RINGS for b in _broken_units(ring)]:
+        index = _looped_unit_failure(ring)
+        try:
+            RingPresentation(ring.orders, ring.mul, ring.one)
+        except UnitFailure as exc:
+            assert exc.index == index
+        except ToolkitError as exc:
+            # an order or associativity failure of the moved constant; the
+            # order check runs first, the associativity check after the unit
+            assert index is None or not isinstance(exc, NonAssociative)
+        else:
+            assert index is None
 
 
 def _count_products(monkeypatch) -> list[int]:

@@ -57,6 +57,7 @@ from finring.fixtures import (
     t2_z4,
     upper_triangular,
     upper_triangular_over,
+    zero_ring,
 )
 from finring.oracle import brute_isos
 from finring.presentation import RingPresentation
@@ -366,7 +367,7 @@ def test_iso_search_negative_cases():
 def test_roundtrip_b_small_rings():
     # the one-element ring has the empty sequence and one empty decomposition
     rings = [fixture(name) for name in ("z6", "z2xz3", "t2_f2", "three_block")]
-    for ring in rings + [RingPresentation((), (), ())]:
+    for ring in rings + [zero_ring()]:
         seq = complete_triangulating_set(ring)
         for d, iso in enumerate_isomorphisms(ring, ring):
             assert iso_decompose(iso, seq, seq) == d, ring
@@ -401,10 +402,8 @@ def test_cross_ring_decompose_roundtrip():
 
 
 def test_zero_ring_isomorphism():
-    from finring import RingPresentation
-
-    za = RingPresentation((), (), ())
-    zb = RingPresentation((), (), ())
+    za = zero_ring()
+    zb = zero_ring()
     pairs = list(enumerate_isomorphisms(za, zb))
     assert len(pairs) == 1
     d, iso = pairs[0]

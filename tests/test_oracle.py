@@ -32,6 +32,7 @@ from finring.fixtures import (
     t2_f2,
     t3_f2,
     upper_triangular,
+    zero_ring,
 )
 from finring.maps import AdditiveMap
 from finring.oracle import BrutePeirceTable
@@ -161,7 +162,7 @@ Z4XZ4_SKEW = RingPresentation(
 Z8_ON_3 = RingPresentation([8], [[[3]]], [3], name="Z8 on 3")
 
 
-ZERO = RingPresentation([], [], [])
+ZERO = zero_ring()
 
 
 def _oracle_pairs():

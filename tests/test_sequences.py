@@ -4,7 +4,6 @@ import pytest
 
 from finring import (
     InvalidSequence,
-    RingPresentation,
     Subgroup,
     TriangularSequence,
     brute_triangular_check,
@@ -21,6 +20,7 @@ from finring.fixtures import (
     three_block,
     upper_triangular,
     z6,
+    zero_ring,
 )
 from finring import oracle
 
@@ -64,7 +64,7 @@ def test_failure_reasons_in_order():
 
 
 def test_empty_sequence_only_for_trivial_ring():
-    zr = RingPresentation((), (), ())
+    zr = zero_ring()
     assert is_strongly_triangular(zr, [])
     assert not is_strongly_triangular(z6(), [])
 

@@ -31,6 +31,7 @@ from finring.fixtures import (
     poly_quotient,
     product,
     upper_triangular,
+    zero_ring,
 )
 from finring.jsonio import ring_from_obj, ring_to_obj
 from finring.subgroups import Subgroup
@@ -55,7 +56,7 @@ def test_canonical_sequences_frozen():
 
 
 def test_zero_ring_sequence_is_empty():
-    zr = RingPresentation((), (), ())
+    zr = zero_ring()
     assert complete_triangulating_set(zr).m == 0
 
 
